@@ -8,8 +8,7 @@ Subcommands:
     axioms <scene> [--samples N]                 metric axiom check
 
 Exit codes: 0 success/Pass, 1 condition Fail, 2 usage or scene error,
-3 solver error. KELLIPSE_THREADS caps tracer workers; --seed overrides the
-scene seed.
+3 solver error. --seed overrides the scene seed.
 """
 from __future__ import annotations
 
@@ -193,8 +192,9 @@ def cmd_fixpoints(args) -> int:
 
 def cmd_axioms(args) -> int:
     scene = _load(args.scene)
-    report = verify_metric_axioms(scene.space, args.samples, seed=args.seed or scene.seed)
-    print(f"metric {report.metric.label}: {report.sample_count} triples, "
+    seed = args.seed if args.seed is not None else scene.seed
+    report = verify_metric_axioms(scene.space, args.samples, seed=seed)
+    print(f"metric {report.metric.label}: {report.sample_count} triples, seed {report.seed}, "
           f"{len(report.violations)} violation(s)")
     for v in report.violations[:20]:
         pts = ", ".join(fmt_point(p) for p in v.points)

@@ -7,14 +7,12 @@ into polylines; 3D crossings are emitted as an unstructured on-surface cloud.
 """
 from __future__ import annotations
 
-import os
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import KEllipse, SumField
+from .geometry import KEllipse, SolverError, SumField
 from .metric import TAU_EQ, Point
 
 __all__ = [
@@ -31,7 +29,15 @@ __all__ = [
 ]
 
 MAX_RESOLUTION = 4096
+# Tracing holds about 4 bytes per grid node (sign grid, evaluated-node mask,
+# an edge mask and one transient copy, 1 byte each) plus 16 bytes per
+# evaluated node (flat index and field value). sample_3d of tri3d_l2 on a
+# 321^3 grid peaks 140 MB (4.5 bytes per node) above the interpreter. A 3D
+# grid at MAX_RESOLUTION would have 6.9e10 nodes.
+MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
+BLOCK = 8                   # cells per axis of a pruning block
+EVAL_CHUNK = 1 << 16        # grid nodes per field evaluation
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,9 @@ class TraceConfig:
         for lo, hi in bbox:
             if not (hi > lo):
                 raise ValueError(f"bbox axis ({lo}, {hi}) has no extent")
+        nodes = (self.resolution + 1) ** len(bbox)
+        if nodes > MAX_GRID_NODES:
+            raise ValueError(f"grid of {nodes} nodes exceeds MAX_GRID_NODES = {MAX_GRID_NODES}")
         object.__setattr__(self, "bbox", bbox)
 
     def axes(self) -> list[np.ndarray]:
@@ -105,37 +114,52 @@ class CloudResult:
         return len(self.points)
 
 
-def _workers() -> int:
-    env = os.environ.get("KELLIPSE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+def _sign_grid(f: SumField, r: float, axes) -> tuple:
+    """Signs of (field - r) on the grid, evaluating only blocks the level can cross.
+
+    The grid is cut into blocks of BLOCK cells per axis that share their face
+    nodes. The field is k-Lipschitz in its own metric, so a block whose centre
+    c has |f(c) - r| > k * ||half-extent|| holds no crossing, and its nodes
+    take the sign of f(c) - r. Returns (neg, index, values): neg is
+    (field - r) < 0 at every node; index is the sorted flat index of the
+    evaluated nodes and values their field - r. Both ends of every
+    sign-changing edge are evaluated nodes.
+    """
+    shape = tuple(len(a) for a in axes)
+    starts = [np.arange(0, n - 1, BLOCK) for n in shape]
+    ends = [np.minimum(lo + BLOCK, n - 1) for lo, n in zip(starts, shape)]
+    centres = [0.5 * (a[lo] + a[hi]) for a, lo, hi in zip(axes, starts, ends)]
+    halves = [np.maximum(c - a[lo], a[hi] - c) for a, c, lo, hi in zip(axes, centres, starts, ends)]
+
+    def rows(per_axis):
+        return np.column_stack([g.ravel() for g in np.meshgrid(*per_axis, indexing="ij")])
+
+    blocks = tuple(len(lo) for lo in starts)
+    fc = (f.values(rows(centres)) - r).reshape(blocks)
+    radius = f.k * f.space.metric.distance_field(rows(halves), np.zeros(len(axes))).reshape(blocks)
+    evaluated = np.abs(fc) <= radius + 1e-9 * (1 + abs(r))
+    neg = fc < 0
+    # node i lies in blocks (i - 1) // BLOCK and i // BLOCK, clipped to the grid
+    for axis, n in enumerate(shape):
+        i = np.arange(n)
+        own = np.minimum(i // BLOCK, blocks[axis] - 1)
+        prev = np.maximum((i - 1) // BLOCK, 0)
+        evaluated = evaluated.take(own, axis) | evaluated.take(prev, axis)
+        neg = neg.take(own, axis)
+
+    index = np.flatnonzero(evaluated)
+    del evaluated
+    values = np.empty(len(index))
+    for s in range(0, len(index), EVAL_CHUNK):
+        node = np.unravel_index(index[s:s + EVAL_CHUNK], shape)
+        values[s:s + EVAL_CHUNK] = f.values(np.column_stack([a[i] for a, i in zip(axes, node)])) - r
+    np.put(neg, index, values < 0)
+    return neg, index, values
 
 
-def _grid_values_3d(f: SumField, xs, ys, zs) -> np.ndarray:
-    """Field values on the full 3D grid, evaluated slab-by-slab along z."""
-    nx, ny, nz = len(xs), len(ys), len(zs)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    base = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(nx * ny)])
-
-    def slab(iz):
-        pts = base.copy()
-        pts[:, 2] = zs[iz]
-        return f.values(pts).reshape(nx, ny)
-
-    out = np.empty((nx, ny, nz))
-    workers = _workers()
-    if workers <= 1 or nz < 8:
-        for iz in range(nz):
-            out[:, :, iz] = slab(iz)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for iz, values in enumerate(pool.map(slab, range(nz))):
-                out[:, :, iz] = values
-    return out
+def _node_values(index, values, nodes, shape) -> np.ndarray:
+    """field - r at evaluated grid nodes, given as a tuple of per-axis indices."""
+    return values[np.searchsorted(index, np.ravel_multi_index(nodes, shape))]
 
 
 def _bisect_edges(f: SumField, r: float, p0: np.ndarray, p1: np.ndarray,
@@ -143,7 +167,8 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, p1: np.ndarray,
     """Vectorized bisection on edges with a sign change; returns crossing points.
 
     Keeps the best (smallest-residual) point seen, so every returned point
-    satisfies |field - r| <= tol given the iteration budget.
+    satisfies |field - r| <= tol; raises SolverError when some edge has not
+    got there within BISECT_BUDGET halvings.
     """
     a, b = p0.astype(float).copy(), p1.astype(float).copy()
     fa = f0.copy()
@@ -161,6 +186,13 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, p1: np.ndarray,
         a[same] = mid[same]
         fa[same] = fm[same]
         b[~same] = mid[~same]
+    unconverged = int((best_res > tol).sum())
+    if unconverged:
+        worst = int(np.argmax(best_res))
+        raise SolverError(
+            f"bisection left {unconverged} of {len(best_res)} crossing edge(s) unconverged "
+            f"after {BISECT_BUDGET} halvings; worst residual {best_res[worst]:.3g} > {tol:g}",
+            Point(best[worst].tolist()), float(best_res[worst]))
     return best
 
 
@@ -190,9 +222,7 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
     f = e.field
     r = float(e.r)
     xs, ys = cfg.axes()
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    grid = f.values(np.column_stack([gx.ravel(), gy.ravel()])).reshape(gx.shape) - r
-    inside = grid < 0
+    inside, index, values = _sign_grid(f, r, (xs, ys))
 
     n = cfg.resolution
     b = inside.astype(np.int8)
@@ -236,20 +266,15 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
         return TraceResult([], False, cfg.cell_size)
 
     keys = sorted({k for seg in segments for k in seg})
-    p0, p1, f0, f1 = [], [], [], []
-    for kind, i, j in keys:
-        if kind == "h":
-            p0.append((xs[i], ys[j]))
-            p1.append((xs[i + 1], ys[j]))
-            f0.append(grid[i, j])
-            f1.append(grid[i + 1, j])
-        else:
-            p0.append((xs[i], ys[j]))
-            p1.append((xs[i], ys[j + 1]))
-            f0.append(grid[i, j])
-            f1.append(grid[i, j + 1])
-    crossings = _bisect_edges(f, r, np.array(p0), np.array(p1),
-                              np.array(f0), np.array(f1), cfg.refine_tol)
+    i0 = np.array([i for _, i, _ in keys])
+    j0 = np.array([j for _, _, j in keys])
+    horizontal = np.array([kind == "h" for kind, _, _ in keys])
+    i1, j1 = i0 + horizontal, j0 + ~horizontal      # "h" edges step in x, "v" in y
+    crossings = _bisect_edges(f, r, np.column_stack([xs[i0], ys[j0]]),
+                              np.column_stack([xs[i1], ys[j1]]),
+                              _node_values(index, values, (i0, j0), inside.shape),
+                              _node_values(index, values, (i1, j1), inside.shape),
+                              cfg.refine_tol)
     vertex = {k: crossings[idx] for idx, k in enumerate(keys)}
 
     boundary = any(
@@ -315,31 +340,29 @@ def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
         raise ValueError("sample_3d requires a 3D bbox")
     f = e.field
     r = float(e.r)
-    xs, ys, zs = cfg.axes()
-    grid = _grid_values_3d(f, xs, ys, zs) - r
+    node = cfg.axes()
+    neg, index, values = _sign_grid(f, r, node)
 
-    node = [np.asarray(a) for a in (xs, ys, zs)]
     clouds = []
     boundary = False
-    neg = grid < 0
     for axis in range(3):
-        cross = neg.take(range(grid.shape[axis] - 1), axis=axis) \
-            != neg.take(range(1, grid.shape[axis]), axis=axis)
-        idx = np.nonzero(cross)
+        lo_cut = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+        hi_cut = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+        idx = np.nonzero(neg[lo_cut] != neg[hi_cut])
         if len(idx[0]) == 0:
             continue
         lo = np.column_stack([node[a][idx[a]] for a in range(3)])
         hi = lo.copy()
         stepped = idx[axis] + 1
         hi[:, axis] = node[axis][stepped]
-        f0 = grid[idx]
         hi_idx = tuple(stepped if a == axis else idx[a] for a in range(3))
-        f1 = grid[hi_idx]
+        f0 = _node_values(index, values, idx, neg.shape)
+        f1 = _node_values(index, values, hi_idx, neg.shape)
         clouds.append(_bisect_edges(f, r, lo, hi, f0, f1, cfg.refine_tol))
         for a in range(3):
             if a == axis:
                 continue
-            if (idx[a] == 0).any() or (idx[a] == grid.shape[a] - 1).any():
+            if (idx[a] == 0).any() or (idx[a] == neg.shape[a] - 1).any():
                 boundary = True
 
     if not clouds:
@@ -418,16 +441,18 @@ def export_svg(polylines, foci=(), bbox=None, style: SvgStyle | None = None) -> 
 
 def export_csv(points) -> str:
     """CSV text with header x,y[,z]; exact values print as rationals."""
-    rows = [tuple(p) for p in points]
+    if isinstance(points, np.ndarray) and points.dtype == np.float64:
+        rows = points.tolist()
+        body = [",".join(map(repr, row)) for row in rows]
+    else:
+        rows = [tuple(p) for p in points]
+        body = [",".join(_csv_num(c) for c in row) for row in rows]
     if rows:
         dim = len(rows[0])
     else:
         dim = 2
     header = ",".join("xyz"[:dim][i] for i in range(dim))
-    out = [header]
-    for row in rows:
-        out.append(",".join(_csv_num(c) for c in row))
-    return "\n".join(out) + "\n"
+    return "\n".join([header] + body) + "\n"
 
 
 def _csv_num(c) -> str:

@@ -194,6 +194,40 @@ def test_cli_axioms(capsys):
     assert "0 violation(s)" in capsys.readouterr().out
 
 
+def test_cli_axioms_seed_zero_overrides_scene_seed(capsys):
+    scene = str(fixture_path("inward_map"))      # scene seed 7
+    assert main(["axioms", scene, "--samples", "50", "--seed", "0"]) == 0
+    assert "seed 0," in capsys.readouterr().out
+    assert main(["axioms", scene, "--samples", "50"]) == 0
+    assert "seed 7," in capsys.readouterr().out
+
+
+def trace_scene(tmp_path, trace):
+    # two foci at one point: a circle of radius 2 about (1001, 1000, ...)
+    data = {
+        "version": 1,
+        "space": {"kind": "continuum", "dimension": len(trace["bbox"]), "metric": {"kind": "l2"}},
+        "ellipse": {"foci": [[1001] + [1000] * (len(trace["bbox"]) - 1)] * 2, "r": 4},
+        "trace": trace,
+    }
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+def test_cli_trace_grid_too_large_is_usage_error(tmp_path, capsys):
+    scene = trace_scene(tmp_path, {"bbox": [[0, 1]] * 3, "resolution": 4096})
+    assert main(["trace", scene, "-o", str(tmp_path / "out.svg")]) == 2
+    assert "MAX_GRID_NODES" in capsys.readouterr().err
+
+
+def test_cli_trace_unconverged_bisection_is_solver_error(tmp_path, capsys):
+    scene = trace_scene(tmp_path, {"bbox": [[996, 1006], [995, 1005]], "resolution": 16,
+                                   "refine_tol": 1e-300})
+    assert main(["trace", scene, "-o", str(tmp_path / "out.svg")]) == 3
+    assert "unconverged" in capsys.readouterr().err
+
+
 def test_cli_missing_scene_is_usage_error(capsys):
     assert main(["median", "/nonexistent/scene.json"]) == 2
     assert main(["verify", "/nonexistent/scene.json", "--theorem", "t1"]) == 2

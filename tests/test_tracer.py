@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from kellipse import (KEllipse, Metric, Space, TraceConfig, export_csv,
-                      export_svg, parse_csv_points, sample_3d, trace_2d)
+from kellipse import (KEllipse, Metric, SolverError, Space, TraceConfig,
+                      export_csv, export_svg, fixture_scene, min_radius,
+                      parse_csv_points, sample_3d, trace_2d, tracer)
 
 
 def l1_tri_ellipse(r=4):
@@ -158,15 +159,120 @@ def test_sample_3d_empty_below_minimum():
     assert len(cloud) == 0
 
 
-def test_sample_3d_deterministic_across_worker_counts(monkeypatch):
-    sp = Space.continuum(3, Metric.l2())
-    e = KEllipse(sp, ((5, 0, 0), (0, 2, 0), (0, 0, 1)), 12)
-    cfg = TraceConfig(bbox=((-4, 7), (-5, 6), (-5, 5)), resolution=24)
-    monkeypatch.setenv("KELLIPSE_THREADS", "1")
-    a = sample_3d(e, cfg).points
-    monkeypatch.setenv("KELLIPSE_THREADS", "4")
-    b = sample_3d(e, cfg).points
-    assert np.array_equal(a, b)
+def full_sign_grid(f, r, axes):
+    """Brute-force stand-in for tracer._sign_grid: evaluates every grid node."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = f.values(np.column_stack([g.ravel() for g in mesh])).reshape(mesh[0].shape) - r
+    return grid < 0, np.arange(grid.size), grid.ravel()
+
+
+def seeded_ellipse(dim, metric, seed, k=5):
+    rng = np.random.default_rng(seed)
+    foci = [tuple(map(float, p)) for p in rng.uniform(-3, 3, size=(k, dim))]
+    e = KEllipse(Space.continuum(dim, metric), tuple(foci), 0)
+    centroid = np.mean(foci, axis=0)
+    r = 1.5 * float(e.field.values(centroid[None, :])[0])
+    # every point of the level set lies within (r + f(centroid)) / k of the
+    # centroid in the metric, so within that distance on every axis
+    reach = 1.1 * (r + r / 1.5) / k
+    return KEllipse(e.space, e.foci, r), tuple((c - reach, c + reach) for c in centroid)
+
+
+def shipped_case(name, resolution=None):
+    scene = fixture_scene(name)
+    cfg = scene.trace
+    if resolution is not None:
+        cfg = TraceConfig(bbox=cfg.bbox, resolution=resolution, refine_tol=cfg.refine_tol)
+    return scene.ellipse, cfg
+
+
+def near_minimum_case():
+    # r just above the minimum radius: the curve is a few cells across and
+    # sits inside one block, so nearly every block is pruned
+    sp = Space.continuum(2, Metric.l2())
+    e = KEllipse(sp, ((3, 0), (0, 0), (0, 4)), 1)
+    r_star, argmin = min_radius(e.field)
+    # the argmin is the centre of block 7 on each axis: 60 cells of 1/32 from lo
+    bbox = tuple((c - 1.875, c + 2.125) for c in map(float, argmin))
+    return KEllipse(sp, e.foci, float(r_star) + 0.001), TraceConfig(bbox=bbox, resolution=128)
+
+
+def equivalence_cases():
+    cases = {}
+    for name in ("tri_l1", "tri_l2", "tri_linf", "quad_l2"):
+        cases[name] = lambda name=name: shipped_case(name)
+    # the shipped 3D scenes' foci, radius and bbox on a coarser grid
+    for name in ("tri3d_l2", "tri3d_lp4"):
+        cases[name + "@100"] = lambda name=name: shipped_case(name, 100)
+    for metric in (Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(3)):
+        for dim, resolution in ((2, 128), (3, 40)):
+            def case(metric=metric, dim=dim, resolution=resolution):
+                e, bbox = seeded_ellipse(dim, metric, seed=17 + dim)
+                return e, TraceConfig(bbox=bbox, resolution=resolution)
+            cases[f"seeded-{metric.label}-{dim}d"] = case
+    cases["near-minimum"] = near_minimum_case
+    cases["cut-by-bbox"] = lambda: (l1_tri_ellipse(),
+                                    TraceConfig(bbox=((-1, 1), (-1, 1)), resolution=40))
+    cases["resolution-61"] = lambda: shipped_case("tri_l2", 61)
+    cases["resolution-45-3d"] = lambda: shipped_case("tri3d_lp4", 45)
+    return cases
+
+
+EQUIVALENCE_CASES = equivalence_cases()
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_pruned_grid_matches_full_grid(case, monkeypatch):
+    e, cfg = EQUIVALENCE_CASES[case]()
+    f, r, axes = e.field, float(e.r), cfg.axes()
+    neg, index, values = tracer._sign_grid(f, r, axes)
+    full_neg, _, full_values = full_sign_grid(f, r, axes)
+    assert np.array_equal(neg, full_neg)
+    crossing_nodes = []
+    for axis in range(neg.ndim):
+        lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(neg.ndim))
+        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(neg.ndim))
+        cross = np.nonzero(neg[lo] != neg[hi])
+        stepped = tuple(c + (a == axis) for a, c in enumerate(cross))
+        ends = np.concatenate([np.ravel_multi_index(cross, neg.shape),
+                               np.ravel_multi_index(stepped, neg.shape)])
+        assert np.isin(ends, index).all()
+        assert np.array_equal(values[np.searchsorted(index, ends)], full_values[ends])
+        crossing_nodes.append(ends)
+    if case == "near-minimum":
+        blocks = np.unravel_index(np.concatenate(crossing_nodes), neg.shape)
+        assert {tuple(b) for b in np.column_stack(blocks) // tracer.BLOCK} == {(7, 7)}
+
+    run = trace_2d if neg.ndim == 2 else sample_3d
+    got = run(e, cfg)
+    monkeypatch.setattr(tracer, "_sign_grid", full_sign_grid)
+    want = run(e, cfg)
+    assert got.boundary_warning == want.boundary_warning
+    if neg.ndim == 2:
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert a.closed == b.closed and np.array_equal(a.vertices, b.vertices)
+    else:
+        assert len(want) > 0 and np.array_equal(got.points, want.points)
+    assert got.boundary_warning == (case == "cut-by-bbox")
+
+
+def test_grid_node_bound():
+    with pytest.raises(ValueError, match="MAX_GRID_NODES"):
+        TraceConfig(bbox=((0, 1),) * 3, resolution=tracer.MAX_RESOLUTION)
+    TraceConfig(bbox=((0, 1),) * 2, resolution=tracer.MAX_RESOLUTION)
+    for name in ("tri3d_l2", "tri3d_lp4"):
+        assert fixture_scene(name).trace.resolution == 256
+
+
+def test_bisection_budget_exhausted_raises():
+    # near x = 1000 a float step moves the field by about 1e-13, so no edge
+    # can get within 1e-300 of the level
+    sp = Space.continuum(2, Metric.l2())
+    e = KEllipse(sp, ((1001, 1000), (1000, 1000), (1000, 1001)), 4)
+    cfg = TraceConfig(bbox=((997, 1004), (997, 1004)), resolution=16, refine_tol=1e-300)
+    with pytest.raises(SolverError, match=r"24 of 24 crossing edge\(s\) unconverged after 60"):
+        trace_2d(e, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +300,10 @@ def test_csv_round_trip_floats():
     e = l1_tri_ellipse()
     res = trace_2d(e, TraceConfig(bbox=((-3, 4), (-3, 4)), resolution=32))
     v = res.all_vertices()
-    back = parse_csv_points(export_csv(v))
+    text = export_csv(v)
+    # the float64-array fast path prints what the per-value path prints
+    assert text == export_csv([tuple(map(float, p)) for p in v])
+    back = parse_csv_points(text)
     assert len(back) == len(v)
     for row, orig in zip(back, v):
         assert abs(row[0] - orig[0]) <= 1e-12 and abs(row[1] - orig[1]) <= 1e-12
