@@ -19,6 +19,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from .geometry import SolverError, min_radius
 from .metric import verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
@@ -85,13 +87,10 @@ def cmd_trace(args) -> int:
     elif scene.space.dimension == 3:
         result = sample_3d(e, scene.trace)
         points = result.points
-        xy = [(float(p[0]), float(p[1])) for p in points]
         svg = export_svg([], foci=[(float(f[0]), float(f[1])) for f in e.foci],
                          bbox=scene.trace.bbox[:2])
         # a 3D cloud renders as projected dots appended to the base document
-        dots = "\n".join(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="0.8" fill="#1f4e8c"/>'
-                         for x, y in _project(xy, scene.trace.bbox[:2]))
-        svg = svg.replace("</svg>", dots + "\n</svg>")
+        svg = svg.replace("</svg>", _dots(points, scene.trace.bbox[:2]) + "\n</svg>")
         what = f"cloud of {len(points)} points"
     else:
         raise SceneError("trace requires a 2D or 3D continuum scene")
@@ -105,12 +104,21 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _project(xy, bbox):
+DOT_ROWS = 1 << 12     # dots formatted per step, so that few Python floats live at once
+
+
+def _dots(points: np.ndarray, bbox) -> str:
+    """SVG circles for the (x, y) projection of a point cloud (N, 3)."""
     (x0, x1), (y0, y1) = bbox
     w = 640
     pad = 0.05 * max(x1 - x0, y1 - y0)
     sx = w / (x1 - x0 + 2 * pad)
-    return [((x - x0 + pad) * sx, (y1 + pad - y) * sx) for x, y in xy]
+    px = (points[:, 0] - x0 + pad) * sx
+    py = (y1 + pad - points[:, 1]) * sx
+    return "\n".join(
+        "\n".join(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="0.8" fill="#1f4e8c"/>'
+                  for x, y in zip(px[s:s + DOT_ROWS].tolist(), py[s:s + DOT_ROWS].tolist()))
+        for s in range(0, len(px), DOT_ROWS))
 
 
 def cmd_verify(args) -> int:

@@ -8,6 +8,7 @@ arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -102,7 +103,7 @@ class KEllipse:
     def k(self) -> int:
         return len(self.foci)
 
-    @property
+    @functools.cached_property
     def field(self) -> SumField:
         return SumField(self.space, self.foci)
 

@@ -135,17 +135,34 @@ class Metric:
         d = np.abs(np.asarray(pts, dtype=float) - np.asarray(focus, dtype=float))
         if d.ndim == 1:
             d = d[:, None]
+        return self._norm(d)
+
+    def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distance matrix (n, m) between the rows of `a` (n, d) and `b` (m, d).
+
+        Each entry takes the value `distance` gives for float coordinates.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return self.rowwise(a[:, None, :], b[None, :, :])
+
+    def rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distances between corresponding rows of `a` and `b` (broadcast, last axis d)."""
+        d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+        return d[..., 0] if d.shape[-1] == 1 else self._norm(d)
+
+    def _norm(self, d: np.ndarray) -> np.ndarray:
+        """The norm of the nonnegative coordinate gaps `d` along its last axis."""
         if self.kind == "l1":
-            return d.sum(axis=1)
+            return d.sum(axis=-1)
         if self.kind == "linf":
-            return d.max(axis=1)
+            return d.max(axis=-1)
         if self.kind == "l2":
-            return np.sqrt((d * d).sum(axis=1))
-        m = d.max(axis=1)
-        out = np.zeros(len(d))
+            return np.sqrt((d * d).sum(axis=-1))
+        m = d.max(axis=-1)
+        out = np.zeros(m.shape)
         ok = m > 0
-        scaled = d[ok] / m[ok, None]
-        out[ok] = m[ok] * (scaled ** self.p).sum(axis=1) ** (1.0 / self.p)
+        scaled = d[ok] / m[ok][:, None]
+        out[ok] = m[ok] * (scaled ** self.p).sum(axis=-1) ** (1.0 / self.p)
         return out
 
 
@@ -209,15 +226,11 @@ class Space:
 
     @classmethod
     def finite(cls, points: Iterable, metric: Metric) -> "Space":
-        # deduplicate while keeping first-seen order
-        seen: list[Point] = []
-        for p in points:
-            pt = as_point(p)
-            if pt not in seen:
-                seen.append(pt)
+        # deduplicate while keeping first-seen order (equal numbers hash equal)
+        seen = tuple(dict.fromkeys(as_point(p) for p in points))
         if not seen:
             raise ValueError("a finite space needs at least one point")
-        return cls(metric=metric, dimension=seen[0].dim, points=tuple(seen))
+        return cls(metric=metric, dimension=seen[0].dim, points=seen)
 
     @property
     def is_finite(self) -> bool:

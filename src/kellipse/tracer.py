@@ -38,6 +38,7 @@ MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 BLOCK = 8                   # cells per axis of a pruning block
 EVAL_CHUNK = 1 << 16        # grid nodes per field evaluation
+CSV_ROWS = 1 << 12          # float rows formatted per step by export_csv
 
 
 @dataclass(frozen=True)
@@ -442,15 +443,15 @@ def export_svg(polylines, foci=(), bbox=None, style: SvgStyle | None = None) -> 
 def export_csv(points) -> str:
     """CSV text with header x,y[,z]; exact values print as rationals."""
     if isinstance(points, np.ndarray) and points.dtype == np.float64:
-        rows = points.tolist()
-        body = [",".join(map(repr, row)) for row in rows]
+        # CSV_ROWS rows at a time, so that the Python floats and row strings
+        # alive at once stay few next to the text itself
+        dim = points.shape[1] if len(points) else 2
+        body = ["\n".join(",".join(map(repr, row)) for row in points[s:s + CSV_ROWS].tolist())
+                for s in range(0, len(points), CSV_ROWS)]
     else:
         rows = [tuple(p) for p in points]
         body = [",".join(_csv_num(c) for c in row) for row in rows]
-    if rows:
-        dim = len(rows[0])
-    else:
-        dim = 2
+        dim = len(rows[0]) if rows else 2
     header = ",".join("xyz"[:dim][i] for i in range(dim))
     return "\n".join([header] + body) + "\n"
 

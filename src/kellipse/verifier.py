@@ -1,11 +1,15 @@
 """Self-maps and numeric verification of fixed-figure conditions.
 
 A self-map is an ordered rule table (region predicate, action); a sample plan
-pairs on-level-set points with ambient points. Condition checks are exact
-(rational arithmetic, zero slack) whenever the plan is exact, and fall back to
-a 1e-9 slack on floating-point sample plans. Pair conditions fit the minimal
-feasible constant and report the witness pair; every verdict is qualified by
-whether the plan was exhaustive.
+pairs on-level-set points with ambient points. A report is "exact" when every
+margin in it is an int or a Fraction: the plan is exact and the foci, the
+radius, the plan points and their images under the map all have int/Fraction
+coordinates. Such checks run as scalar loops in rational arithmetic with zero
+slack. Every other plan is checked by numpy array reductions over the pairwise
+distance matrices, in blocks of at most PAIR_BLOCK entries, with a 1e-9 slack.
+Pair conditions fit the minimal feasible constant and report the witness pair
+(the first in plan order on ties); every verdict is qualified by whether the
+plan was exhaustive.
 
 Condition families (classical contraction types):
   Ek1 Caristi-type descent          Ek2 image-not-interior
@@ -23,6 +27,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .geometry import (KEllipse, PointClass, SolutionKind, SumField, classify,
                        solve_1d)
@@ -240,7 +246,8 @@ class SamplePlan:
     """On-set and off-set sample points for one level set.
 
     exhaustive: the plan covers every point of the space (finite spaces).
-    exact: all arithmetic over the plan stays rational (zero-slack checks).
+    exact: the points, foci and radius are rational, so a map whose images
+    are rational too is checked in rational arithmetic (zero slack).
     """
 
     space: Space
@@ -478,37 +485,64 @@ def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
     return _div(num, den)
 
 
+def _rational(*point_lists) -> bool:
+    return all(_is_exact(c) for pts in point_lists for p in pts for c in p)
+
+
+def _runs_exact(plan: SamplePlan, foci, points, images, r=0) -> bool:
+    """Rational arithmetic decides a check: an exact plan whose foci, radius,
+    points and images are all int/Fraction. Every margin is then exact."""
+    return plan.exact and _is_exact(r) and _rational(foci, points, images)
+
+
+def _fit_report(condition_id, fitted, threshold, strict, witness, meta) -> ConditionReport:
+    margin = threshold - fitted if fitted != math.inf else -math.inf
+    verdict = PASS if fitted != math.inf and fitted < threshold - strict else FAIL
+    return ConditionReport(condition_id, verdict, fitted, margin, witness, **meta)
+
+
 def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> ConditionReport:
-    """Evaluate one condition over a plan and report verdict/constant/witness."""
+    """Evaluate one condition over a plan and report verdict/constant/witness.
+
+    Exact inputs (see `_runs_exact`) go through the scalar rational loop with
+    zero slack; every other plan goes through the float array kernels with
+    slack TAU_COND, and its report has exact=False.
+    """
     if condition_id not in CONDITION_IDS:
         raise ValueError(f"unknown condition id {condition_id!r}; choose from {CONDITION_IDS}")
     if condition_id == "Ik":
         return check_identity_condition(m, e.field, len(e.foci), plan)
 
-    tau = 0 if plan.exact else TAU_COND
-    strict = 0 if plan.exact else STRICT_MARGIN
+    on, off = plan.on_ellipse, plan.off_ellipse
+    if not on:
+        return ConditionReport(condition_id, VACUOUS, None, 0, (), plan.exhaustive,
+                               _runs_exact(plan, e.foci, (), (), e.r), "no on-set samples")
     cache: dict = {}
-    meta = dict(exhaustive=plan.exhaustive, exact=plan.exact)
+    points = on + off if condition_id in PAIR_FIT else on
+    images = [_tx(m, x, cache) for x in points]
+    exact = _runs_exact(plan, e.foci, points, images, e.r)
+    meta = dict(exhaustive=plan.exhaustive, exact=exact)
+    if exact:
+        return _check_exact(condition_id, m, e, plan, cache, meta)
+    return _check_float(condition_id, e, points, images, len(on), meta)
 
-    if not plan.on_ellipse:
-        return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
-                               notes="no on-set samples")
 
+def _check_exact(condition_id, m, e, plan, cache, meta) -> ConditionReport:
+    """The scalar loop over an exact plan: rational arithmetic, zero slack."""
     if condition_id in POINTWISE_IDS:
         worst = _Worst()
         for x in plan.on_ellipse:
             worst.update(pointwise_margin(condition_id, m, e, x, _tx(m, x, cache)), (x,))
-        verdict = PASS if worst.margin >= -tau else FAIL
+        verdict = PASS if worst.margin >= 0 else FAIL
         return ConditionReport(condition_id, verdict, None, worst.margin, worst.witness, **meta)
 
     if condition_id in PAIR_FIT:
-        threshold = PAIR_FIT[condition_id]
         fitted = None
         witness = ()
         for x in plan.on_ellipse:
             tx = _tx(m, x, cache)
             for y in plan.off_ellipse:
-                ratio = pair_ratio(condition_id, m, e, x, y, tx, _tx(m, y, cache), tau)
+                ratio = pair_ratio(condition_id, m, e, x, y, tx, _tx(m, y, cache))
                 if ratio is None:
                     continue
                 if fitted is None or ratio > fitted:
@@ -516,9 +550,7 @@ def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan
         if fitted is None:
             return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
                                    notes="no informative pairs")
-        margin = threshold - fitted if fitted != math.inf else -math.inf
-        verdict = PASS if fitted != math.inf and fitted < threshold - strict else FAIL
-        return ConditionReport(condition_id, verdict, fitted, margin, witness, **meta)
+        return _fit_report(condition_id, fitted, PAIR_FIT[condition_id], 0, witness, meta)
 
     if condition_id == "E''k2":
         fitted = 0
@@ -530,12 +562,10 @@ def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan
                 need = 0
             else:
                 step = e.space.metric.distance(x, tx)
-                need = math.inf if step <= tau else _div(deficit, step)
+                need = math.inf if step <= 0 else _div(deficit, step)
             if need > fitted or not witness:
                 fitted, witness = need, (x,)
-        margin = 1 - fitted if fitted != math.inf else -math.inf
-        verdict = PASS if fitted != math.inf and fitted < 1 - strict else FAIL
-        return ConditionReport(condition_id, verdict, fitted, margin, witness, **meta)
+        return _fit_report(condition_id, fitted, 1, 0, witness, meta)
 
     if condition_id == "E'''k2":
         pairs = [(x, y) for x, y in combinations(plan.on_ellipse, 2) if x != y]
@@ -546,8 +576,7 @@ def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan
         worst = _Worst()
         for x, y in pairs:
             worst.update(d(_tx(m, x, cache), _tx(m, y, cache)) - e.r, (x, y))
-        ok = worst.margin > 0 if plan.exact else worst.margin > -TAU_COND
-        return ConditionReport(condition_id, PASS if ok else FAIL,
+        return ConditionReport(condition_id, PASS if worst.margin > 0 else FAIL,
                                None, worst.margin, worst.witness, **meta)
 
     if condition_id == "E'''k3":
@@ -560,16 +589,143 @@ def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan
             for y in plan.on_ellipse:
                 ty = _tx(m, y, cache)
                 worst.update((d(x, y) - penalty) - d(tx, ty), (x, y))
-        verdict = PASS if worst.margin >= -tau else FAIL
+        verdict = PASS if worst.margin >= 0 else FAIL
         return ConditionReport(condition_id, verdict, None, worst.margin, worst.witness, **meta)
 
     raise AssertionError(f"unhandled condition {condition_id}")
 
 
-def ik_margin(m: SelfMap, f: SumField, k: int, x: Point):
+# ---------------------------------------------------------------------------
+# float kernels: every condition as array reductions over the plan
+# ---------------------------------------------------------------------------
+
+PAIR_BLOCK = 1 << 18   # most float entries in one temporary of a blocked pair reduction
+
+
+def _coords(points, dim: int) -> np.ndarray:
+    return np.array(points, dtype=float).reshape(len(points), dim)
+
+
+def _extreme(rows: int, cols: int, dim: int, block, largest: bool):
+    """(value, i, j) of the first largest (or smallest) entry, in row-major
+    order, of the (rows, cols) matrix that block(i0, i1) yields row slice by
+    row slice; None when the matrix is empty. A slice holds PAIR_BLOCK //
+    (cols * dim) rows, at least one, so that its (rows, cols, dim) coordinate
+    gaps stay within PAIR_BLOCK entries whenever one row does."""
+    if rows == 0 or cols == 0:
+        return None
+    step = max(1, PAIR_BLOCK // (cols * dim))
+    best = None
+    for i0 in range(0, rows, step):
+        vals = block(i0, min(rows, i0 + step))
+        flat = int(vals.argmax() if largest else vals.argmin())
+        v = float(vals.flat[flat])
+        if best is None or (v > best[0] if largest else v < best[0]):
+            best = (v, i0 + flat // cols, flat % cols)
+    return best
+
+
+def _check_float(condition_id, e, points, images, n_on, meta) -> ConditionReport:
+    """Float path of check_condition. points/images list the on-set samples
+    first (n_on of them), then the off-set samples of the pair-fit conditions."""
+    metric, f, r = e.space.metric, e.field, float(e.r)
+    dim = e.space.dimension
+    P, TP = _coords(points, dim), _coords(images, dim)
+    X, TX, Y, TY = P[:n_on], TP[:n_on], P[n_on:], TP[n_on:]
+    on, off = points[:n_on], points[n_on:]
+
+    if condition_id in POINTWISE_IDS:
+        ftx = f.values(TX)
+        if condition_id == "Ek1":
+            margins = (f.values(X) - ftx) - metric.rowwise(X, TX)
+        elif condition_id == "Ek2":
+            margins = ftx - r
+        elif condition_id == "E'k1":
+            margins = (f.values(X) + ftx - 2 * r) - metric.rowwise(X, TX)
+        elif condition_id == "E'k2":
+            margins = r - ftx
+        else:
+            margins = -np.abs(ftx - r)
+        i = int(margins.argmin())
+        worst = float(margins[i])
+        verdict = PASS if worst >= -TAU_COND else FAIL
+        return ConditionReport(condition_id, verdict, None, worst, (on[i],), **meta)
+
+    if condition_id in PAIR_FIT:
+        sx, sy = metric.rowwise(X, TX), metric.rowwise(Y, TY)
+
+        def ratios(i0, i1):
+            x, tx = X[i0:i1], TX[i0:i1]
+            num = metric.pairwise(tx, TY)
+            if condition_id == "Ek3":
+                den = sx[i0:i1, None] + sy
+            elif condition_id == "E'k3":
+                den = metric.pairwise(tx, Y) + metric.pairwise(x, TY)
+            elif condition_id == "E'''k4":
+                den = np.maximum(sx[i0:i1, None], sy)
+                for term in (metric.pairwise(x, TY), metric.pairwise(tx, Y), metric.pairwise(x, Y)):
+                    den = np.maximum(den, term)
+            else:
+                den = metric.pairwise(x, Y)
+            # -1 marks a skipped pair: both sides vanish, so any constant works
+            out = np.divide(num, den, out=np.full(num.shape, -1.0), where=den > TAU_COND)
+            out[(den <= TAU_COND) & (num > TAU_COND)] = math.inf
+            return out
+
+        best = _extreme(len(on), len(off), dim, ratios, largest=True)
+        if best is None or best[0] < 0:
+            return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
+                                   notes="no informative pairs")
+        fitted, i, j = best
+        return _fit_report(condition_id, fitted, PAIR_FIT[condition_id], STRICT_MARGIN,
+                           (on[i], off[j]), meta)
+
+    if condition_id == "E''k2":
+        deficit = r - f.values(TX)
+        step = metric.rowwise(X, TX)
+        short = deficit > 0
+        need = np.divide(deficit, step, out=np.full(len(on), math.inf), where=step > TAU_COND)
+        need[~short] = 0.0
+        i = int(need.argmax())
+        fitted = float(need[i]) if short[i] else 0
+        return _fit_report(condition_id, fitted, 1, STRICT_MARGIN, (on[i],), meta)
+
+    n = len(on)
+    if condition_id == "E'''k2":
+        def margins(i0, i1):
+            out = metric.pairwise(TX[i0:i1], TX) - r
+            keep = np.arange(n) > np.arange(i0, i1)[:, None]
+            keep &= (X[i0:i1, None, :] != X[None, :, :]).any(axis=-1)
+            out[~keep] = math.inf
+            return out
+
+        best = _extreme(n, n, dim, margins, largest=False)
+        if best is None or best[0] == math.inf:
+            return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
+                                   notes="fewer than two distinct on-set samples")
+        worst, i, j = best
+        return ConditionReport(condition_id, PASS if worst > -TAU_COND else FAIL,
+                               None, worst, (on[i], on[j]), **meta)
+
+    if condition_id == "E'''k3":
+        step = metric.rowwise(X, TX)
+        penalty = np.where(step > 0, step - r, 0.0)    # RadiusGap(r) of each step
+
+        def margins(i0, i1):
+            return ((metric.pairwise(X[i0:i1], X) - penalty[i0:i1, None])
+                    - metric.pairwise(TX[i0:i1], TX))
+
+        worst, i, j = _extreme(n, n, dim, margins, largest=False)
+        verdict = PASS if worst >= -TAU_COND else FAIL
+        return ConditionReport(condition_id, verdict, None, worst, (on[i], on[j]), **meta)
+
+    raise AssertionError(f"unhandled condition {condition_id}")
+
+
+def ik_margin(m: SelfMap, f: SumField, k: int, x: Point, tx: Point | None = None):
     """Slack of the identity-forcing bound at x (negative = violated)."""
     d = f.space.metric.distance
-    tx = m(x)
+    tx = m(x) if tx is None else tx
     return _div(f.value(x) - f.value(tx), k + 1) - d(x, tx)
 
 
@@ -577,24 +733,40 @@ def check_identity_condition(m: SelfMap, f: SumField, k: int | None, plan: Sampl
     """Check d(x, Tx) <= (sum-field drop)/(k+1) over the whole plan.
 
     A passing point is necessarily a fixed point (the bound self-collapses);
-    the report notes any numerical counterexample to that consequence.
+    the report notes any numerical counterexample to that consequence. Exact
+    inputs are checked in rational arithmetic, others by float arrays.
     """
     k = len(f.foci) if k is None else k
-    tau = 0 if plan.exact else TAU_COND
-    d = f.space.metric.distance
-    worst = _Worst()
-    notes = ""
-    for x in plan.all_points:
-        margin = ik_margin(m, f, k, x)
-        worst.update(margin, (x,))
-        if margin >= -tau and d(x, m(x)) > TAU_IDENT:
-            notes = f"passing point {x} is not fixed"   # unreachable in exact arithmetic
-    if worst.margin is None:
+    points = plan.all_points
+    if not points:
         return ConditionReport("Ik", VACUOUS, None, 0, (), plan.exhaustive, plan.exact,
                                "empty plan")
-    verdict = PASS if worst.margin >= -tau else FAIL
-    return ConditionReport("Ik", verdict, None, worst.margin, worst.witness,
-                           plan.exhaustive, plan.exact, notes)
+    cache: dict = {}
+    images = [_tx(m, x, cache) for x in points]
+    exact = _runs_exact(plan, f.foci, points, images)
+    notes = ""
+    if exact:
+        d = f.space.metric.distance
+        worst = _Worst()
+        for x, tx in zip(points, images):
+            margin = ik_margin(m, f, k, x, tx)
+            worst.update(margin, (x,))
+            if margin >= 0 and d(x, tx) > TAU_IDENT:
+                notes = f"passing point {x} is not fixed"   # unreachable in exact arithmetic
+        worst_margin, witness, tau = worst.margin, worst.witness, 0
+    else:
+        dim = f.space.dimension
+        X, TX = _coords(points, dim), _coords(images, dim)
+        step = f.space.metric.rowwise(X, TX)
+        margins = (f.values(X) - f.values(TX)) / (k + 1) - step
+        i = int(margins.argmin())
+        worst_margin, witness, tau = float(margins[i]), (points[i],), TAU_COND
+        moved = np.flatnonzero((margins >= -tau) & (step > TAU_IDENT))
+        if len(moved):
+            notes = f"passing point {points[moved[-1]]} is not fixed"
+    verdict = PASS if worst_margin >= -tau else FAIL
+    return ConditionReport("Ik", verdict, None, worst_margin, witness,
+                           plan.exhaustive, exact, notes)
 
 
 def check_Ik(m: SelfMap, f: SumField, k: int, plan: SamplePlan) -> ConditionReport:

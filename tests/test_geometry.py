@@ -61,6 +61,17 @@ def test_foci_must_belong_to_space():
         KEllipse(Space.continuum(2, Metric.l2()), ((1,),), 1)   # dim mismatch
 
 
+def test_field_is_built_once_per_ellipse():
+    sp = Space.continuum(2, Metric.l2())
+    e = KEllipse(sp, ((0, 0), (1, 0)), 3)
+    assert e.field is e.field
+    assert e.field == SumField(sp, e.foci)
+    twin = KEllipse(sp, ((0, 0), (1, 0)), 3)
+    assert twin == e and hash(twin) == hash(e)      # the cached field leaves both alone
+    assert e != KEllipse(sp, ((0, 0), (1, 0)), 4)
+    assert len({e, twin}) == 1
+
+
 # ---------------------------------------------------------------------------
 # minimum radius
 # ---------------------------------------------------------------------------

@@ -110,6 +110,12 @@ def test_finite_space_dedupes_and_checks_membership():
         sp.require_member((1, 0))
 
 
+def test_finite_space_dedupe_keeps_first_seen_point():
+    sp = Space.finite([(1,), (2.5,), (1.0,), (Fraction(1),), (Fraction(5, 2),), (0,)], Metric.l1())
+    assert sp.points == ((1,), (2.5,), (0,))
+    assert type(sp.points[0][0]) is int and type(sp.points[1][0]) is float
+
+
 def test_membership_restriction():
     import math
     mem = ke.Membership(isolated=(-2, -1), intervals=((0, math.inf),))

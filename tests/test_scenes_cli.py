@@ -177,6 +177,34 @@ def test_cli_trace_and_csv(tmp_path, capsys):
         assert abs(e.field.value(q) - 4) <= 1e-9
 
 
+def test_cli_trace_cloud_dots_and_csv_in_chunks(tmp_path, monkeypatch):
+    import kellipse.cli as cli
+    import kellipse.tracer as tracer
+
+    scene_data = json.loads(fixture_path("tri3d_l2").read_text())
+    scene_data["trace"]["resolution"] = 24
+    p = tmp_path / "scene.json"
+    p.write_text(json.dumps(scene_data))
+
+    def run(tag):
+        svg, csv = tmp_path / f"{tag}.svg", tmp_path / f"{tag}.csv"
+        assert main(["trace", str(p), "-o", str(svg), "--csv", str(csv)]) == 0
+        return svg.read_text(), csv.read_text()
+
+    svg, csv = run("whole")
+    pts = ke.parse_csv_points(csv)
+    (x0, x1), (y0, y1) = scene_data["trace"]["bbox"][:2]
+    pad = 0.05 * max(x1 - x0, y1 - y0)
+    sx = 640 / (x1 - x0 + 2 * pad)
+    dots = [f'<circle cx="{(x - x0 + pad) * sx:.3f}" cy="{(y1 + pad - y) * sx:.3f}" r="0.8" '
+            f'fill="#1f4e8c"/>' for x, y, _ in pts]
+    assert len(pts) > 100 and svg.endswith("\n".join(dots) + "\n</svg>\n")
+    # formatting in chunks that end mid-cloud writes the same bytes
+    monkeypatch.setattr(cli, "DOT_ROWS", 7)
+    monkeypatch.setattr(tracer, "CSV_ROWS", 5)
+    assert run("chunked") == (svg, csv)
+
+
 def test_cli_median(capsys):
     assert main(["median", str(fixture_path("inward_map"))]) == 0
     assert capsys.readouterr().out.strip() == "(2, 0)"
