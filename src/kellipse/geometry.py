@@ -8,8 +8,10 @@ arithmetic.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,6 +32,8 @@ __all__ = [
     "SolutionKind",
     "LevelSolution1D",
     "solve_1d",
+    "LineField",
+    "line_field",
     "members_finite",
     "nonempty",
 ]
@@ -128,13 +132,6 @@ def classify(e: KEllipse, x, tol) -> PointClass:
 # minimum radius (geometric median)
 # ---------------------------------------------------------------------------
 
-def _median_1d(foci: tuple):
-    """Exact weighted-median interval of 1D foci: (lo, hi), lo == hi for odd k."""
-    vals = sorted(_exact(f[0]) for f in foci)
-    k = len(vals)
-    return vals[(k - 1) // 2], vals[k // 2]
-
-
 def _exact(x):
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return x
@@ -153,9 +150,8 @@ def min_radius(field: SumField):
         best = min(field.space.points, key=lambda p: (field.value(p), p))
         return field.value(best), best
     if field.space.dimension == 1:
-        lo, hi = _median_1d(field.foci)
-        mid = lo if lo == hi else Fraction(_exact(lo) + _exact(hi), 2)
-        arg = Point((mid,))
+        lo, hi = line_field(f[0] for f in field.foci).median
+        arg = Point((lo if lo == hi else Fraction(lo + hi, 2),))
         return field.value(arg), arg
     if len(field.foci) == 1:
         arg = field.foci[0]
@@ -336,50 +332,84 @@ class LevelSolution1D:
         return ()
 
 
+@dataclass(frozen=True, slots=True)
+class LineField:
+    """The field x -> sum_i |x - fs[i]| of exact sorted foci fs on the line.
+
+    On piece i, between fs[i-1] and fs[i] (unbounded tails at i = 0 and
+    i = k), the field equals (2i - k) x + intercepts[i]; the intercepts come
+    from prefix sums of fs. at[j] is the field at fs[j]: it falls up to the
+    lower median fs[(k-1)//2] and rises from the upper median fs[k//2] on,
+    so bisection over it finds the piece of a radius on either branch.
+    """
+
+    fs: tuple
+    intercepts: tuple
+    at: tuple
+
+    @property
+    def median(self) -> tuple:
+        """Exact weighted-median interval (lo, hi), lo == hi for odd k."""
+        k = len(self.fs)
+        return self.fs[(k - 1) // 2], self.fs[k // 2]
+
+    @property
+    def r_star(self):
+        return self.at[(len(self.fs) - 1) // 2]
+
+    def value(self, x):
+        """The field at x: exact for int/Fraction x, infinite at +-inf."""
+        if x in (-math.inf, math.inf):
+            return math.inf
+        i = bisect.bisect_right(self.fs, x)
+        return (2 * i - len(self.fs)) * x + self.intercepts[i]
+
+    def solve(self, r) -> LevelSolution1D:
+        """Exactly solve field(x) = r: one exact division per branch."""
+        r = _exact(r)
+        if r < self.r_star:
+            return LevelSolution1D.empty()
+        if r == self.r_star:
+            lo, hi = self.median
+            return LevelSolution1D.at_points(lo) if lo == hi else LevelSolution1D.flat(lo, hi)
+        k = len(self.fs)
+        # r lies on piece i (left) with at[i] < r <= at[i-1], on piece j (right)
+        # with at[j-1] < r <= at[j]
+        i = (k + 1) // 2 - bisect.bisect_left(self.at[(k - 1) // 2::-1], r)
+        j = bisect.bisect_left(self.at, r, k // 2)
+        return LevelSolution1D.at_points(Fraction(r - self.intercepts[i], 2 * i - k),
+                                         Fraction(r - self.intercepts[j], 2 * j - k))
+
+
+def line_field(foci) -> LineField:
+    """The memoized exact line field of 1D foci (ints stay ints, floats become Fractions)."""
+    foci = tuple(foci)
+    return _line_field(foci, tuple(map(type, foci)))
+
+
+@functools.lru_cache(maxsize=64)
+def _line_field(foci: tuple, types: tuple) -> LineField:
+    # `types` only keys the memo: 1, 1.0 and Fraction(1) are equal and hash
+    # alike, but the median that solve_1d returns at r* keeps its focus's type
+    fs = tuple(sorted(_exact(f) for f in foci))
+    k = len(fs)
+    if k == 0:
+        raise ValueError("a 1D field needs at least one focus")
+    prefix = (0, *itertools.accumulate(fs))
+    intercepts = tuple(prefix[-1] - 2 * p for p in prefix)
+    at = tuple((2 * j + 2 - k) * f + intercepts[j + 1] for j, f in enumerate(fs))   # from piece j + 1
+    return LineField(fs, intercepts, at)
+
+
 def solve_1d(foci, r) -> LevelSolution1D:
     """Exactly solve sum_i |x - xi| = r over the reals.
 
     The field is piecewise linear with slope 2i - k after passing i foci;
-    each piece is solved by exact rational arithmetic, so returned points
-    satisfy the equation with zero error.
+    the piece of each branch is found by bisection over the memoized line
+    field and solved by exact rational arithmetic, so returned points satisfy
+    the equation with zero error.
     """
-    fs = sorted(_exact(f) for f in foci)
-    k = len(fs)
-    if k == 0:
-        raise ValueError("solve_1d needs at least one focus")
-    r = _exact(r)
-
-    def xi1(x):
-        return sum(abs(x - f) for f in fs)
-
-    m_lo, m_hi = fs[(k - 1) // 2], fs[k // 2]
-    r_star = xi1(m_lo)
-    if r < r_star:
-        return LevelSolution1D.empty()
-    if r == r_star:
-        if m_lo == m_hi:
-            return LevelSolution1D.at_points(m_lo)
-        return LevelSolution1D.flat(m_lo, m_hi)
-
-    total = sum(fs)
-    prefix = 0
-    solutions = []
-    # piece i covers [fs[i-1], fs[i]] (unbounded tails at i=0 and i=k);
-    # on it the field equals (2i - k) x + (total - 2 * prefix_i)
-    for i in range(k + 1):
-        slope = 2 * i - k
-        if slope == 0:
-            prefix += fs[i] if i < k else 0
-            continue
-        x = Fraction(r - (total - 2 * prefix), slope)
-        lo = fs[i - 1] if i > 0 else None
-        hi = fs[i] if i < k else None
-        if (lo is None or x >= lo) and (hi is None or x <= hi):
-            if x not in solutions:
-                solutions.append(x)
-        if i < k:
-            prefix += fs[i]
-    return LevelSolution1D.at_points(*solutions)
+    return line_field(foci).solve(r)
 
 
 def members_finite(e: KEllipse) -> list[Point]:

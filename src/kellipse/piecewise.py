@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import LevelSolution1D, SolutionKind, solve_1d
+from .geometry import LevelSolution1D, SolutionKind, line_field, solve_1d
 from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF
 
 __all__ = [
@@ -24,12 +24,6 @@ __all__ = [
     "FixedEllipseCheck",
     "is_fixed_kellipse",
 ]
-
-
-def _exact(x):
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return Fraction(x)
-    return Fraction(x)   # floats convert exactly (binary rational)
 
 
 @dataclass(frozen=True)
@@ -47,8 +41,9 @@ class PiecewiseAffine1D:
     owns_left: tuple = ()
 
     def __post_init__(self):
-        bps = tuple(_exact(b) for b in self.breakpoints)
-        pieces = tuple((_exact(a), _exact(b)) for a, b in self.pieces)
+        # floats convert exactly (binary rationals)
+        bps = tuple(map(Fraction, self.breakpoints))
+        pieces = tuple((Fraction(a), Fraction(b)) for a, b in self.pieces)
         owns = tuple(bool(o) for o in self.owns_left) or (False,) * len(bps)
         if len(pieces) != len(bps) + 1:
             raise ValueError(f"need {len(bps) + 1} pieces for {len(bps)} breakpoints, got {len(pieces)}")
@@ -59,6 +54,11 @@ class PiecewiseAffine1D:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "owns_left", owns)
+        # the fixed_point_set memo hashes the map on every lookup
+        object.__setattr__(self, "_hash", hash((bps, pieces, owns)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def piece_index(self, x) -> int:
         i = bisect_left(self.breakpoints, x)
@@ -87,7 +87,7 @@ def srelu(t_l, a_l, t_r, a_r) -> PiecewiseAffine1D:
     thresholds, t_r + a_r (x - t_r) above t_r. Continuous at both thresholds
     by construction.
     """
-    t_l, a_l, t_r, a_r = map(_exact, (t_l, a_l, t_r, a_r))
+    t_l, a_l, t_r, a_r = map(Fraction, (t_l, a_l, t_r, a_r))
     if t_l > t_r:
         raise ValueError(f"left threshold {t_l} exceeds right threshold {t_r}")
     left = (a_l, t_l * (1 - a_l))
@@ -146,12 +146,6 @@ def fixed_point_set(f: PiecewiseAffine1D) -> FixedSet1D:
     return FixedSet1D(IntervalUnion.of(parts))
 
 
-def _xi1(fs, x):
-    if x == POS_INF or x == NEG_INF:
-        return POS_INF
-    return sum(abs(x - f) for f in fs)
-
-
 def fixed_kellipse_radii(f: PiecewiseAffine1D, foci) -> IntervalUnion:
     """The exact set {r >= r_star : every level-set point is fixed by f}.
 
@@ -163,25 +157,23 @@ def fixed_kellipse_radii(f: PiecewiseAffine1D, foci) -> IntervalUnion:
     contained in the fixed set.
     """
     fix = fixed_point_set(f).members
-    fs = sorted(_exact(x) for x in foci)
-    k = len(fs)
-    if k == 0:
-        raise ValueError("need at least one focus")
-    m_lo, m_hi = fs[(k - 1) // 2], fs[k // 2]
-    r_star = _xi1(fs, m_lo)
+    field = line_field(map(Fraction, foci))
+    m_lo, m_hi = field.median
+    xi = field.value
 
     right = fix.intersect(IntervalUnion.of([Interval(m_hi, POS_INF)]))
     left = fix.intersect(IntervalUnion.of([Interval(NEG_INF, m_lo)]))
     # the field is strictly increasing right of the median, decreasing left of it
     right_r = IntervalUnion.of([
-        Interval(_xi1(fs, p.lo), _xi1(fs, p.hi), p.lo_open, p.hi_open) for p in right.parts
+        Interval(xi(p.lo), xi(p.hi), p.lo_open, p.hi_open) for p in right.parts
     ])
     left_r = IntervalUnion.of([
-        Interval(_xi1(fs, p.hi), _xi1(fs, p.lo), p.hi_open, p.lo_open) for p in left.parts
+        Interval(xi(p.hi), xi(p.lo), p.hi_open, p.lo_open) for p in left.parts
     ])
     radii = right_r.intersect(left_r)
 
-    at_star = solve_1d(fs, r_star)
+    r_star = field.r_star
+    at_star = field.solve(r_star)
     if at_star.kind is SolutionKind.POINTS:
         star_ok = all(fix.contains(x) for x in at_star.points)
     else:

@@ -841,7 +841,12 @@ def make_fixing_map(ellipses, fallback) -> SelfMap:
 
 
 def fixed_points_on(m: SelfMap, plan: SamplePlan) -> list[Point]:
-    """Plan points x with d(x, Tx) within the identification tolerance."""
+    """Plan points x with d(x, Tx) within the identification tolerance.
+
+    The tolerance is 0 only for a rational step on an exact plan; a float
+    step (a float map on a rational plan, say) gets TAU_IDENT.
+    """
     d = plan.space.metric.distance
-    tau = 0 if plan.exact else TAU_IDENT
-    return [x for x in plan.all_points if d(x, m(x)) <= tau]
+    steps = ((x, d(x, m(x))) for x in plan.all_points)
+    return [x for x, step in steps
+            if step <= (0 if plan.exact and _is_exact(step) else TAU_IDENT)]

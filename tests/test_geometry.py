@@ -9,7 +9,7 @@ import kellipse as ke
 from kellipse import (KEllipse, Metric, PointClass, Space, SumField, classify,
                       distance_sum, members_finite, min_radius, solve_1d,
                       weiszfeld)
-from kellipse.geometry import SolutionKind
+from kellipse.geometry import SolutionKind, _line_field
 
 
 def brute_min_1d(foci, lo, hi, step=1e-3):
@@ -222,6 +222,79 @@ def test_solve_1d_monotone_branches():
             if prev_hi is not None:
                 assert x_hi > prev_hi and x_lo < prev_lo
             prev_hi, prev_lo = x_hi, x_lo
+
+
+def solve_1d_by_piece_loop(foci, r):
+    """Reference: the piece-by-piece solver, trying all k + 1 pieces of the field."""
+    fs = sorted(x if type(x) in (int, Fraction) else Fraction(x) for x in foci)
+    k = len(fs)
+    r = r if type(r) in (int, Fraction) else Fraction(r)
+    m_lo, m_hi = fs[(k - 1) // 2], fs[k // 2]
+    r_star = sum(abs(m_lo - f) for f in fs)
+    if r < r_star:
+        return (SolutionKind.EMPTY, ())
+    if r == r_star:
+        return (SolutionKind.POINTS, (m_lo,)) if m_lo == m_hi else (SolutionKind.INTERVAL, (m_lo, m_hi))
+    total, prefix, solutions = sum(fs), 0, []
+    for i in range(k + 1):
+        slope = 2 * i - k
+        if slope != 0:
+            x = Fraction(r - (total - 2 * prefix), slope)
+            if (i == 0 or x >= fs[i - 1]) and (i == k or x <= fs[i]) and x not in solutions:
+                solutions.append(x)
+        prefix += fs[i] if i < k else 0
+    return (SolutionKind.POINTS, tuple(sorted(solutions)))
+
+
+def typed(values):
+    return tuple((type(v), v) for v in values)
+
+
+def as_type(t, v):
+    """The Fraction v as a t; as an int only when v is integral."""
+    return v if t is int and v.denominator != 1 else t(v)
+
+
+def test_solve_1d_matches_piece_loop_with_types_across_a_shared_memo():
+    rng = random.Random(515)
+    cast = (int, Fraction, float)
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        base = [Fraction(rng.randint(-24, 24), rng.choice((1, 1, 2, 4))) for _ in range(k)]
+        for _ in range(rng.randint(0, 2)):                    # duplicate foci
+            base[rng.randrange(k)] = base[rng.randrange(k)]
+        base = [Fraction(round(b)) if rng.random() < 0.5 else b for b in base]
+        fs = sorted(base)
+        r_star = sum(abs(fs[(k - 1) // 2] - f) for f in fs)
+        at_foci = sorted({sum(abs(b - f) for f in fs) for b in fs})
+        between = [(a + b) / 2 for a, b in zip(at_foci, at_foci[1:])]
+        radii = [r_star - Fraction(1, 3), r_star, *at_foci, *between, at_foci[-1] + Fraction(7, 5)]
+        # the same values as int, Fraction and float foci, in turn, so one memo
+        # entry could be handed to a caller of another type if the key let it
+        for kind in rng.sample(cast, 3) + [None]:                # None: mixed types
+            foci = [as_type(kind or rng.choice(cast), b) for b in base]
+            for r in radii:
+                r = as_type(rng.choice(cast), r)
+                got = solve_1d(foci, r)
+                want_kind, want = solve_1d_by_piece_loop(foci, r)
+                assert got.kind is want_kind, (foci, r)
+                assert typed(got.scalars()) == typed(want), (foci, r)
+
+
+def test_line_field_memo_is_bounded():
+    for i in range(_line_field.cache_info().maxsize + 50):
+        assert solve_1d([i, i + 1, Fraction(i, 3)], 10 ** 6).kind is SolutionKind.POINTS
+    info = _line_field.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_min_radius_1d_median_keeps_focus_types(line):
+    # equal foci of different types keep their input order, so the median's type does too
+    for foci, want in [((1, 2, 3), (2, 2)), ((Fraction(1), 2, Fraction(3)), (Fraction(2), 2)),
+                       ((1.0, 2.0, 3.0), (2.0, Fraction(2))), ((0, 1, 5, 6), (Fraction(10), Fraction(3))),
+                       ((0, 1, 1.0, 6), (6.0, 1)), ((0, 1.0, 1, 6), (6.0, Fraction(1)))]:
+        value, arg = min_radius(SumField(line, tuple((f,) for f in foci)))
+        assert typed((value, arg[0])) == typed(want), foci
 
 
 # ---------------------------------------------------------------------------

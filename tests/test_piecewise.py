@@ -199,6 +199,19 @@ def test_is_fixed_kellipse_empty_is_false():
     assert not bool(is_fixed_kellipse(STD, [-1, 0, 1], 1))
 
 
+def test_map_hash_is_stored_and_memo_counts_stay_exact():
+    table = ((Fraction(-1), Fraction(2)), ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(0)),
+                                            (Fraction(1, 2), Fraction(3))), (True, False))
+    a, b = PiecewiseAffine1D(*table), PiecewiseAffine1D(*table)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.breakpoints, a.pieces, a.owns_left))
+    before = fixed_point_set.cache_info()
+    assert fixed_point_set(a) is fixed_point_set(b) is fixed_point_set(a)
+    after = fixed_point_set.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+    assert PiecewiseAffine1D(*table[:2]) != a
+
+
 def test_radii_agree_with_bruteforce_scan():
     rng = random.Random(7)
     for trial in range(50):

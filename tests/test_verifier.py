@@ -334,6 +334,21 @@ def test_fixed_points_on(line_ellipse, plan9):
     assert all(x == (0,) for x in fixed)
 
 
+def test_fixed_points_on_float_step_gets_tau_ident(line_ellipse):
+    # a float map on a rational plan: every step is float rounding (<= 2e-15),
+    # so every plan point is fixed up to TAU_IDENT, not only x = 0
+    plan = default_plan(line_ellipse, seed=7)
+    assert plan.exact and len(plan.all_points) == 514
+    m = SelfMap(((Otherwise(), Affine1D((0.1 + 0.2) / 0.3, 0)),))
+    assert fixed_points_on(m, plan) == list(plan.all_points)
+
+
+def test_fixed_points_on_rational_step_on_exact_plan_uses_zero_tolerance(line_ellipse):
+    plan = default_plan(line_ellipse, seed=7)
+    nudge = SelfMap(((Otherwise(), Affine1D(1, Fraction(1, 10**12))),))   # moves every point by 1e-12
+    assert fixed_points_on(nudge, plan) == []
+
+
 # ---------------------------------------------------------------------------
 # report properties
 # ---------------------------------------------------------------------------
