@@ -25,7 +25,7 @@ from .geometry import SolverError, min_radius
 from .metric import verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
 from .scene import Scene, SceneError, load_scene
-from .tracer import export_csv, export_svg, sample_3d, trace_2d
+from .tracer import _format_rows, export_csv, export_svg, sample_3d, trace_2d
 from .verifier import FAIL, THEOREM_FAMILIES, certify, check_identity_condition
 
 
@@ -113,12 +113,9 @@ def _dots(points: np.ndarray, bbox) -> str:
     w = 640
     pad = 0.05 * max(x1 - x0, y1 - y0)
     sx = w / (x1 - x0 + 2 * pad)
-    px = (points[:, 0] - x0 + pad) * sx
-    py = (y1 + pad - points[:, 1]) * sx
-    return "\n".join(
-        "\n".join(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="0.8" fill="#1f4e8c"/>'
-                  for x, y in zip(px[s:s + DOT_ROWS].tolist(), py[s:s + DOT_ROWS].tolist()))
-        for s in range(0, len(px), DOT_ROWS))
+    xy = np.column_stack([(points[:, 0] - x0 + pad) * sx, (y1 + pad - points[:, 1]) * sx])
+    dot = '<circle cx="%.3f" cy="%.3f" r="0.8" fill="#1f4e8c"/>'
+    return "\n".join(_format_rows(dot, xy[s:s + DOT_ROWS]) for s in range(0, len(xy), DOT_ROWS))
 
 
 def cmd_verify(args) -> int:

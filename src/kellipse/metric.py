@@ -147,23 +147,39 @@ class Metric:
 
     def rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances between corresponding rows of `a` and `b` (broadcast, last axis d)."""
-        d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        return d[..., 0] if d.shape[-1] == 1 else self._norm(d)
+        return self._norm(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
 
     def _norm(self, d: np.ndarray) -> np.ndarray:
-        """The norm of the nonnegative coordinate gaps `d` along its last axis."""
+        """The norm of the nonnegative coordinate gaps `d` along its last axis.
+
+        The gap columns are combined one at a time in axis order, which is the
+        left-to-right order numpy uses to sum fewer than 8 terms, so each value
+        equals the last-axis reduction bit for bit, without its cost on a
+        short axis. A single gap is its own norm under every metric.
+        """
+        g = [d[..., i] for i in range(d.shape[-1])]
+        if len(g) == 1:
+            return g[0]
         if self.kind == "l1":
-            return d.sum(axis=-1)
-        if self.kind == "linf":
-            return d.max(axis=-1)
+            return _fold(np.add, g)
         if self.kind == "l2":
-            return np.sqrt((d * d).sum(axis=-1))
-        m = d.max(axis=-1)
+            return np.sqrt(_fold(np.add, [gi * gi for gi in g]))
+        m = _fold(np.maximum, g)
+        if self.kind == "linf":
+            return m
         out = np.zeros(m.shape)
         ok = m > 0
-        scaled = d[ok] / m[ok][:, None]
-        out[ok] = m[ok] * (scaled ** self.p).sum(axis=-1) ** (1.0 / self.p)
+        mk = m[ok]
+        out[ok] = mk * _fold(np.add, [(gi[ok] / mk) ** self.p for gi in g]) ** (1.0 / self.p)
         return out
+
+
+def _fold(op, g: list) -> np.ndarray:
+    """op(...op(op(g[0], g[1]), g[2])..., g[-1]) into one new array (len(g) >= 2)."""
+    acc = op(g[0], g[1])
+    for gi in g[2:]:
+        op(acc, gi, out=acc)
+    return acc
 
 
 def distance(metric: Metric, a, b):

@@ -2,8 +2,10 @@
 
 Grid cells are classified by the sign of (field - r) at their corners; every
 crossing edge is refined by bisection until the residual |field - r| at the
-emitted vertex is within the configured tolerance. 2D segments are stitched
-into polylines; 3D crossings are emitted as an unstructured on-surface cloud.
+emitted vertex is within the configured tolerance. Grid edges are
+axis-aligned, so bisection moves only the one coordinate that changes along
+each edge. 2D segments are stitched into polylines; 3D crossings are emitted
+as an unstructured on-surface cloud.
 """
 from __future__ import annotations
 
@@ -29,11 +31,11 @@ __all__ = [
 ]
 
 MAX_RESOLUTION = 4096
-# Tracing holds about 4 bytes per grid node (sign grid, evaluated-node mask,
-# an edge mask and one transient copy, 1 byte each) plus 16 bytes per
-# evaluated node (flat index and field value). sample_3d of tri3d_l2 on a
-# 321^3 grid peaks 140 MB (4.5 bytes per node) above the interpreter. A 3D
-# grid at MAX_RESOLUTION would have 6.9e10 nodes.
+# Tracing holds a few bytes per grid node (sign grid, evaluated-node mask and
+# their transient copies, 1 byte each; sign changes are found a few planes at
+# a time) plus 16 bytes per evaluated node (flat index and field value).
+# sample_3d of tri3d_l2 on a 321^3 grid peaks 88 MB (2.7 bytes per node)
+# above the interpreter. A 3D grid at MAX_RESOLUTION would have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 BLOCK = 8                   # cells per axis of a pruning block
@@ -163,38 +165,47 @@ def _node_values(index, values, nodes, shape) -> np.ndarray:
     return values[np.searchsorted(index, np.ravel_multi_index(nodes, shape))]
 
 
-def _bisect_edges(f: SumField, r: float, p0: np.ndarray, p1: np.ndarray,
+def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
                   f0: np.ndarray, f1: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized bisection on edges with a sign change; returns crossing points.
+    """Vectorized bisection on axis-aligned edges with a sign change; returns crossing points.
 
-    Keeps the best (smallest-residual) point seen, so every returned point
-    satisfies |field - r| <= tol; raises SolverError when some edge has not
-    got there within BISECT_BUDGET halvings.
+    Edge i runs from the point p0[i] to the point whose coordinate axis[i]
+    (an int, or one per edge) is hi[i] instead; f0 and f1 are field - r at its
+    ends. Only that coordinate is bisected: the fixed ones stay in one point
+    array, since 0.5 * (x + x) == x. Keeps the best (smallest-residual) point
+    seen, so every returned point satisfies |field - r| <= tol; raises
+    SolverError when some edge has not got there within BISECT_BUDGET halvings.
     """
-    a, b = p0.astype(float).copy(), p1.astype(float).copy()
+    pts = np.array(p0, dtype=float, order="C")
+    coords = pts.reshape(-1)                                # a view of pts
+    moving = np.arange(len(pts)) * pts.shape[1] + axis      # in coords, per edge
+    a, b = coords[moving], np.array(hi, dtype=float)
     fa = f0.copy()
-    best = np.where((np.abs(f0) <= np.abs(f1))[:, None], a, b)
+    best = np.where(np.abs(f0) <= np.abs(f1), a, b)
     best_res = np.minimum(np.abs(f0), np.abs(f1))
     for _ in range(BISECT_BUDGET):
         if (best_res <= tol).all():
             break
         mid = 0.5 * (a + b)
-        fm = f.values(mid) - r
-        better = np.abs(fm) < best_res
-        best[better] = mid[better]
-        best_res[better] = np.abs(fm)[better]
+        coords[moving] = mid
+        fm = f.values(pts) - r
+        res = np.abs(fm)
+        better = res < best_res
+        np.copyto(best, mid, where=better)
+        np.copyto(best_res, res, where=better)
         same = (fm < 0) == (fa < 0)
-        a[same] = mid[same]
-        fa[same] = fm[same]
-        b[~same] = mid[~same]
+        np.copyto(a, mid, where=same)
+        np.copyto(fa, fm, where=same)
+        np.copyto(b, mid, where=~same)
+    coords[moving] = best
     unconverged = int((best_res > tol).sum())
     if unconverged:
         worst = int(np.argmax(best_res))
         raise SolverError(
             f"bisection left {unconverged} of {len(best_res)} crossing edge(s) unconverged "
             f"after {BISECT_BUDGET} halvings; worst residual {best_res[worst]:.3g} > {tol:g}",
-            Point(best[worst].tolist()), float(best_res[worst]))
-    return best
+            Point(pts[worst].tolist()), float(best_res[worst]))
+    return pts
 
 
 # marching-squares segment table: case bits are c0..c3 (ccw from lower-left),
@@ -272,7 +283,7 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
     horizontal = np.array([kind == "h" for kind, _, _ in keys])
     i1, j1 = i0 + horizontal, j0 + ~horizontal      # "h" edges step in x, "v" in y
     crossings = _bisect_edges(f, r, np.column_stack([xs[i0], ys[j0]]),
-                              np.column_stack([xs[i1], ys[j1]]),
+                              np.where(horizontal, 0, 1), np.where(horizontal, xs[i1], ys[j1]),
                               _node_values(index, values, (i0, j0), inside.shape),
                               _node_values(index, values, (i1, j1), inside.shape),
                               cfg.refine_tol)
@@ -333,6 +344,24 @@ def _dedupe(pts: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
+def _sign_changes(neg: np.ndarray, axis: int) -> tuple:
+    """np.nonzero of the sign changes along `axis`, by the index of each edge's lower end.
+
+    The grid is compared a few planes (about EVAL_CHUNK nodes) at a time, so
+    that no temporary the size of the grid is made.
+    """
+    lo_cut = tuple(slice(None, -1) if a == axis else slice(None) for a in range(neg.ndim))
+    hi_cut = tuple(slice(1, None) if a == axis else slice(None) for a in range(neg.ndim))
+    n = len(neg) - (axis == 0)          # planes that hold the lower end of an edge
+    step = max(1, EVAL_CHUNK // neg[0].size)
+    parts = []
+    for s in range(0, n, step):
+        block = neg[s:min(s + step, n) + (axis == 0)]
+        idx = np.nonzero(block[lo_cut] != block[hi_cut])
+        parts.append((idx[0] + s,) + idx[1:])
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
 def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
     """On-surface point cloud: bisection-refined crossings of all grid edges."""
     if e.space.is_finite or e.space.dimension != 3:
@@ -347,19 +376,15 @@ def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
     clouds = []
     boundary = False
     for axis in range(3):
-        lo_cut = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
-        hi_cut = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
-        idx = np.nonzero(neg[lo_cut] != neg[hi_cut])
+        idx = _sign_changes(neg, axis)
         if len(idx[0]) == 0:
             continue
         lo = np.column_stack([node[a][idx[a]] for a in range(3)])
-        hi = lo.copy()
         stepped = idx[axis] + 1
-        hi[:, axis] = node[axis][stepped]
         hi_idx = tuple(stepped if a == axis else idx[a] for a in range(3))
         f0 = _node_values(index, values, idx, neg.shape)
         f1 = _node_values(index, values, hi_idx, neg.shape)
-        clouds.append(_bisect_edges(f, r, lo, hi, f0, f1, cfg.refine_tol))
+        clouds.append(_bisect_edges(f, r, lo, axis, node[axis][stepped], f0, f1, cfg.refine_tol))
         for a in range(3):
             if a == axis:
                 continue
@@ -442,18 +467,24 @@ def export_svg(polylines, foci=(), bbox=None, style: SvgStyle | None = None) -> 
 
 def export_csv(points) -> str:
     """CSV text with header x,y[,z]; exact values print as rationals."""
-    if isinstance(points, np.ndarray) and points.dtype == np.float64:
-        # CSV_ROWS rows at a time, so that the Python floats and row strings
+    table = isinstance(points, np.ndarray) and points.ndim == 2
+    if table and points.dtype == np.float64:
+        # CSV_ROWS rows at a time, one % per chunk, so that the Python floats
         # alive at once stay few next to the text itself
-        dim = points.shape[1] if len(points) else 2
-        body = ["\n".join(",".join(map(repr, row)) for row in points[s:s + CSV_ROWS].tolist())
-                for s in range(0, len(points), CSV_ROWS)]
+        dim = points.shape[1]
+        row = ",".join(["%r"] * dim)
+        body = [_format_rows(row, points[s:s + CSV_ROWS]) for s in range(0, len(points), CSV_ROWS)]
     else:
         rows = [tuple(p) for p in points]
         body = [",".join(_csv_num(c) for c in row) for row in rows]
-        dim = len(rows[0]) if rows else 2
+        dim = points.shape[1] if table else len(rows[0]) if rows else 2
     header = ",".join("xyz"[:dim][i] for i in range(dim))
     return "\n".join([header] + body) + "\n"
+
+
+def _format_rows(row: str, values: np.ndarray) -> str:
+    """The lines `row % v` for each row v of `values` (n, m), formatted by one % operation."""
+    return "\n".join([row] * len(values)) % tuple(values.ravel().tolist())
 
 
 def _csv_num(c) -> str:

@@ -1,0 +1,165 @@
+"""The column-by-column norm and the one-coordinate bisection against the
+last-axis and full-vector versions they replaced, kept here as oracles."""
+import numpy as np
+import pytest
+
+from kellipse import KEllipse, Metric, SolverError, Space, tracer
+from kellipse.geometry import SumField
+from kellipse.metric import Point
+
+METRICS = [Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(3), Metric.lp(4)]
+
+
+def last_axis_norm(metric, d):
+    """The norm as one reduction over the last axis of the gaps `d`."""
+    if metric.kind == "l1":
+        return d.sum(axis=-1)
+    if metric.kind == "linf":
+        return d.max(axis=-1)
+    if metric.kind == "l2":
+        return np.sqrt((d * d).sum(axis=-1))
+    m = d.max(axis=-1)
+    out = np.zeros(m.shape)
+    ok = m > 0
+    scaled = d[ok] / m[ok][:, None]
+    out[ok] = m[ok] * (scaled ** metric.p).sum(axis=-1) ** (1.0 / metric.p)
+    return out
+
+
+def full_vector_bisect(f, r, p0, p1, f0, f1, tol):
+    """Bisection that halves whole points (every coordinate) on each round."""
+    a, b = p0.astype(float).copy(), p1.astype(float).copy()
+    fa = f0.copy()
+    best = np.where((np.abs(f0) <= np.abs(f1))[:, None], a, b)
+    best_res = np.minimum(np.abs(f0), np.abs(f1))
+    for _ in range(tracer.BISECT_BUDGET):
+        if (best_res <= tol).all():
+            break
+        mid = 0.5 * (a + b)
+        fm = f.values(mid) - r
+        better = np.abs(fm) < best_res
+        best[better] = mid[better]
+        best_res[better] = np.abs(fm)[better]
+        same = (fm < 0) == (fa < 0)
+        a[same] = mid[same]
+        fa[same] = fm[same]
+        b[~same] = mid[~same]
+    unconverged = int((best_res > tol).sum())
+    if unconverged:
+        worst = int(np.argmax(best_res))
+        raise SolverError(
+            f"bisection left {unconverged} of {len(best_res)} crossing edge(s) unconverged "
+            f"after {tracer.BISECT_BUDGET} halvings; worst residual {best_res[worst]:.3g} > {tol:g}",
+            Point(best[worst].tolist()), float(best_res[worst]))
+    return best
+
+
+def gap_rows(rng, n, dim, foci):
+    """Points at every scale, a few of them on a focus (all gaps zero)."""
+    pts = rng.uniform(-10, 10, size=(n, dim)) * 10.0 ** rng.integers(-4, 4, size=(n, 1))
+    pts[::17] = foci[rng.integers(len(foci), size=len(pts[::17]))]
+    pts[5::23, 0] = foci[0][0]           # some gaps zero on one axis only
+    return pts
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_column_norm_is_bit_equal_to_last_axis_norm(metric, dim):
+    rng = np.random.default_rng(100 + dim)
+    foci = rng.uniform(-3, 3, size=(4, dim))
+    pts = gap_rows(rng, 3000, dim, foci)
+    # (N, d): one focus against many rows, as SumField.values asks
+    for focus in foci:
+        d = np.abs(pts - focus)
+        want = last_axis_norm(metric, d)
+        assert np.array_equal(metric._norm(d), want)
+        assert np.array_equal(metric.distance_field(pts, tuple(focus)), want)
+    # (n, m, d): the broadcast shape of pairwise
+    a, b = pts[:60], np.vstack([foci, pts[100:140]])
+    d = np.abs(a[:, None, :] - b[None, :, :])
+    want = last_axis_norm(metric, d)
+    assert (want == 0).any()
+    assert np.array_equal(metric._norm(d), want)
+    assert np.array_equal(metric.pairwise(a, b), want)
+    assert np.array_equal(metric.rowwise(a[:, None, :], b[None, :, :]), want)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
+def test_single_gap_is_its_own_norm(metric):
+    # squaring the gap under L2 would underflow 1e-200 to 0 and overflow
+    # 3e200 to inf
+    pts = np.array([[1e-200], [3e200], [-2.5]])
+    with np.errstate(all="raise"):
+        got = metric.distance_field(pts, (0.0,))
+        assert np.array_equal(got, [1e-200, 3e200, 2.5])
+        assert np.array_equal(metric.distance_field(pts[:, 0], (0.0,)), got)
+        assert np.array_equal(metric.rowwise(pts, np.zeros((1, 1))), got)
+        assert np.array_equal(metric.pairwise(pts, [[0.0]])[:, 0], got)
+    assert [metric.distance((x,), (0.0,)) for x in pts[:, 0]] == got.tolist()
+
+
+def crossing_edges(f, r, lo, hi, cell, n, rng):
+    """Seeded axis-aligned edges of length `cell` whose ends straddle the level."""
+    dim = len(lo)
+    p0 = rng.uniform(lo, hi, size=(n, dim))
+    axis = rng.integers(dim, size=n)
+    p1 = p0.copy()
+    p1[np.arange(n), axis] += cell
+    f0, f1 = f.values(p0) - r, f.values(p1) - r
+    keep = (f0 < 0) != (f1 < 0)
+    return p0[keep], axis[keep], p1[keep], f0[keep], f1[keep]
+
+
+@pytest.mark.parametrize("metric", METRICS[:4], ids=lambda m: m.label)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_coordinate_bisection_equals_full_vector_bisection(metric, dim):
+    rng = np.random.default_rng(7 * dim + len(metric.label))
+    foci = tuple(map(tuple, rng.uniform(-3, 3, size=(5, dim))))
+    f = SumField(Space.continuum(dim, metric), foci)
+    r = 1.5 * float(f.values(np.mean(foci, axis=0)[None, :])[0])
+    p0, axis, p1, f0, f1 = crossing_edges(f, r, [-7] * dim, [7] * dim, 0.3, 80000 * (dim - 1), rng)
+    assert len(set(axis.tolist())) == dim and len(p0) > 300
+    for tol in (1e-9, 1e-4):
+        # one batch mixing every axis, in random order
+        want = full_vector_bisect(f, r, p0, p1, f0, f1, tol)
+        got = tracer._bisect_edges(f, r, p0, axis, p1[np.arange(len(p1)), axis], f0, f1, tol)
+        assert np.array_equal(got, want)
+        # per-axis batches with one int axis, as sample_3d sends them
+        for a in range(dim):
+            sel = axis == a
+            got = tracer._bisect_edges(f, r, p0[sel], a, p1[sel, a], f0[sel], f1[sel], tol)
+            assert np.array_equal(got, want[sel])
+    # inputs are left as they were
+    assert np.array_equal(p0[np.arange(len(p0)), axis] + 0.3, p1[np.arange(len(p0)), axis])
+
+
+def test_one_coordinate_bisection_raises_as_full_vector_bisection():
+    # near x = 1000 no edge gets within 1e-300 of the level
+    f = KEllipse(Space.continuum(2, Metric.l2()), ((1001, 1000), (1000, 1000), (1000, 1001)), 4).field
+    rng = np.random.default_rng(3)
+    p0, axis, p1, f0, f1 = crossing_edges(f, 4.0, [997, 997], [1004, 1004], 0.4, 400, rng)
+    errors = []
+    for run in (lambda: tracer._bisect_edges(f, 4.0, p0, axis, p1[np.arange(len(p1)), axis],
+                                             f0, f1, 1e-300),
+                lambda: full_vector_bisect(f, 4.0, p0, p1, f0, f1, 1e-300)):
+        with pytest.raises(SolverError) as info:
+            run()
+        errors.append(info.value)
+    assert str(errors[0]) == str(errors[1])
+    assert errors[0].best_point == errors[1].best_point
+    assert errors[0].best_value == errors[1].best_value
+    assert f"{len(p0)} of {len(p0)} crossing edge(s)" in str(errors[0])
+
+
+@pytest.mark.parametrize("chunk", [1, 50, 1 << 16])
+@pytest.mark.parametrize("shape", [(9, 9, 9), (13, 10, 11), (17, 9)])
+def test_slab_sign_changes_equal_whole_grid_comparison(shape, chunk, monkeypatch):
+    monkeypatch.setattr(tracer, "EVAL_CHUNK", chunk)
+    rng = np.random.default_rng(len(shape) * 100 + chunk)
+    neg = rng.random(shape) < 0.3
+    for axis in range(len(shape)):
+        lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(len(shape)))
+        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(len(shape)))
+        want = np.nonzero(neg[lo] != neg[hi])
+        got = tracer._sign_changes(neg, axis)
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -319,3 +319,15 @@ def test_csv_round_trip_exact_values():
     back = parse_csv_points(text)
     assert back[0] == (Fraction(1, 3), 2)
     assert back[1] == (Fraction(-5, 7), 0)
+
+
+def test_csv_header_width_follows_the_array():
+    # an empty 3D cloud (r below the minimum radius) keeps its 3D header
+    sp = Space.continuum(3, Metric.l2())
+    e = KEllipse(sp, ((5, 0, 0), (0, 2, 0), (0, 0, 1)), 2)
+    empty = sample_3d(e, TraceConfig(bbox=((-4, 7), (-5, 6), (-5, 5)), resolution=8)).points
+    assert export_csv(empty) == "x,y,z\n"
+    assert export_csv(np.zeros((0, 2))) == "x,y\n"
+    assert export_csv(np.zeros((0, 3), dtype=int)) == "x,y,z\n"
+    assert export_csv(np.array([[1, -2, 3]])) == "x,y,z\n1,-2,3\n"
+    assert export_csv(np.array([[0.5, -0.0, 1e-300]])) == "x,y,z\n0.5,-0.0,1e-300\n"
