@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metric import Point, Space, as_point
+from .metric import Point, Space, as_point, exact_eq, is_exact
 
 __all__ = [
     "SumField",
@@ -76,8 +76,13 @@ class SumField:
         return sum(d(pt, f) for f in self.foci)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized field over the rows of `pts` (N, d) array; float output."""
-        total = np.zeros(len(pts))
+        """Vectorized field over the rows of `pts` (N, d) array.
+
+        Float output, or object output for an object array of int/Fraction
+        rows: each sum then runs 0 + d1 + d2 ... in focus order, as `value`.
+        """
+        exact = isinstance(pts, np.ndarray) and pts.dtype.kind == "O"
+        total = np.zeros(len(pts), dtype=object if exact else float)
         for f in self.foci:
             total += self.space.metric.distance_field(pts, f)
         return total
@@ -133,9 +138,7 @@ def classify(e: KEllipse, x, tol) -> PointClass:
 # ---------------------------------------------------------------------------
 
 def _exact(x):
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return x
-    return Fraction(x)
+    return x if is_exact(x) else Fraction(x)
 
 
 def min_radius(field: SumField):
@@ -420,12 +423,7 @@ def members_finite(e: KEllipse) -> list[Point]:
     the exact 1D solution with the membership predicate.
     """
     if e.space.is_finite:
-        out = []
-        for p in e.space.points:
-            v = e.field.value(p)
-            if _exactly_equal(v, e.r):
-                out.append(p)
-        return out
+        return [p for p in e.space.points if exact_eq(e.field.value(p), e.r)]
     if e.space.dimension == 1:
         sol = solve_1d([f[0] for f in e.foci], e.r)
         if sol.kind is SolutionKind.INTERVAL:
@@ -440,13 +438,6 @@ def members_finite(e: KEllipse) -> list[Point]:
             return [Point((p,)) for p in sorted(inside)]
         return [Point((x,)) for x in sol.points if e.space.contains(Point((x,)))]
     raise ValueError("members_finite requires a finite space or a 1D continuum")
-
-
-def _exactly_equal(v, r) -> bool:
-    exact = isinstance(v, (int, Fraction)) and isinstance(r, (int, Fraction))
-    if exact:
-        return v == r
-    return abs(v - r) <= 1e-9
 
 
 def nonempty(e: KEllipse) -> bool:

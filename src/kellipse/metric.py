@@ -2,7 +2,8 @@
 
 Coordinates may be int, float, or Fraction. Exact types are preserved through
 distance computations wherever the metric allows (L1, Linf, and any metric in
-dimension 1), so that finite-space and 1D analyses stay rational end to end.
+dimension 1), so that finite-space and 1D analyses stay rational end to end:
+the array forms keep int/Fraction coordinates given as an object array.
 """
 from __future__ import annotations
 
@@ -33,6 +34,18 @@ P_MIN = 1.0
 P_MAX = 64.0    # larger p overflows double powers; reject at construction
 
 
+def is_exact(v) -> bool:
+    """Whether v is an exact number: an int or a Fraction, not a bool."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+def exact_eq(v, r) -> bool:
+    """v == r, exactly when both are exact numbers, else within TAU_EQ."""
+    if is_exact(v) and is_exact(r):
+        return v == r
+    return abs(v - r) <= TAU_EQ
+
+
 class Point(tuple):
     """An n-dimensional coordinate tuple (n >= 1, all coordinates finite)."""
 
@@ -43,7 +56,7 @@ class Point(tuple):
         if len(pt) == 0:
             raise ValueError("a point needs at least one coordinate")
         for c in pt:
-            if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
+            if is_exact(c):
                 continue
             if not isinstance(c, float) or not math.isfinite(c):
                 raise ValueError(f"coordinate {c!r} is not a finite real")
@@ -132,7 +145,8 @@ class Metric:
 
     def distance_field(self, pts: np.ndarray, focus: Sequence) -> np.ndarray:
         """Vectorized distances from every row of `pts` (N, d) to one focus."""
-        d = np.abs(np.asarray(pts, dtype=float) - np.asarray(focus, dtype=float))
+        pts, focus = _arrays(pts, focus)
+        d = np.abs(pts - focus)
         if d.ndim == 1:
             d = d[:, None]
         return self._norm(d)
@@ -140,14 +154,17 @@ class Metric:
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distance matrix (n, m) between the rows of `a` (n, d) and `b` (m, d).
 
-        Each entry takes the value `distance` gives for float coordinates.
+        Each entry takes the value `distance` gives for the same coordinates:
+        float ones, or int/Fraction ones in an object array (exact on the
+        line and under L1 and Linf).
         """
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        a, b = _arrays(a, b)
         return self.rowwise(a[:, None, :], b[None, :, :])
 
     def rowwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distances between corresponding rows of `a` and `b` (broadcast, last axis d)."""
-        return self._norm(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+        a, b = _arrays(a, b)
+        return self._norm(np.abs(a - b))
 
     def _norm(self, d: np.ndarray) -> np.ndarray:
         """The norm of the nonnegative coordinate gaps `d` along its last axis.
@@ -155,7 +172,9 @@ class Metric:
         The gap columns are combined one at a time in axis order, which is the
         left-to-right order numpy uses to sum fewer than 8 terms, so each value
         equals the last-axis reduction bit for bit, without its cost on a
-        short axis. A single gap is its own norm under every metric.
+        short axis. A single gap is its own norm under every metric. Object
+        gaps stay exact under L1 and Linf: each sum and maximum runs in Python
+        arithmetic, and a maximum keeps the first of equal gaps, as max() does.
         """
         g = [d[..., i] for i in range(d.shape[-1])]
         if len(g) == 1:
@@ -172,6 +191,17 @@ class Metric:
         mk = m[ok]
         out[ok] = mk * _fold(np.add, [(gi[ok] / mk) ** self.p for gi in g]) ** (1.0 / self.p)
         return out
+
+
+def _arrays(a, b) -> tuple:
+    """a and b as float arrays, or as object arrays when either one is an
+    object array (exact int/Fraction coordinates)."""
+    dtype = object if _holds_objects(a) or _holds_objects(b) else float
+    return np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+
+
+def _holds_objects(a) -> bool:
+    return isinstance(a, np.ndarray) and a.dtype.kind == "O"
 
 
 def _fold(op, g: list) -> np.ndarray:

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .geometry import LevelSolution1D, SolutionKind, line_field, solve_1d
 from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF
+from .metric import is_exact
 
 __all__ = [
     "PiecewiseAffine1D",
@@ -75,7 +76,7 @@ class PiecewiseAffine1D:
 
     def __call__(self, x):
         a, b = self.pieces[self.piece_index(x)]
-        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        if is_exact(x):
             return a * Fraction(x) + b
         return float(a) * x + float(b)
 

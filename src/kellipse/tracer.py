@@ -468,18 +468,18 @@ def export_svg(polylines, foci=(), bbox=None, style: SvgStyle | None = None) -> 
 def export_csv(points) -> str:
     """CSV text with header x,y[,z]; exact values print as rationals."""
     table = isinstance(points, np.ndarray) and points.ndim == 2
-    if table and points.dtype == np.float64:
+    rows = None if table and points.dtype == np.float64 else [tuple(p) for p in points]
+    dim = points.shape[1] if table else len(rows[0]) if rows else 2
+    if dim > 3:
+        raise ValueError(f"CSV export takes at most 3 columns (x, y, z), got {dim}")
+    if rows is None:
         # CSV_ROWS rows at a time, one % per chunk, so that the Python floats
         # alive at once stay few next to the text itself
-        dim = points.shape[1]
         row = ",".join(["%r"] * dim)
         body = [_format_rows(row, points[s:s + CSV_ROWS]) for s in range(0, len(points), CSV_ROWS)]
     else:
-        rows = [tuple(p) for p in points]
         body = [",".join(_csv_num(c) for c in row) for row in rows]
-        dim = points.shape[1] if table else len(rows[0]) if rows else 2
-    header = ",".join("xyz"[:dim][i] for i in range(dim))
-    return "\n".join([header] + body) + "\n"
+    return "\n".join([",".join("xyz"[:dim])] + body) + "\n"
 
 
 def _format_rows(row: str, values: np.ndarray) -> str:

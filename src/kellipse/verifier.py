@@ -1,12 +1,14 @@
 """Self-maps and numeric verification of fixed-figure conditions.
 
 A self-map is an ordered rule table (region predicate, action); a sample plan
-pairs on-level-set points with ambient points. A report is "exact" when every
-margin in it is an int or a Fraction: the plan is exact and the foci, the
-radius, the plan points and their images under the map all have int/Fraction
-coordinates. Such checks run as scalar loops in rational arithmetic with zero
-slack. Every other plan is checked by numpy array reductions over the pairwise
-distance matrices, in blocks of at most PAIR_BLOCK entries, with a 1e-9 slack.
+pairs on-level-set points with ambient points. Every condition is computed by
+one kernel of numpy reductions over the plan's distance vectors and pairwise
+distance matrices (in blocks of at most PAIR_BLOCK entries), on one of two
+dtypes. When the plan is exact, the metric keeps rationals (the line, L1,
+Linf) and the foci, the radius, the plan points and their images all have
+int/Fraction coordinates, the kernel runs on object arrays in rational
+arithmetic with zero slack, and the report is "exact": every margin is an int
+or a Fraction. Every other input runs on float arrays with a 1e-9 slack.
 Pair conditions fit the minimal feasible constant and report the witness pair
 (the first in plan order on ties); every verdict is qualified by whether the
 plan was exhaustive.
@@ -26,13 +28,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .geometry import (KEllipse, PointClass, SolutionKind, SumField, classify,
                        solve_1d)
-from .metric import TAU_EQ, Point, Space, as_point
+from .metric import TAU_EQ, Point, Space, as_point, exact_eq, is_exact
 
 __all__ = [
     "ConfigurationError",
@@ -195,15 +196,8 @@ class Rational1D:
         return Point((_div(nv, dv),))
 
 
-def _is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
 def _div(num, den):
-    if _is_exact(num) and _is_exact(den):
-        return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) \
-            else Fraction(num) / Fraction(den)
-    return num / den
+    return Fraction(num) / den if is_exact(num) and is_exact(den) else num / den
 
 
 @dataclass(frozen=True)
@@ -269,17 +263,11 @@ def exhaustive_plan(e: KEllipse) -> SamplePlan:
     on, off = [], []
     for p in e.space.points:
         v = e.field.value(p)
-        target = on if _exact_eq(v, e.r) else off
+        target = on if exact_eq(v, e.r) else off
         target.append(p)
-    exact = (_is_exact(e.r)
-             and all(all(_is_exact(c) for c in p) for p in e.space.points))
+    exact = (is_exact(e.r)
+             and all(all(is_exact(c) for c in p) for p in e.space.points))
     return SamplePlan(e.space, tuple(on), tuple(off), seed=0, exhaustive=True, exact=exact)
-
-
-def _exact_eq(v, r) -> bool:
-    if _is_exact(v) and _is_exact(r):
-        return v == r
-    return abs(v - r) <= TAU_EQ
 
 
 def _halton(index: int, base: int) -> float:
@@ -332,7 +320,7 @@ def _plan_1d(e: KEllipse, seed: int, off_count: int, window) -> SamplePlan:
     seen = {p[0] for p in on}
     if e.space.membership is not None:
         for iso in e.space.membership.isolated:
-            if iso not in seen and not _exact_eq(e.field.value(Point((iso,))), e.r):
+            if iso not in seen and not exact_eq(e.field.value(Point((iso,))), e.r):
                 off.append(Point((iso,)))
                 seen.add(iso)
     attempts = 0
@@ -344,11 +332,11 @@ def _plan_1d(e: KEllipse, seed: int, off_count: int, window) -> SamplePlan:
         p = Point((x,))
         if not e.space.contains(p):
             continue
-        if _exact_eq(e.field.value(p), e.r):
+        if exact_eq(e.field.value(p), e.r):
             continue
         off.append(p)
         seen.add(x)
-    exact = _is_exact(e.r) and all(_is_exact(f[0]) for f in e.foci)
+    exact = is_exact(e.r) and all(is_exact(f[0]) for f in e.foci)
     return SamplePlan(e.space, tuple(on), tuple(off), seed=seed, exhaustive=False, exact=exact)
 
 
@@ -422,25 +410,6 @@ class ConditionReport:
         return self.verdict == PASS
 
 
-class _Worst:
-    """Tracks the minimum margin and its witness, first occurrence winning ties."""
-
-    def __init__(self):
-        self.margin = None
-        self.witness = ()
-
-    def update(self, margin, witness):
-        if self.margin is None or margin < self.margin:
-            self.margin = margin
-            self.witness = witness
-
-
-def _tx(m: SelfMap, x: Point, cache: dict) -> Point:
-    if x not in cache:
-        cache[x] = m(x)
-    return cache[x]
-
-
 def pointwise_margin(condition_id: str, m: SelfMap, e: KEllipse, x: Point, tx: Point | None = None):
     """Slack of a pointwise condition at one on-set point (negative = violated)."""
     d = e.space.metric.distance
@@ -485,14 +454,20 @@ def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
     return _div(num, den)
 
 
-def _rational(*point_lists) -> bool:
-    return all(_is_exact(c) for pts in point_lists for p in pts for c in p)
+def ik_margin(m: SelfMap, f: SumField, k: int, x: Point, tx: Point | None = None):
+    """Slack of the identity-forcing bound at x (negative = violated)."""
+    d = f.space.metric.distance
+    tx = m(x) if tx is None else tx
+    return _div(f.value(x) - f.value(tx), k + 1) - d(x, tx)
 
 
-def _runs_exact(plan: SamplePlan, foci, points, images, r=0) -> bool:
-    """Rational arithmetic decides a check: an exact plan whose foci, radius,
-    points and images are all int/Fraction. Every margin is then exact."""
-    return plan.exact and _is_exact(r) and _rational(foci, points, images)
+def _runs_exact(plan: SamplePlan, f: SumField, points, images, r) -> bool:
+    """Rational arithmetic decides a check: an exact plan under a metric that
+    keeps rationals (any metric on the line, L1 and Linf), with int/Fraction
+    foci, radius, points and images. Every margin is then exact."""
+    rational_metric = f.space.dimension == 1 or f.space.metric.kind in ("l1", "linf")
+    return (plan.exact and rational_metric and is_exact(r)
+            and all(is_exact(c) for pts in (f.foci, points, images) for p in pts for c in p))
 
 
 def _fit_report(condition_id, fitted, threshold, strict, witness, meta) -> ConditionReport:
@@ -504,106 +479,60 @@ def _fit_report(condition_id, fitted, threshold, strict, witness, meta) -> Condi
 def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> ConditionReport:
     """Evaluate one condition over a plan and report verdict/constant/witness.
 
-    Exact inputs (see `_runs_exact`) go through the scalar rational loop with
-    zero slack; every other plan goes through the float array kernels with
-    slack TAU_COND, and its report has exact=False.
+    The plan points the condition reads are mapped once and handed to the
+    condition kernel, which runs on one of two dtypes. Exact inputs (see
+    `_runs_exact`) give object arrays of int/Fraction, checked with zero
+    slack, so every margin is rational. Every other input gives float arrays,
+    checked with slack TAU_COND and strict margin STRICT_MARGIN; its report
+    has exact=False.
     """
     if condition_id not in CONDITION_IDS:
         raise ValueError(f"unknown condition id {condition_id!r}; choose from {CONDITION_IDS}")
     if condition_id == "Ik":
         return check_identity_condition(m, e.field, len(e.foci), plan)
+    return _check(condition_id, e.field, e.r, e.k, plan, _images(m, plan, (condition_id,)))
 
-    on, off = plan.on_ellipse, plan.off_ellipse
-    if not on:
-        return ConditionReport(condition_id, VACUOUS, None, 0, (), plan.exhaustive,
-                               _runs_exact(plan, e.foci, (), (), e.r), "no on-set samples")
-    cache: dict = {}
-    points = on + off if condition_id in PAIR_FIT else on
-    images = [_tx(m, x, cache) for x in points]
-    exact = _runs_exact(plan, e.foci, points, images, e.r)
-    meta = dict(exhaustive=plan.exhaustive, exact=exact)
+
+def check_identity_condition(m: SelfMap, f: SumField, k: int | None, plan: SamplePlan) -> ConditionReport:
+    """Check d(x, Tx) <= (sum-field drop)/(k+1) over the whole plan.
+
+    A passing point is necessarily a fixed point (the bound self-collapses);
+    the report notes the last passing point that moves by more than
+    TAU_IDENT, which only float rounding can produce. The check runs in the
+    condition kernel on exact or float arrays, as in check_condition.
+    """
+    k = len(f.foci) if k is None else k
+    return _check("Ik", f, 0, k, plan, _images(m, plan, ("Ik",)))
+
+
+def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
+    """Tx for each plan point the conditions read, in plan order, each point
+    mapped once: every point for Ik, and for a pair fit when the plan has
+    on-set points to pair; otherwise the on-set points alone."""
+    pairs = plan.on_ellipse and any(cid in PAIR_FIT for cid in condition_ids)
+    points = plan.all_points if "Ik" in condition_ids or pairs else plan.on_ellipse
+    return [m(x) for x in points]
+
+
+# ---------------------------------------------------------------------------
+# the condition kernel: every condition as array reductions over the plan
+# ---------------------------------------------------------------------------
+
+PAIR_BLOCK = 1 << 18   # most entries in one temporary of a blocked pair reduction
+
+_FRACTION = np.frompyfunc(Fraction, 1, 1)
+
+
+def _coords(points, dim: int, exact: bool) -> np.ndarray:
+    return np.array(points, dtype=object if exact else float).reshape(len(points), dim)
+
+
+def _divide(num, den, fill, tau, exact: bool) -> np.ndarray:
+    """num / den where den > tau, else fill. Exact denominators become
+    Fractions first: an int over an int would give a float."""
     if exact:
-        return _check_exact(condition_id, m, e, plan, cache, meta)
-    return _check_float(condition_id, e, points, images, len(on), meta)
-
-
-def _check_exact(condition_id, m, e, plan, cache, meta) -> ConditionReport:
-    """The scalar loop over an exact plan: rational arithmetic, zero slack."""
-    if condition_id in POINTWISE_IDS:
-        worst = _Worst()
-        for x in plan.on_ellipse:
-            worst.update(pointwise_margin(condition_id, m, e, x, _tx(m, x, cache)), (x,))
-        verdict = PASS if worst.margin >= 0 else FAIL
-        return ConditionReport(condition_id, verdict, None, worst.margin, worst.witness, **meta)
-
-    if condition_id in PAIR_FIT:
-        fitted = None
-        witness = ()
-        for x in plan.on_ellipse:
-            tx = _tx(m, x, cache)
-            for y in plan.off_ellipse:
-                ratio = pair_ratio(condition_id, m, e, x, y, tx, _tx(m, y, cache))
-                if ratio is None:
-                    continue
-                if fitted is None or ratio > fitted:
-                    fitted, witness = ratio, (x, y)
-        if fitted is None:
-            return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
-                                   notes="no informative pairs")
-        return _fit_report(condition_id, fitted, PAIR_FIT[condition_id], 0, witness, meta)
-
-    if condition_id == "E''k2":
-        fitted = 0
-        witness = ()
-        for x in plan.on_ellipse:
-            tx = _tx(m, x, cache)
-            deficit = e.r - e.field.value(tx)
-            if deficit <= 0:
-                need = 0
-            else:
-                step = e.space.metric.distance(x, tx)
-                need = math.inf if step <= 0 else _div(deficit, step)
-            if need > fitted or not witness:
-                fitted, witness = need, (x,)
-        return _fit_report(condition_id, fitted, 1, 0, witness, meta)
-
-    if condition_id == "E'''k2":
-        pairs = [(x, y) for x, y in combinations(plan.on_ellipse, 2) if x != y]
-        if not pairs:
-            return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
-                                   notes="fewer than two distinct on-set samples")
-        d = e.space.metric.distance
-        worst = _Worst()
-        for x, y in pairs:
-            worst.update(d(_tx(m, x, cache), _tx(m, y, cache)) - e.r, (x, y))
-        return ConditionReport(condition_id, PASS if worst.margin > 0 else FAIL,
-                               None, worst.margin, worst.witness, **meta)
-
-    if condition_id == "E'''k3":
-        gap = RadiusGap(e.r)
-        d = e.space.metric.distance
-        worst = _Worst()
-        for x in plan.on_ellipse:
-            tx = _tx(m, x, cache)
-            penalty = gap(d(x, tx))
-            for y in plan.on_ellipse:
-                ty = _tx(m, y, cache)
-                worst.update((d(x, y) - penalty) - d(tx, ty), (x, y))
-        verdict = PASS if worst.margin >= 0 else FAIL
-        return ConditionReport(condition_id, verdict, None, worst.margin, worst.witness, **meta)
-
-    raise AssertionError(f"unhandled condition {condition_id}")
-
-
-# ---------------------------------------------------------------------------
-# float kernels: every condition as array reductions over the plan
-# ---------------------------------------------------------------------------
-
-PAIR_BLOCK = 1 << 18   # most float entries in one temporary of a blocked pair reduction
-
-
-def _coords(points, dim: int) -> np.ndarray:
-    return np.array(points, dtype=float).reshape(len(points), dim)
+        den = _FRACTION(den)
+    return np.divide(num, den, out=np.full(num.shape, fill, dtype=den.dtype), where=den > tau)
 
 
 def _extreme(rows: int, cols: int, dim: int, block, largest: bool):
@@ -619,20 +548,42 @@ def _extreme(rows: int, cols: int, dim: int, block, largest: bool):
     for i0 in range(0, rows, step):
         vals = block(i0, min(rows, i0 + step))
         flat = int(vals.argmax() if largest else vals.argmin())
-        v = float(vals.flat[flat])
+        v = vals.item(flat)
         if best is None or (v > best[0] if largest else v < best[0]):
             best = (v, i0 + flat // cols, flat % cols)
     return best
 
 
-def _check_float(condition_id, e, points, images, n_on, meta) -> ConditionReport:
-    """Float path of check_condition. points/images list the on-set samples
-    first (n_on of them), then the off-set samples of the pair-fit conditions."""
-    metric, f, r = e.space.metric, e.field, float(e.r)
-    dim = e.space.dimension
-    P, TP = _coords(points, dim), _coords(images, dim)
-    X, TX, Y, TY = P[:n_on], TP[:n_on], P[n_on:], TP[n_on:]
-    on, off = points[:n_on], points[n_on:]
+def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, images) -> ConditionReport:
+    """One condition over the plan. images lists Tx for the plan points in
+    plan order, at least for those the condition reads: the on-set points,
+    then, for the pair fits and Ik, the off-set points. Pair reductions run
+    in blocks; ties keep the first witness in plan order."""
+    on = plan.on_ellipse
+    n = len(on)
+    points = plan.all_points if condition_id in PAIR_FIT or condition_id == "Ik" else on
+    if not points or condition_id != "Ik" and not on:
+        return ConditionReport(condition_id, VACUOUS, None, 0, (), plan.exhaustive,
+                               _runs_exact(plan, f, (), (), r),
+                               "empty plan" if condition_id == "Ik" else "no on-set samples")
+    images = images[:len(points)]
+    exact = _runs_exact(plan, f, points, images, r)
+    meta = dict(exhaustive=plan.exhaustive, exact=exact)
+    tau, strict = (0, 0) if exact else (TAU_COND, STRICT_MARGIN)
+    metric, dim = f.space.metric, f.space.dimension
+    r = r if exact else float(r)
+    P, TP = _coords(points, dim, exact), _coords(images, dim, exact)
+    X, TX, Y, TY = P[:n], TP[:n], P[n:], TP[n:]
+    off = points[n:]
+
+    if condition_id == "Ik":
+        step = metric.rowwise(P, TP)
+        margins = (f.values(P) - f.values(TP)) / (Fraction(k + 1) if exact else k + 1) - step
+        i = int(margins.argmin())
+        moved = np.flatnonzero((margins >= -tau) & (step > TAU_IDENT))
+        notes = f"passing point {points[moved[-1]]} is not fixed" if len(moved) else ""
+        return ConditionReport("Ik", PASS if margins[i] >= -tau else FAIL, None, margins.item(i),
+                               (points[i],), **meta, notes=notes)
 
     if condition_id in POINTWISE_IDS:
         ftx = f.values(TX)
@@ -647,9 +598,8 @@ def _check_float(condition_id, e, points, images, n_on, meta) -> ConditionReport
         else:
             margins = -np.abs(ftx - r)
         i = int(margins.argmin())
-        worst = float(margins[i])
-        verdict = PASS if worst >= -TAU_COND else FAIL
-        return ConditionReport(condition_id, verdict, None, worst, (on[i],), **meta)
+        verdict = PASS if margins[i] >= -tau else FAIL
+        return ConditionReport(condition_id, verdict, None, margins.item(i), (on[i],), **meta)
 
     if condition_id in PAIR_FIT:
         sx, sy = metric.rowwise(X, TX), metric.rowwise(Y, TY)
@@ -668,29 +618,26 @@ def _check_float(condition_id, e, points, images, n_on, meta) -> ConditionReport
             else:
                 den = metric.pairwise(x, Y)
             # -1 marks a skipped pair: both sides vanish, so any constant works
-            out = np.divide(num, den, out=np.full(num.shape, -1.0), where=den > TAU_COND)
-            out[(den <= TAU_COND) & (num > TAU_COND)] = math.inf
+            out = _divide(num, den, -1, tau, exact)
+            out[(den <= tau) & (num > tau)] = math.inf
             return out
 
-        best = _extreme(len(on), len(off), dim, ratios, largest=True)
+        best = _extreme(n, len(off), dim, ratios, largest=True)
         if best is None or best[0] < 0:
             return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
                                    notes="no informative pairs")
         fitted, i, j = best
-        return _fit_report(condition_id, fitted, PAIR_FIT[condition_id], STRICT_MARGIN,
-                           (on[i], off[j]), meta)
+        return _fit_report(condition_id, fitted, PAIR_FIT[condition_id], strict, (on[i], off[j]), meta)
 
     if condition_id == "E''k2":
         deficit = r - f.values(TX)
-        step = metric.rowwise(X, TX)
         short = deficit > 0
-        need = np.divide(deficit, step, out=np.full(len(on), math.inf), where=step > TAU_COND)
-        need[~short] = 0.0
+        need = _divide(deficit, metric.rowwise(X, TX), math.inf, tau, exact)
+        need[~short] = 0
         i = int(need.argmax())
-        fitted = float(need[i]) if short[i] else 0
-        return _fit_report(condition_id, fitted, 1, STRICT_MARGIN, (on[i],), meta)
+        fitted = need.item(i) if short[i] else 0
+        return _fit_report(condition_id, fitted, 1, strict, (on[i],), meta)
 
-    n = len(on)
     if condition_id == "E'''k2":
         def margins(i0, i1):
             out = metric.pairwise(TX[i0:i1], TX) - r
@@ -704,69 +651,22 @@ def _check_float(condition_id, e, points, images, n_on, meta) -> ConditionReport
             return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
                                    notes="fewer than two distinct on-set samples")
         worst, i, j = best
-        return ConditionReport(condition_id, PASS if worst > -TAU_COND else FAIL,
+        return ConditionReport(condition_id, PASS if worst > -tau else FAIL,
                                None, worst, (on[i], on[j]), **meta)
 
     if condition_id == "E'''k3":
         step = metric.rowwise(X, TX)
-        penalty = np.where(step > 0, step - r, 0.0)    # RadiusGap(r) of each step
+        penalty = np.where(step > 0, step - r, 0)    # RadiusGap(r) of each step
 
         def margins(i0, i1):
             return ((metric.pairwise(X[i0:i1], X) - penalty[i0:i1, None])
                     - metric.pairwise(TX[i0:i1], TX))
 
         worst, i, j = _extreme(n, n, dim, margins, largest=False)
-        verdict = PASS if worst >= -TAU_COND else FAIL
+        verdict = PASS if worst >= -tau else FAIL
         return ConditionReport(condition_id, verdict, None, worst, (on[i], on[j]), **meta)
 
     raise AssertionError(f"unhandled condition {condition_id}")
-
-
-def ik_margin(m: SelfMap, f: SumField, k: int, x: Point, tx: Point | None = None):
-    """Slack of the identity-forcing bound at x (negative = violated)."""
-    d = f.space.metric.distance
-    tx = m(x) if tx is None else tx
-    return _div(f.value(x) - f.value(tx), k + 1) - d(x, tx)
-
-
-def check_identity_condition(m: SelfMap, f: SumField, k: int | None, plan: SamplePlan) -> ConditionReport:
-    """Check d(x, Tx) <= (sum-field drop)/(k+1) over the whole plan.
-
-    A passing point is necessarily a fixed point (the bound self-collapses);
-    the report notes any numerical counterexample to that consequence. Exact
-    inputs are checked in rational arithmetic, others by float arrays.
-    """
-    k = len(f.foci) if k is None else k
-    points = plan.all_points
-    if not points:
-        return ConditionReport("Ik", VACUOUS, None, 0, (), plan.exhaustive, plan.exact,
-                               "empty plan")
-    cache: dict = {}
-    images = [_tx(m, x, cache) for x in points]
-    exact = _runs_exact(plan, f.foci, points, images)
-    notes = ""
-    if exact:
-        d = f.space.metric.distance
-        worst = _Worst()
-        for x, tx in zip(points, images):
-            margin = ik_margin(m, f, k, x, tx)
-            worst.update(margin, (x,))
-            if margin >= 0 and d(x, tx) > TAU_IDENT:
-                notes = f"passing point {x} is not fixed"   # unreachable in exact arithmetic
-        worst_margin, witness, tau = worst.margin, worst.witness, 0
-    else:
-        dim = f.space.dimension
-        X, TX = _coords(points, dim), _coords(images, dim)
-        step = f.space.metric.rowwise(X, TX)
-        margins = (f.values(X) - f.values(TX)) / (k + 1) - step
-        i = int(margins.argmin())
-        worst_margin, witness, tau = float(margins[i]), (points[i],), TAU_COND
-        moved = np.flatnonzero((margins >= -tau) & (step > TAU_IDENT))
-        if len(moved):
-            notes = f"passing point {points[moved[-1]]} is not fixed"
-    verdict = PASS if worst_margin >= -tau else FAIL
-    return ConditionReport("Ik", verdict, None, worst_margin, witness,
-                           plan.exhaustive, exact, notes)
 
 
 def check_Ik(m: SelfMap, f: SumField, k: int, plan: SamplePlan) -> ConditionReport:
@@ -808,15 +708,18 @@ class TheoremVerdict:
 def certify(theorem: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> TheoremVerdict:
     """Aggregate one condition family into existence/uniqueness flags.
 
-    Vacuous conditions do not block certification; any Fail does. On finite
-    spaces with exhaustive plans the verdict is exact, otherwise it holds on
-    the sampled plan only.
+    The plan points are mapped once for the whole family. Vacuous conditions
+    do not block certification; any Fail does. On finite spaces with
+    exhaustive plans the verdict is exact, otherwise it holds on the sampled
+    plan only.
     """
     key = theorem.lower()
     if key not in THEOREM_FAMILIES:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {sorted(THEOREM_FAMILIES)}")
     family, existence_ids, uniqueness_ids = THEOREM_FAMILIES[key]
-    reports = {cid: check_condition(cid, m, e, plan) for cid in existence_ids + uniqueness_ids}
+    ids = existence_ids + uniqueness_ids
+    images = _images(m, plan, ids)
+    reports = {cid: _check(cid, e.field, e.r, e.k, plan, images) for cid in ids}
     existence = all(reports[cid].verdict != FAIL for cid in existence_ids)
     uniqueness = all(reports[cid].verdict != FAIL for cid in uniqueness_ids)
     return TheoremVerdict(key, family, existence, uniqueness, reports, plan.exhaustive)
@@ -832,7 +735,7 @@ def make_fixing_map(ellipses, fallback) -> SelfMap:
     rules = []
     for e in ellipses:
         v = e.field.value(fb)
-        if _exact_eq(v, e.r):
+        if exact_eq(v, e.r):
             raise ValueError(f"fallback {fb} lies on the level set (field value {v} = r)")
         tol = 0 if (e.space.is_finite or e.space.dimension == 1) else TAU_EQ
         rules.append((OnEllipse(e, tol), Identity()))
@@ -849,4 +752,4 @@ def fixed_points_on(m: SelfMap, plan: SamplePlan) -> list[Point]:
     d = plan.space.metric.distance
     steps = ((x, d(x, m(x))) for x in plan.all_points)
     return [x for x, step in steps
-            if step <= (0 if plan.exact and _is_exact(step) else TAU_IDENT)]
+            if step <= (0 if plan.exact and is_exact(step) else TAU_IDENT)]

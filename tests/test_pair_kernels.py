@@ -1,10 +1,11 @@
-"""The float array kernels of the verifier against plain scalar loops.
+"""The condition kernel of the verifier against plain scalar loops.
 
 The reference below walks the plan pair by pair with the public scalar
 helpers (pointwise_margin, pair_ratio, ik_margin) and the first-occurrence
-tie rule, under the float slack TAU_COND. check_condition must give the same
-verdict and witness points, and the same constants and margins: bit for bit
-under L1, L2 and Linf, within 1e-12 relative under Lp.
+tie rule, under the float slack TAU_COND, or under zero slack on exact
+inputs. check_condition must give the same verdict and witness points, and
+the same constants and margins: on float plans bit for bit under L1, L2 and
+Linf, within 1e-12 relative under Lp; on exact plans equal in value and type.
 """
 import math
 import random
@@ -18,7 +19,8 @@ import pytest
 import kellipse.verifier as verifier
 from kellipse import (Affine1D, ConstantPoint, Identity, InFiniteSet, InHalfspace,
                       KEllipse, Metric, Otherwise, Point, SamplePlan, SelfMap, Space,
-                      SumField, check_condition, default_plan)
+                      SumField, check_condition, default_plan, exhaustive_plan,
+                      make_fixing_map, min_radius)
 from kellipse.verifier import (CONDITION_IDS, FAIL, PAIR_FIT, PASS, POINTWISE_IDS,
                                STRICT_MARGIN, TAU_COND, TAU_IDENT, VACUOUS, RadiusGap,
                                ik_margin, pair_ratio, pointwise_margin)
@@ -38,30 +40,34 @@ def _first_min(items):
     return best
 
 
-def scalar_reference(cid, m, e, plan):
-    """(verdict, fitted constant, worst margin, witness, notes) by plain loops."""
+def scalar_reference(cid, m, e, plan, slack=TAU_COND):
+    """(verdict, fitted constant, worst margin, witness, notes) by plain loops.
+
+    slack is TAU_COND on float inputs and 0 on exact ones, where the strict
+    margin of the constant fits is 0 as well.
+    """
     on, off = plan.on_ellipse, plan.off_ellipse
     d = e.space.metric.distance
     if cid == "Ik":
         k = len(e.foci)
         margin, witness = _first_min((ik_margin(m, e.field, k, x), (x,)) for x in plan.all_points)
         moved = [x for x in plan.all_points
-                 if ik_margin(m, e.field, k, x) >= -TAU_COND and d(x, m(x)) > TAU_IDENT]
+                 if ik_margin(m, e.field, k, x) >= -slack and d(x, m(x)) > TAU_IDENT]
         notes = f"passing point {moved[-1]} is not fixed" if moved else ""
-        return (PASS if margin >= -TAU_COND else FAIL), None, margin, witness, notes
+        return (PASS if margin >= -slack else FAIL), None, margin, witness, notes
     if cid in POINTWISE_IDS:
         margin, witness = _first_min((pointwise_margin(cid, m, e, x), (x,)) for x in on)
-        return (PASS if margin >= -TAU_COND else FAIL), None, margin, witness, ""
+        return (PASS if margin >= -slack else FAIL), None, margin, witness, ""
     if cid in PAIR_FIT:
         fitted, witness = None, ()
         for x in on:
             for y in off:
-                ratio = pair_ratio(cid, m, e, x, y, tau=TAU_COND)
+                ratio = pair_ratio(cid, m, e, x, y, tau=slack)
                 if ratio is not None and (fitted is None or ratio > fitted):
                     fitted, witness = ratio, (x, y)
         if fitted is None:
             return VACUOUS, None, 0, (), "no informative pairs"
-        return _fit(fitted, PAIR_FIT[cid], witness)
+        return _fit(fitted, PAIR_FIT[cid], witness, slack)
     if cid == "E''k2":
         fitted, witness = 0, ()
         for x in on:
@@ -70,27 +76,34 @@ def scalar_reference(cid, m, e, plan):
             need = 0
             if deficit > 0:
                 step = d(x, tx)
-                need = math.inf if step <= TAU_COND else deficit / step
+                need = math.inf if step <= slack else _ratio(deficit, step)
             if need > fitted or not witness:
                 fitted, witness = need, (x,)
-        return _fit(fitted, 1, witness)
+        return _fit(fitted, 1, witness, slack)
     if cid == "E'''k2":
         pairs = [(x, y) for x, y in combinations(on, 2) if x != y]
         if not pairs:
             return VACUOUS, None, 0, (), "fewer than two distinct on-set samples"
         margin, witness = _first_min((d(m(x), m(y)) - e.r, (x, y)) for x, y in pairs)
-        return (PASS if margin > -TAU_COND else FAIL), None, margin, witness, ""
+        return (PASS if margin > -slack else FAIL), None, margin, witness, ""
     assert cid == "E'''k3"
     gap = RadiusGap(e.r)
     margin, witness = _first_min(((d(x, y) - gap(d(x, m(x)))) - d(m(x), m(y)), (x, y))
                                  for x in on for y in on)
-    return (PASS if margin >= -TAU_COND else FAIL), None, margin, witness, ""
+    return (PASS if margin >= -slack else FAIL), None, margin, witness, ""
 
 
-def _fit(fitted, threshold, witness):
+def _fit(fitted, threshold, witness, slack):
     margin = threshold - fitted if fitted != math.inf else -math.inf
-    verdict = PASS if fitted != math.inf and fitted < threshold - STRICT_MARGIN else FAIL
+    strict = STRICT_MARGIN if slack else 0
+    verdict = PASS if fitted != math.inf and fitted < threshold - strict else FAIL
     return verdict, fitted, margin, witness, ""
+
+
+def _ratio(num, den):
+    """num / den, a Fraction when both are exact (int / int is a float)."""
+    exact = all(type(v) in (int, Fraction) for v in (num, den))
+    return Fraction(num) / den if exact else num / den
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +158,78 @@ def random_case(rng, dim, metric, kind):
     return SelfMap(rules), e, plan
 
 
+def _rational(rng):
+    """An int, or a Fraction of denominator 1, 2 or 4 (integral ones included)."""
+    v = Fraction(rng.randint(-16, 16), rng.choice((1, 2, 4)))
+    return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
+
+
+def _rational_point(rng, dim):
+    return Point(tuple(_rational(rng) for _ in range(dim)))
+
+
+def _rational_affine(rng, dim):
+    entries = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2))
+    matrix = tuple(tuple(rng.choice(entries + (Fraction(_rational(rng), 4),)) for _ in range(dim))
+                   for _ in range(dim))
+    return AffineND(matrix, tuple(_rational(rng) for _ in range(dim)))
+
+
+def exact_case(rng, dim, metric, kind, line=False):
+    """A rational plan and a map with int/Fraction images.
+
+    line: the exact plan of a rational k-ellipse on the line (dim 1), with
+    rational off-set samples. Otherwise the exhaustive plan of a finite space
+    of rational points, whose radius is the field's most common value there,
+    so that several points lie on the set.
+    """
+    if line:
+        space = Space.continuum(1, metric)
+        foci = tuple(Point((_rational(rng),)) for _ in range(rng.randint(1, 4)))
+        r_star, _ = min_radius(SumField(space, foci))
+        e = KEllipse(space, foci, r_star + rng.choice((0, Fraction(1, 2), 1, 3)))
+        plan = default_plan(e, seed=rng.randint(0, 99), off_count=rng.randint(0, 12))
+    else:
+        space = Space.finite([_rational_point(rng, dim) for _ in range(rng.randint(4, 14))], metric)
+        field = SumField(space, tuple(rng.sample(space.points, rng.randint(1, min(3, len(space.points))))))
+        values = [field.value(p) for p in space.points]
+        e = KEllipse(space, field.foci, max(values, key=values.count))
+        plan = exhaustive_plan(e)
+    on = plan.on_ellipse
+    assert plan.exact and on
+    if kind == "identity-on-set":
+        rules = ((InFiniteSet(on), Identity()), (Otherwise(), ConstantPoint(_rational_point(rng, dim))))
+    elif kind == "constant":
+        rules = ((Otherwise(), ConstantPoint(_rational_point(rng, dim))),)
+    elif kind == "affine":
+        rules = ((Otherwise(), _rational_affine(rng, dim)),)
+    else:
+        rules = ((InFiniteSet(tuple(rng.sample(on, 1))), Identity()),
+                 (InHalfspace(tuple(_rational(rng) for _ in range(dim)), 0), _rational_affine(rng, dim)),
+                 (Otherwise(), ConstantPoint(_rational_point(rng, dim))))
+    return SelfMap(rules), e, plan
+
+
 def _same_number(a, b, metric):
     if a is None or b is None or math.isinf(a) or math.isinf(b) or metric.kind != "lp":
         return a == b
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-300)
 
 
-def _assert_matches(cid, m, e, plan):
+def _assert_matches(cid, m, e, plan, exact=False):
     rep = check_condition(cid, m, e, plan)
-    verdict, fitted, margin, witness, notes = scalar_reference(cid, m, e, plan)
+    verdict, fitted, margin, witness, notes = scalar_reference(cid, m, e, plan, 0 if exact else TAU_COND)
     where = f"{cid} {e.space.metric.label} dim {e.space.dimension}"
-    assert not rep.exact, where
+    assert rep.exact == exact, where
     assert rep.verdict == verdict, where
     assert rep.witness == witness, where
     assert rep.notes == notes, where
     assert all(type(p) is Point for p in rep.witness), where
-    assert _same_number(rep.fitted_constant, fitted, e.space.metric), (where, rep.fitted_constant, fitted)
-    assert _same_number(rep.worst_margin, margin, e.space.metric), (where, rep.worst_margin, margin)
+    if exact:
+        assert (rep.fitted_constant, rep.worst_margin) == (fitted, margin), where
+    else:
+        assert _same_number(rep.fitted_constant, fitted, e.space.metric), (where, rep.fitted_constant, fitted)
+        assert _same_number(rep.worst_margin, margin, e.space.metric), (where, rep.worst_margin, margin)
     assert type(rep.worst_margin) is type(margin), where
     assert type(rep.fitted_constant) is type(fitted), where
 
@@ -180,6 +248,11 @@ def test_float_kernels_match_scalar_loops(dim, metric):
         m, e, plan = random_case(rng, dim, metric, kind)
         for cid in CONDITION_IDS:
             _assert_matches(cid, m, e, plan)
+    if dim == 1 or metric.kind in ("l1", "linf"):    # the metrics that keep rationals
+        for trial in range(12):
+            m, e, plan = exact_case(rng, dim, metric, KINDS[trial % len(KINDS)], line=dim == 1 and trial >= 6)
+            for cid in CONDITION_IDS:
+                _assert_matches(cid, m, e, plan, exact=True)
 
 
 @pytest.mark.parametrize("block", (1, 5, 64))
@@ -191,6 +264,11 @@ def test_blocked_reductions_cross_block_boundaries(monkeypatch, block):
             m, e, plan = random_case(rng, 2, metric, kind)
             for cid in CONDITION_IDS:
                 _assert_matches(cid, m, e, plan)
+    for kind in KINDS:
+        for metric, dim, line in ((Metric.l1(), 1, True), (Metric.l1(), 2, False), (Metric.linf(), 3, False)):
+            m, e, plan = exact_case(rng, dim, metric, kind, line)
+            for cid in CONDITION_IDS:
+                _assert_matches(cid, m, e, plan, exact=True)
 
 
 def test_ties_keep_the_first_pair_across_blocks(monkeypatch):
@@ -278,3 +356,19 @@ def test_exact_flag_requires_rational_images_of_every_used_point():
     assert check_condition("Ek1", m, e, plan).exact
     assert not check_condition("Ek3", m, e, plan).exact
     assert not check_condition("Ik", m, e, plan).exact
+
+
+@pytest.mark.parametrize("metric, points, foci", (
+    (Metric.l2(), ((0, 0), (3, 4), (1, 1), (6, 8), (2, 0)), ((0, 0), (3, 4))),
+    (Metric.lp(3), ((0, 0), (3, 4), (5, 0), (0, 5), (2, 0)), ((0, 0),)),
+), ids=("L2", "Lp(3)"))
+def test_finite_plane_under_a_root_metric_takes_the_float_path(metric, points, foci):
+    # int coordinates, but distances in the plane are roots, computed in
+    # floats: the checks take the float path and slack, and no report is exact
+    sp = Space.finite(points, metric)
+    e = KEllipse(sp, foci, 5)
+    m = make_fixing_map([e], (2, 0))
+    plan = exhaustive_plan(e)
+    assert plan.exact and plan.on_ellipse
+    for cid in CONDITION_IDS:
+        _assert_matches(cid, m, e, plan)

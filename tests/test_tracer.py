@@ -331,3 +331,9 @@ def test_csv_header_width_follows_the_array():
     assert export_csv(np.zeros((0, 3), dtype=int)) == "x,y,z\n"
     assert export_csv(np.array([[1, -2, 3]])) == "x,y,z\n1,-2,3\n"
     assert export_csv(np.array([[0.5, -0.0, 1e-300]])) == "x,y,z\n0.5,-0.0,1e-300\n"
+
+
+@pytest.mark.parametrize("points", (np.zeros((1, 4)), [(1, 2, 3, 4)]), ids=("array", "rows"))
+def test_csv_refuses_more_than_three_columns(points):
+    with pytest.raises(ValueError, match="got 4"):
+        export_csv(points)
