@@ -1,0 +1,115 @@
+"""Benchmark a parent revision and this checkout side by side, into one JSON record.
+
+    python3 scripts/bench_record.py --parent REV --out BENCH_N.json \\
+        [--workloads cloud3d plane2d certify2d exact1d] [--seeds 802 ... 811]
+
+The parent is exported with `git archive` into a temporary directory and
+benchmarked there with its own `bench/run.py`; the change is this checkout as
+it stands. Workloads and run length come from BENCHMARK.json. For every
+workload and seed the parent and the change run back to back, the parent
+first on every other seed, so that slow drift of the machine falls on both
+alike; ten seeds (ten pairs, the default) are the fewest from which a gain
+may be claimed. Each run takes about the run length plus 10 s.
+
+The record keeps the final JSON line of every run; per workload and
+end-to-end metric, each side's quartiles and the number of pairs the change
+wins (lower is better for all five); the per-layer figures of one traced
+cloud3d run of each side (`--trace 1`, seed 7); and the machine: core
+count, Python and numpy versions.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACE_WORKLOAD, TRACE_SEED = "cloud3d", 7
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, into: Path) -> Path:
+    """The committed files of `rev`, unpacked under `into`."""
+    into.mkdir()
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The final JSON line of one `bench/run.py` run in `checkout`."""
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", str(trace)],
+                          cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().split("\n")[-1])
+
+
+def summary(runs: list) -> dict:
+    """Per metric: each side's (q1, median, q3) and the pairs the change wins."""
+    out = {}
+    for m in runs[0]["change"]["metrics"]:
+        value = {side: [run[side]["metrics"][m]["value"] for run in runs] for side in ("parent", "change")}
+        out[m] = {**{side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+                     for side, v in value.items()},
+                  "change_wins": sum(c < p for p, c in zip(value["parent"], value["change"])),
+                  "pairs": len(runs)}
+    return out
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
+    ap.add_argument("--seeds", nargs="+", type=int, default=list(range(802, 812)))
+    args = ap.parse_args()
+    seconds = spec["run_seconds"]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
+        record = {
+            "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": np.__version__, "platform": platform.platform()},
+            "revisions": {"parent": git("rev-parse", args.parent),
+                          "change": git("rev-parse", "HEAD") + " + working tree"},
+            "seconds": seconds,
+            "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "runs": {},
+            "summary": {},
+        }
+        for wl in args.workloads:
+            runs = []
+            for i, seed in enumerate(args.seeds):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                runs.append({"seed": seed, "first": order[0],
+                             **{side: bench(sides[side], wl, seed, seconds, 0) for side in order}})
+                print(wl, seed, {side: runs[-1][side]["metrics"]["wall_s"]["value"] for side in sides},
+                      file=sys.stderr)
+            record["runs"][wl] = runs
+            record["summary"][wl] = summary(runs)
+        record["per_layer"] = {"workload": TRACE_WORKLOAD, "seed": TRACE_SEED,
+                               **{side: bench(path, TRACE_WORKLOAD, TRACE_SEED, seconds, 1)
+                                  for side, path in sides.items()}}
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

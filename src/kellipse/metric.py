@@ -167,16 +167,19 @@ class Metric:
         return self._norm(np.abs(a - b))
 
     def _norm(self, d: np.ndarray) -> np.ndarray:
-        """The norm of the nonnegative coordinate gaps `d` along its last axis.
+        """The norm of the nonnegative coordinate gaps `d` along its last axis."""
+        return self.column_norm([d[..., i] for i in range(d.shape[-1])])
 
-        The gap columns are combined one at a time in axis order, which is the
+    def column_norm(self, g: list) -> np.ndarray:
+        """The norm of the gap columns `g` (one array per axis), which it leaves as they are.
+
+        The columns are combined one at a time in axis order, which is the
         left-to-right order numpy uses to sum fewer than 8 terms, so each value
         equals the last-axis reduction bit for bit, without its cost on a
         short axis. A single gap is its own norm under every metric. Object
         gaps stay exact under L1 and Linf: each sum and maximum runs in Python
         arithmetic, and a maximum keeps the first of equal gaps, as max() does.
         """
-        g = [d[..., i] for i in range(d.shape[-1])]
         if len(g) == 1:
             return g[0]
         if self.kind == "l1":
@@ -281,6 +284,11 @@ class Space:
     @property
     def is_finite(self) -> bool:
         return self.points is not None
+
+    @property
+    def keeps_rationals(self) -> bool:
+        """Whether distances between rational points are rational (the line, L1, Linf)."""
+        return self.dimension == 1 or self.metric.kind in ("l1", "linf")
 
     def contains(self, p) -> bool:
         pt = as_point(p)

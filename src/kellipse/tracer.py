@@ -2,10 +2,12 @@
 
 Grid cells are classified by the sign of (field - r) at their corners; every
 crossing edge is refined by bisection until the residual |field - r| at the
-emitted vertex is within the configured tolerance. Grid edges are
-axis-aligned, so bisection moves only the one coordinate that changes along
-each edge. 2D segments are stitched into polylines; 3D crossings are emitted
-as an unstructured on-surface cloud.
+emitted vertex is within the configured tolerance. The field is the metric's
+column norm of the gaps |x[i] - focus[i]|, bit-identical to SumField.values:
+grid nodes look their gaps up in one table per focus and axis, and as grid
+edges are axis-aligned, bisection rewrites only the one moving gap per round.
+2D segments are stitched into polylines; 3D crossings are emitted as an
+unstructured on-surface cloud.
 """
 from __future__ import annotations
 
@@ -31,11 +33,12 @@ __all__ = [
 ]
 
 MAX_RESOLUTION = 4096
-# Tracing holds a few bytes per grid node (sign grid, evaluated-node mask and
-# their transient copies, 1 byte each; sign changes are found a few planes at
-# a time) plus 16 bytes per evaluated node (flat index and field value).
-# sample_3d of tri3d_l2 on a 321^3 grid peaks 88 MB (2.7 bytes per node)
-# above the interpreter. A 3D grid at MAX_RESOLUTION would have 6.9e10 nodes.
+# Tracing peaks at 2 bytes per grid node (sign grid, evaluated-node mask) plus
+# 8 per evaluated node (flat index; their field values come after the mask is
+# freed). sample_3d of tri3d_l2 on a 321^3 grid peaks 89 MB (2.8 bytes per
+# node) above the interpreter. The grid is freed before bisection, which holds
+# the crossing edges and their gaps to each focus (27 MB there). A 3D grid at
+# MAX_RESOLUTION would have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 BLOCK = 8                   # cells per axis of a pruning block
@@ -152,12 +155,26 @@ def _sign_grid(f: SumField, r: float, axes) -> tuple:
 
     index = np.flatnonzero(evaluated)
     del evaluated
+    # a node's gap to a focus on each axis comes from that axis's table
+    foci = [np.asarray(c, dtype=float) for c in f.foci]     # as SumField.values has them
+    tables = [[np.abs(a - c[i]) for i, a in enumerate(axes)] for c in foci]
     values = np.empty(len(index))
     for s in range(0, len(index), EVAL_CHUNK):
         node = np.unravel_index(index[s:s + EVAL_CHUNK], shape)
-        values[s:s + EVAL_CHUNK] = f.values(np.column_stack([a[i] for a, i in zip(axes, node)])) - r
+        gaps = ([t[i] for t, i in zip(table, node)] for table in tables)
+        values[s:s + EVAL_CHUNK] = _gap_field(f, len(node[0]), gaps) - r
     np.put(neg, index, values < 0)
     return neg, index, values
+
+
+def _gap_field(f: SumField, n: int, gaps) -> np.ndarray:
+    """SumField.values at n points from each focus's gap columns |x[i] - focus[i]|:
+    the same norms summed in the same order. `gaps` may be a generator, so
+    that one focus's columns are alive at a time."""
+    total = np.zeros(n)
+    for g in gaps:
+        total += f.space.metric.column_norm(g)
+    return total
 
 
 def _node_values(index, values, nodes, shape) -> np.ndarray:
@@ -171,15 +188,21 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
 
     Edge i runs from the point p0[i] to the point whose coordinate axis[i]
     (an int, or one per edge) is hi[i] instead; f0 and f1 are field - r at its
-    ends. Only that coordinate is bisected: the fixed ones stay in one point
-    array, since 0.5 * (x + x) == x. Keeps the best (smallest-residual) point
-    seen, so every returned point satisfies |field - r| <= tol; raises
-    SolverError when some edge has not got there within BISECT_BUDGET halvings.
+    ends. Only that coordinate is bisected, since 0.5 * (x + x) == x: the
+    gaps of each point to each focus are taken once, and each round rewrites
+    only the moving gap before taking the norms. Keeps the best
+    (smallest-residual) point seen, so every returned point satisfies
+    |field - r| <= tol; raises SolverError when some edge has not got there
+    within BISECT_BUDGET halvings.
     """
     pts = np.array(p0, dtype=float, order="C")
     coords = pts.reshape(-1)                                # a view of pts
     moving = np.arange(len(pts)) * pts.shape[1] + axis      # in coords, per edge
     a, b = coords[moving], np.array(hi, dtype=float)
+    foci = [np.asarray(c, dtype=float) for c in f.foci]
+    gaps = [np.abs(pts - c) for c in foci]                  # (N, d) per focus
+    columns = [[g[:, i] for i in range(pts.shape[1])] for g in gaps]
+    on_axis = [c[axis] for c in foci]                       # focus coordinate, per edge
     fa = f0.copy()
     best = np.where(np.abs(f0) <= np.abs(f1), a, b)
     best_res = np.minimum(np.abs(f0), np.abs(f1))
@@ -187,8 +210,9 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
         if (best_res <= tol).all():
             break
         mid = 0.5 * (a + b)
-        coords[moving] = mid
-        fm = f.values(pts) - r
+        for g, c in zip(gaps, on_axis):
+            np.put(g, moving, np.abs(mid - c))
+        fm = _gap_field(f, len(pts), columns) - r
         res = np.abs(fm)
         better = res < best_res
         np.copyto(best, mid, where=better)
@@ -348,7 +372,8 @@ def _sign_changes(neg: np.ndarray, axis: int) -> tuple:
     """np.nonzero of the sign changes along `axis`, by the index of each edge's lower end.
 
     The grid is compared a few planes (about EVAL_CHUNK nodes) at a time, so
-    that no temporary the size of the grid is made.
+    that no temporary the size of the grid is made; each comparison is
+    scanned flat and its hits unravelled, in the same (row-major) order.
     """
     lo_cut = tuple(slice(None, -1) if a == axis else slice(None) for a in range(neg.ndim))
     hi_cut = tuple(slice(1, None) if a == axis else slice(None) for a in range(neg.ndim))
@@ -357,7 +382,8 @@ def _sign_changes(neg: np.ndarray, axis: int) -> tuple:
     parts = []
     for s in range(0, n, step):
         block = neg[s:min(s + step, n) + (axis == 0)]
-        idx = np.nonzero(block[lo_cut] != block[hi_cut])
+        changed = block[lo_cut] != block[hi_cut]
+        idx = np.unravel_index(np.flatnonzero(changed), changed.shape)
         parts.append((idx[0] + s,) + idx[1:])
     return tuple(np.concatenate(c) for c in zip(*parts))
 
@@ -373,7 +399,9 @@ def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
     node = cfg.axes()
     neg, index, values = _sign_grid(f, r, node)
 
-    clouds = []
+    # the crossing edges of every axis first, so that the grid is freed
+    # before bisection allocates its gaps
+    edges = []
     boundary = False
     for axis in range(3):
         idx = _sign_changes(neg, axis)
@@ -384,12 +412,11 @@ def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
         hi_idx = tuple(stepped if a == axis else idx[a] for a in range(3))
         f0 = _node_values(index, values, idx, neg.shape)
         f1 = _node_values(index, values, hi_idx, neg.shape)
-        clouds.append(_bisect_edges(f, r, lo, axis, node[axis][stepped], f0, f1, cfg.refine_tol))
-        for a in range(3):
-            if a == axis:
-                continue
-            if (idx[a] == 0).any() or (idx[a] == neg.shape[a] - 1).any():
-                boundary = True
+        edges.append((lo, axis, node[axis][stepped], f0, f1))
+        boundary = boundary or any((idx[a] == 0).any() or (idx[a] == neg.shape[a] - 1).any()
+                                   for a in range(3) if a != axis)
+    del neg, index, values
+    clouds = [_bisect_edges(f, r, *edge, cfg.refine_tol) for edge in edges]
 
     if not clouds:
         return CloudResult(np.zeros((0, 3)), False, cfg.cell_size)

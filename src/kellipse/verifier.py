@@ -240,8 +240,8 @@ class SamplePlan:
     """On-set and off-set sample points for one level set.
 
     exhaustive: the plan covers every point of the space (finite spaces).
-    exact: the points, foci and radius are rational, so a map whose images
-    are rational too is checked in rational arithmetic (zero slack).
+    exact: rational points, foci and radius in a space that keeps them so
+    (`Space.keeps_rationals`): rational images are checked with zero slack.
     """
 
     space: Space
@@ -265,7 +265,7 @@ def exhaustive_plan(e: KEllipse) -> SamplePlan:
         v = e.field.value(p)
         target = on if exact_eq(v, e.r) else off
         target.append(p)
-    exact = (is_exact(e.r)
+    exact = (e.space.keeps_rationals and is_exact(e.r)
              and all(all(is_exact(c) for c in p) for p in e.space.points))
     return SamplePlan(e.space, tuple(on), tuple(off), seed=0, exhaustive=True, exact=exact)
 
@@ -465,8 +465,7 @@ def _runs_exact(plan: SamplePlan, f: SumField, points, images, r) -> bool:
     """Rational arithmetic decides a check: an exact plan under a metric that
     keeps rationals (any metric on the line, L1 and Linf), with int/Fraction
     foci, radius, points and images. Every margin is then exact."""
-    rational_metric = f.space.dimension == 1 or f.space.metric.kind in ("l1", "linf")
-    return (plan.exact and rational_metric and is_exact(r)
+    return (plan.exact and f.space.keeps_rationals and is_exact(r)
             and all(is_exact(c) for pts in (f.foci, points, images) for p in pts for c in p))
 
 

@@ -1,9 +1,13 @@
-"""The column-by-column norm and the one-coordinate bisection against the
-last-axis and full-vector versions they replaced, kept here as oracles."""
+"""The tracer's kernels against the plainer versions they replaced, kept here
+as oracles: the column-by-column norm against the last-axis reduction, the
+one-coordinate bisection on gap columns against full-vector bisection
+through SumField.values, the grid's per-axis gap tables against
+SumField.values at the node coordinates, and the flat sign-change scan
+against a whole-grid comparison."""
 import numpy as np
 import pytest
 
-from kellipse import KEllipse, Metric, SolverError, Space, tracer
+from kellipse import KEllipse, Metric, SolverError, Space, fixture_scene, sample_3d, tracer
 from kellipse.geometry import SumField
 from kellipse.metric import Point
 
@@ -163,3 +167,52 @@ def test_slab_sign_changes_equal_whole_grid_comparison(shape, chunk, monkeypatch
         want = np.nonzero(neg[lo] != neg[hi])
         got = tracer._sign_changes(neg, axis)
         assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_gap_tables_equal_field_values_at_nodes(metric, dim):
+    rng = np.random.default_rng(11 * dim + len(metric.label))
+    n = 41 if dim == 2 else 17
+    axes = [np.linspace(-3.3 + 0.1 * a, 4.1 - 0.2 * a, n) for a in range(dim)]
+    # the foci sit on grid nodes, so some nodes have all gaps zero to a focus
+    at = rng.integers(n, size=(4, dim))
+    foci = tuple(tuple(float(axes[a][i]) for a, i in enumerate(row)) for row in at)
+    f = SumField(Space.continuum(dim, metric), foci)
+    shape = (n,) * dim
+    # r = f(first focus): the block holding it is kept, so that node is evaluated
+    for r in (float(f.values(np.array(foci[:1]))[0]), 1.3 * float(f.values(np.array(foci[1:2]))[0])):
+        neg, index, values = tracer._sign_grid(f, r, axes)
+        node = np.unravel_index(index, shape)
+        pts = np.column_stack([a[i] for a, i in zip(axes, node)])
+        assert np.array_equal(values, f.values(pts) - r)
+        assert np.array_equal(neg.reshape(-1)[index], values < 0)
+        on_focus = (pts[:, None, :] == np.array(foci)[None, :, :]).all(axis=-1).any(axis=1)
+        assert on_focus.any() and len(index) > 100
+
+
+def values_sign_grid(f, r, axes):
+    """Every grid node through SumField.values."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = f.values(np.column_stack([g.ravel() for g in mesh])).reshape(mesh[0].shape) - r
+    return grid < 0, np.arange(grid.size), grid.ravel()
+
+
+def values_bisect(f, r, p0, axis, hi, f0, f1, tol):
+    """_bisect_edges' signature on full-vector bisection through SumField.values."""
+    p1 = np.array(p0, dtype=float)
+    p1[np.arange(len(p1)), axis] = hi
+    return full_vector_bisect(f, r, np.asarray(p0, dtype=float), p1, f0, f1, tol)
+
+
+def test_sample_3d_equals_field_values_kernels(monkeypatch):
+    # tri3d_lp4 has no digest pinned (its powers may round differently on
+    # another CPU), so its cloud is checked against SumField.values here
+    scene = fixture_scene("tri3d_lp4")
+    cfg = tracer.TraceConfig(bbox=scene.trace.bbox, resolution=100, refine_tol=scene.trace.refine_tol)
+    got = sample_3d(scene.ellipse, cfg)
+    monkeypatch.setattr(tracer, "_sign_grid", values_sign_grid)
+    monkeypatch.setattr(tracer, "_bisect_edges", values_bisect)
+    want = sample_3d(scene.ellipse, cfg)
+    assert len(want) > 1000 and np.array_equal(got.points, want.points)
+    assert got.boundary_warning == want.boundary_warning

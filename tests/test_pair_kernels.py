@@ -7,6 +7,7 @@ inputs. check_condition must give the same verdict and witness points, and
 the same constants and margins: on float plans bit for bit under L1, L2 and
 Linf, within 1e-12 relative under Lp; on exact plans equal in value and type.
 """
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from kellipse import (Affine1D, ConstantPoint, Identity, InFiniteSet, InHalfspac
                       KEllipse, Metric, Otherwise, Point, SamplePlan, SelfMap, Space,
                       SumField, check_condition, default_plan, exhaustive_plan,
                       make_fixing_map, min_radius)
+from kellipse.cli import main
 from kellipse.verifier import (CONDITION_IDS, FAIL, PAIR_FIT, PASS, POINTWISE_IDS,
                                STRICT_MARGIN, TAU_COND, TAU_IDENT, VACUOUS, RadiusGap,
                                ik_margin, pair_ratio, pointwise_margin)
@@ -364,11 +366,34 @@ def test_exact_flag_requires_rational_images_of_every_used_point():
 ), ids=("L2", "Lp(3)"))
 def test_finite_plane_under_a_root_metric_takes_the_float_path(metric, points, foci):
     # int coordinates, but distances in the plane are roots, computed in
-    # floats: the checks take the float path and slack, and no report is exact
+    # floats: the checks take the float path and slack, and neither the plan
+    # nor any report is exact
     sp = Space.finite(points, metric)
     e = KEllipse(sp, foci, 5)
     m = make_fixing_map([e], (2, 0))
     plan = exhaustive_plan(e)
-    assert plan.exact and plan.on_ellipse
+    assert not plan.exact and plan.on_ellipse
     for cid in CONDITION_IDS:
         _assert_matches(cid, m, e, plan)
+
+
+@pytest.mark.parametrize("metric, points, exact", (
+    ("l2", [[0, 0], [3, 4], [1, 1], [6, 8], [2, 0]], False),
+    ("l1", [[0, 0], [3, 4], [1, 1], [6, 8], [2, 0]], True),
+    ("linf", [[0, 0], [3, 4], [1, 1], [6, 8], [2, 0]], True),
+    ("l2", [[0], [5], [1], [6], [2]], True),
+))
+def test_report_plan_is_exact_only_under_a_rational_metric(metric, points, exact, tmp_path):
+    foci = points[:2]
+    scene = {"version": 1, "space": {"kind": "finite", "points": points, "metric": {"kind": metric}},
+             "ellipse": {"foci": foci, "r": 5},
+             "map": {"rules": [{"region": {"kind": "otherwise"},
+                                "action": {"kind": "constant", "point": points[-1]}}]}}
+    path, report = tmp_path / "scene.json", tmp_path / "report.json"
+    path.write_text(json.dumps(scene))
+    main(["verify", str(path), "--theorem", "t4", "--report", str(report)])
+    data = json.loads(report.read_text())
+    assert data["plan"]["exact"] is exact
+    assert all(c["exact"] is exact for c in data["conditions"])
+    sp = Space.finite([tuple(p) for p in points], Metric(metric))
+    assert exhaustive_plan(KEllipse(sp, [tuple(p) for p in foci], 5)).exact is exact
