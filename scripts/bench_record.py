@@ -13,9 +13,10 @@ may be claimed. Each run takes about the run length plus 10 s.
 
 The record keeps the final JSON line of every run; per workload and
 end-to-end metric, each side's quartiles and the number of pairs the change
-wins (lower is better for all five); the per-layer figures of one traced
-cloud3d run of each side (`--trace 1`, seed 7); and the machine: core
-count, Python and numpy versions.
+wins (lower is better for all five); per workload, each side's failed and
+attempted ops summed over its runs; the per-layer figures of one traced run
+of each side (`--trace 1`, seed 7) on the first workload given (cloud3d by
+default); and the machine: core count, Python and numpy versions.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACE_WORKLOAD, TRACE_SEED = "cloud3d", 7
+TRACE_SEED = 7
 
 
 def git(*args) -> str:
@@ -61,8 +62,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def summary(runs: list) -> dict:
-    """Per metric: each side's (q1, median, q3) and the pairs the change wins."""
-    out = {}
+    """Per metric: each side's (q1, median, q3) and the pairs the change wins;
+    and each side's failed and attempted ops over all runs, with their share."""
+    out = {"ops": {}}
+    for side in ("parent", "change"):
+        failed, attempted = (sum(run[side][key] for run in runs) for key in ("failed", "attempted"))
+        out["ops"][side] = {"failed": failed, "attempted": attempted,
+                            "failed_share": failed / attempted if attempted else None}
     for m in runs[0]["change"]["metrics"]:
         value = {side: [run[side]["metrics"][m]["value"] for run in runs] for side in ("parent", "change")}
         out[m] = {**{side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
@@ -104,8 +110,9 @@ def main() -> int:
                       file=sys.stderr)
             record["runs"][wl] = runs
             record["summary"][wl] = summary(runs)
-        record["per_layer"] = {"workload": TRACE_WORKLOAD, "seed": TRACE_SEED,
-                               **{side: bench(path, TRACE_WORKLOAD, TRACE_SEED, seconds, 1)
+        traced = args.workloads[0]
+        record["per_layer"] = {"workload": traced, "seed": TRACE_SEED,
+                               **{side: bench(path, traced, TRACE_SEED, seconds, 1)
                                   for side, path in sides.items()}}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

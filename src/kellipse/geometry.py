@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metric import Point, Space, as_point, exact_eq, is_exact
+from .metric import Metric, Point, Space, as_point, exact_eq, is_exact
 
 __all__ = [
     "SumField",
@@ -38,8 +38,10 @@ __all__ = [
     "nonempty",
 ]
 
-TAU_OPT = 1e-9      # optimizer value tolerance
+TAU_OPT = 1e-9      # optimality gap of the dual bracket, relative to max(1, r)
+TAU_BALANCE = TAU_OPT * 1e-4    # a sum of Linf dual rows this short counts as balanced
 MAX_ITER = 10_000
+LINE_SEARCH_HALVINGS = 60
 
 
 class SolverError(RuntimeError):
@@ -145,147 +147,299 @@ def min_radius(field: SumField):
     """Minimum of the sum-of-distances field and a point attaining it.
 
     Finite spaces take the minimum over the point list. In dimension 1 the
-    minimizer is the weighted median of the foci (exact). Euclidean fields use
-    Weiszfeld iteration; other metrics use compass/pattern search started at
-    the coordinate-wise median of the foci.
+    minimizer is the weighted median of the foci (exact). Above it, L1 (and
+    Lp with p = 1) takes the per-axis median and Linf in the plane the median
+    in the rotated coordinates (x + y, x - y), both exact for rational foci.
+    L2 and Lp take damped Newton (`weiszfeld`) and Linf in 3D and above a
+    compass search; both stop only when the dual bracket has closed to
+    TAU_OPT * max(1, r), and raise SolverError otherwise.
     """
+    value, arg, _ = _minimum(field)
+    return value, arg
+
+
+def _minimum(field: SumField) -> tuple:
+    """(r*, argmin, lower): lower <= r* bounds the minimum, and equals r* for exact foci."""
     if field.space.is_finite:
         best = min(field.space.points, key=lambda p: (field.value(p), p))
-        return field.value(best), best
+        value = field.value(best)
+        return value, best, value
     if field.space.dimension == 1:
         lo, hi = line_field(f[0] for f in field.foci).median
         arg = Point((lo if lo == hi else Fraction(lo + hi, 2),))
-        return field.value(arg), arg
-    if len(field.foci) == 1:
-        arg = field.foci[0]
-        return field.value(arg), arg
-    if field.space.metric.kind == "l2":
-        res = weiszfeld(field.foci)
-        return res.value, res.point
-    pt, val = _pattern_search(field)
-    return val, pt
+        value = field.value(arg)
+        return value, arg, value
+    metric = field.space.metric
+    if metric.kind == "l1" or metric.p == 1 or len(field.foci) == 1:
+        arg, r_star = _median(field.foci, rotate=False)
+    elif metric.kind == "linf" and field.space.dimension == 2:
+        arg, r_star = _median(field.foci, rotate=True)
+    elif metric.kind == "linf":
+        return _compass_search(field)
+    else:
+        res = weiszfeld(field.foci, p=metric.p or 2.0)
+        return res.value, res.point, res.lower
+    value = field.value(arg)
+    # float foci: the field at the rounded argmin, summed in floats, may sit
+    # on either side of the exact minimum, so the bound is the float below it
+    return value, arg, value if is_exact(value) else min(value, _float_below(r_star))
 
+
+def _median(foci, rotate: bool) -> tuple:
+    """(argmin, r*) of the L1 field of the foci, exact, from the per-axis `line_field`.
+
+    The argmin is the middle of each axis's median interval. With `rotate`
+    (Linf in the plane) the medians are taken of x + y and x - y, since
+    max(|a|, |b|) = (|a + b| + |a - b|) / 2 makes the field half the L1 field
+    of the rotated foci. Float coordinates give a float argmin; r* stays exact.
+    """
+    cols = [[_exact(c) for c in col] for col in zip(*foci)]
+    if rotate:
+        cols = [[a + b for a, b in zip(*cols)], [a - b for a, b in zip(*cols)]]
+    lines = [line_field(col) for col in cols]
+    med = [lo if lo == hi else Fraction(lo + hi, 2) for lo, hi in (lf.median for lf in lines)]
+    r_star = sum(lf.r_star for lf in lines)
+    if rotate:
+        med, r_star = [Fraction(med[0] + med[1], 2), Fraction(med[0] - med[1], 2)], Fraction(r_star, 2)
+    return Point(med if all(is_exact(c) for f in foci for c in f) else map(float, med)), r_star
+
+
+def _float_below(q) -> float:
+    """The largest float <= the exact number q."""
+    f = float(q)
+    return f if f <= q else math.nextafter(f, -math.inf)
+
+
+def _coords(foci) -> np.ndarray:
+    return np.array([[float(c) for c in f] for f in foci])
+
+
+# ---------------------------------------------------------------------------
+# the dual bracket: for u_i of dual norm <= 1 with sum_i u_i = 0,
+#   f(y) = sum_i ||y - a_i|| >= sum_i <u_i, y - a_i> = sum_i <u_i, x - a_i>
+# for every y and x (Love, Morris & Wesolowsky 1988, ch. 2)
+# ---------------------------------------------------------------------------
+
+def _lower(metric, v: np.ndarray, n: np.ndarray, eps: float = 0.0, shift=None) -> float:
+    """A lower bound on the field's minimum from the gaps v_i = x - a_i (norms n) at a point x.
+
+    Each focus off x takes its term's gradient at x (under Linf, the
+    least-norm balanced mixture of its signed coordinates within eps of n_i);
+    the foci at x take equal shares of minus the others' sum. The mean is
+    then subtracted and the rows rescaled into the dual-norm ball, giving
+    dual rows u_i and the bound sum_i <u_i, v_i>, whatever x is. It tends to
+    f(x) as x tends to a minimizer off the foci under L2 and Lp, and equals
+    it, less rounding, at a focus that minimizes.
+
+    `shift` (rows) is added to the gradients first: the Newton solver passes
+    each term's Hessian times its step, which moves the gradients to their
+    linear estimate at the Newton point, where they balance; the Hessian of a
+    norm annihilates v_i, so the bound then falls short of f(x) only to
+    second order in the step.
+    """
+    if metric.kind == "linf":
+        u = _linf_balance(v, n, eps)
+    else:
+        u = _gradients(v, _exponent(metric))
+        if shift is not None:
+            u += shift
+        free = n == 0
+        if free.any():
+            u[free] = -u[~free].sum(axis=0) / free.sum()
+    u -= u.mean(axis=0)
+    u /= max(1.0, float(_dual_norm(u, _exponent(metric)).max()))
+    # rounding allowance: the rows sum to zero and lie in the ball only up to
+    # rounding, and some minimizer lies in the foci's bounding box, within
+    # max_i |v_ij| of x on each axis
+    return float((u * v).sum() - (v.size + len(v)) * np.finfo(float).eps * np.abs(v).sum())
+
+
+def _exponent(metric) -> float:
+    return {"l1": 1.0, "l2": 2.0, "linf": math.inf}.get(metric.kind, metric.p)
+
+
+def _gradients(v: np.ndarray, p: float) -> np.ndarray:
+    """Rows g_i with <g_i, v_i> = ||v_i||_p and dual norm 1: each term's gradient (0 where v_i = 0)."""
+    a, s = np.abs(v), np.sign(v)
+    if p == 1:
+        return s
+    m = a.max(axis=1, keepdims=True)
+    w = a / np.where(m > 0, m, 1.0)
+    total = (w ** p).sum(axis=1, keepdims=True)
+    return s * w ** (p - 1) / np.where(total > 0, total, 1.0) ** ((p - 1) / p)
+
+
+def _dual_norm(u: np.ndarray, p: float) -> np.ndarray:
+    """The norm dual to Lp of each row: Lq with 1/p + 1/q = 1."""
+    a = np.abs(u)
+    if p == 1:
+        return a.max(axis=1)
+    if p == math.inf:
+        return a.sum(axis=1)
+    q = p / (p - 1)
+    m = a.max(axis=1)
+    return m * ((a / np.where(m > 0, m, 1.0)[:, None]) ** q).sum(axis=1) ** (1 / q)
+
+
+def _linf_balance(v: np.ndarray, n: np.ndarray, eps: float) -> np.ndarray:
+    """Rows u_i in the L1 ball whose sum has the least norm, by Wolfe's (1976) algorithm.
+
+    Row i mixes the signed unit vectors s e_j whose piece s v_ij is within
+    eps of n_i (all of them when n_i <= eps / 2), so <u_i, v_i> >= n_i - eps.
+    Wolfe's corral holds at most dim + 1 choices.
+    """
+    dim = v.shape[1]
+    units = np.concatenate([np.eye(dim), -np.eye(dim)])
+    allowed = np.concatenate([v, -v], axis=1) >= (n - eps)[:, None]
+
+    def vertex(c):          # the allowed choice per row minimizing <c, sum_i u_i>
+        return np.argmin(np.where(allowed, units @ c, np.inf), axis=1)
+
+    corral, lam = [vertex(np.zeros(dim))], np.ones(1)
+    for _ in range(MAX_ITER):
+        q = np.array([units[c].sum(axis=0) for c in corral])
+        y = lam @ q
+        size = float(np.linalg.norm(y))
+        c = vertex(y)
+        if (size <= TAU_BALANCE or y @ y - y @ units[c].sum(axis=0) <= TAU_BALANCE * size
+                or any(np.array_equal(c, b) for b in corral)):
+            break
+        corral.append(c)
+        lam = np.append(lam, 0.0)
+        while True:         # minor cycle: the affine least-norm point of the corral
+            q = np.array([units[c].sum(axis=0) for c in corral])
+            m = len(corral)
+            kkt = np.block([[q @ q.T, np.ones((m, 1))], [np.ones((1, m)), np.zeros((1, 1))]])
+            alpha = np.linalg.lstsq(kkt, np.r_[np.zeros(m), 1.0], rcond=None)[0][:m]
+            if (alpha > 0).all():
+                lam = alpha
+                break
+            out = np.flatnonzero(alpha <= 0)
+            ratio = lam[out] / (lam[out] - alpha[out])
+            lam = lam + ratio.min() * (alpha - lam)
+            lam[out[np.argmin(ratio)]] = 0.0
+            corral = [c for c, w in zip(corral, lam) if w > 0]
+            lam = lam[lam > 0]
+    return np.einsum("s,skd->kd", lam, units[np.array(corral)])
+
+
+# ---------------------------------------------------------------------------
+# solvers stopped by the bracket
+# ---------------------------------------------------------------------------
 
 @dataclass
 class WeiszfeldResult:
     point: Point
     value: float
+    lower: float         # certified lower bound on the minimum: value - lower <= TAU_OPT * max(1, value)
     trace: list          # field value at every accepted iterate
     iterations: int
-    converged: bool
+    converged: bool      # the bracket has closed
 
 
-_PROBE_DIRS = {}  # dimension -> unit compass directions, cached
+def weiszfeld(foci, start=None, max_iter: int = MAX_ITER, p: float = 2.0) -> WeiszfeldResult:
+    """The geometric median under L2 (or Lp, p > 1) by damped Newton with a monotone line search.
 
-
-def _compass_dirs(dim: int) -> np.ndarray:
-    if dim not in _PROBE_DIRS:
-        dirs = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=dim) if any(v)]
-        arr = np.array(dirs)
-        _PROBE_DIRS[dim] = arr / np.linalg.norm(arr, axis=1)[:, None]
-    return _PROBE_DIRS[dim]
-
-
-def weiszfeld(foci, start=None, step_tol: float = 1e-12, max_iter: int = MAX_ITER) -> WeiszfeldResult:
-    """Weiszfeld iteration for the Euclidean geometric median.
-
-    If an iterate lands on (within TAU_EQ of) a focus the focus is tested for
-    optimality by a compass-direction descent probe; with no descent direction
-    the focus is returned, otherwise iteration continues from the descended
-    point. The value trace is non-increasing.
+    The Newton step solves the closed-form Hessian of the field, sum_i
+    (p - 1) / n_i (diag(|v_i| / n_i)^(p - 2) - g_i g_i^T) for gaps v_i of
+    norm n_i and gradients g_i (Overton 1983 for L2), capped at the foci's
+    extent and halved until the field is no higher. The nearest focus
+    replaces the iterate when the field is no higher there; at a focus the
+    step is Vardi & Zhang's (2000): along the steepest descent of the other
+    terms' gradient R, scaled by (||R||_q - m) / sum_i 1 / n_i for m
+    coincident foci. The value trace is non-increasing. Returns once the
+    dual bracket has closed; raises SolverError when the budget is spent
+    first, or when no halving of the Newton step leaves the field no higher.
     """
-    pts = np.array([[float(c) for c in f] for f in foci])
-    k, dim = pts.shape
+    if not p > 1:
+        raise ValueError(f"damped Newton needs p > 1, got {p}")
+    metric = Metric.l2() if p == 2 else Metric.lp(p)
+    pts = _coords(foci)
     x = pts.mean(axis=0) if start is None else np.array([float(c) for c in as_point(start)])
-    scale = max(1.0, float(np.abs(pts).max()))
+    extent = max(1.0, float(np.ptp(pts, axis=0).max()))
 
-    def obj(v):
-        return float(np.sqrt(((pts - v) ** 2).sum(axis=1)).sum())
+    def obj(y):
+        return float(metric.rowwise(y, pts).sum())
 
-    trace = [obj(x)]
+    val, lower = obj(x), -math.inf
+    trace = [val]
     for it in range(max_iter):
-        d = np.sqrt(((pts - x) ** 2).sum(axis=1))
-        if (d < 1e-9 * scale).any():
-            # at a focus the update is singular; keep the focus only if no
-            # compass direction descends
-            moved, x_new, val = _probe(obj, x, dim, scale, trace[-1], 1e-15 * scale)
-            if not moved:
-                return WeiszfeldResult(Point(tuple(float(c) for c in x)), trace[-1], trace, it + 1, True)
-            x = x_new
+        n = metric.rowwise(x, pts)
+        j = int(np.argmin(n))
+        if n[j] > 0 and (at := obj(pts[j])) <= val:
+            x, val = pts[j].copy(), at
+            n = metric.rowwise(x, pts)
             trace.append(val)
-            continue
-        w = 1.0 / d
-        x_new = (pts * w[:, None]).sum(axis=0) / w.sum()
-        val = obj(x_new)
-        prev = trace[-1]
-        trace.append(val)
-        move = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if move <= step_tol * scale or prev - val <= 1e-9 * max(1.0, prev):
-            # the approach is sublinear when the optimum sits at a focus;
-            # finish with a monotone compass polish instead of iterating on
-            x, val = _polish(obj, x, dim, scale, trace[-1], trace)
-            return WeiszfeldResult(Point(tuple(float(c) for c in x)), val, trace, it + 1, True)
-    raise SolverError(f"weiszfeld did not converge in {max_iter} iterations",
-                      Point(tuple(float(c) for c in x)), trace[-1])
-
-
-def _probe(obj, x, dim, scale, current, accept):
-    """One-sided compass descent probe; returns (moved, point, value)."""
-    dirs = _compass_dirs(dim)
-    h = 0.5 * scale
-    while h > 1e-13 * scale:
-        for v in dirs:
-            cand = x + h * v
-            val = obj(cand)
-            if val < current - accept:
-                return True, cand, val
-        h *= 0.5
-    return False, x, current
-
-
-def _polish(obj, x, dim, scale, current, trace, budget: int = 20_000):
-    """Shrinking-step compass descent; accepts only strict improvements."""
-    dirs = _compass_dirs(dim)
-    h = 1e-2 * scale
-    while h > 1e-13 * scale and budget > 0:
-        improved = False
-        for v in dirs:
-            cand = x + h * v
-            val = obj(cand)
-            budget -= 1
-            if val < current - 1e-16 * max(1.0, current):
-                x, current = cand, val
-                trace.append(val)
-                improved = True
+        step, shift = _newton_step(x - pts, n, float(p), extent)
+        lower = _lower(metric, x - pts, n, shift=shift)
+        if val - lower <= TAU_OPT * max(1.0, val):
+            return WeiszfeldResult(Point(tuple(float(c) for c in x)), val, lower, trace, it, True)
+        t = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            cand = obj(x + t * step)
+            if cand <= val:
                 break
-        if not improved:
-            h *= 0.5
-    return x, current
+            t *= 0.5
+        if cand > val or np.array_equal(x + t * step, x):
+            break
+        x, val = x + t * step, cand
+        trace.append(val)
+    raise SolverError(f"damped Newton stopped with the bracket open by {val - lower:.3g} "
+                      f"after {len(trace) - 1} accepted iterates ({max_iter} steps allowed)",
+                      Point(tuple(float(c) for c in x)), val)
 
 
-def _pattern_search(field: SumField, max_iter: int = MAX_ITER):
-    """Compass search with shrinking step over the full sign-vector stencil."""
-    pts = np.array([[float(c) for c in f] for f in field.foci])
+def _newton_step(v: np.ndarray, n: np.ndarray, p: float, extent: float) -> tuple:
+    """The damped Newton step at gaps v (norms n) and each term's Hessian times it.
+
+    At a focus (some n_i = 0) it is Vardi & Zhang's step, with no shift, or
+    no step when the focus minimizes (all foci at it included).
+    """
+    free = n == 0
+    g = _gradients(v, p)
+    grad = g.sum(axis=0)
+    if free.any():
+        rq = float(_dual_norm(grad[None], p)[0])
+        if rq <= free.sum():
+            return np.zeros_like(grad), None
+        step = -(rq - free.sum()) / (1 / n[~free]).sum() * _gradients(grad[None], p / (p - 1))[0]
+        return step, None
+    c = (p - 1) / n
+    curv = c[:, None] * np.maximum(np.abs(v) / n[:, None], np.finfo(float).eps) ** (p - 2)
+    hess = np.diag(curv.sum(axis=0)) - np.einsum("i,ij,il->jl", c, g, g)
+    hess += np.finfo(float).eps * c.sum() * np.eye(len(grad))
+    step = -np.linalg.solve(hess, grad)
+    size = float(np.linalg.norm(step))
+    if size > extent:
+        step *= extent / size
+    return step, curv * step - c[:, None] * g * (g @ step)[:, None]
+
+
+def _compass_search(field: SumField, max_iter: int = MAX_ITER) -> tuple:
+    """Linf in 3D and above: compass search over the sign-vector stencil from the per-axis median.
+
+    Each time no stencil point is lower the dual bracket is taken, with the
+    pieces within twice the step counted active; the search returns when it
+    has closed and halves the step otherwise.
+    """
+    pts = _coords(field.foci)
     x = np.median(pts, axis=0)
-    scale = max(1.0, float(np.ptp(pts, axis=0).max()))
     dirs = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=pts.shape[1]) if any(v)])
+    h = max(1.0, float(np.ptp(pts, axis=0).max()))
     best = float(field.values(x[None, :])[0])
-    h = scale
-    it = 0
-    while h > 1e-12 * scale and it < max_iter:
+    for _ in range(max_iter):
         cands = x[None, :] + h * dirs
         vals = field.values(cands)
         j = int(np.argmin(vals))
-        if vals[j] < best - 1e-15 * scale:
+        if vals[j] < best:
             x, best = cands[j], float(vals[j])
-        else:
-            h *= 0.5
-        it += 1
-    if it >= max_iter:
-        raise SolverError(f"pattern search did not converge in {max_iter} iterations",
-                          Point(tuple(float(c) for c in x)), best)
-    return Point(tuple(float(c) for c in x)), best
+            continue
+        lower = _lower(field.space.metric, x - pts, field.space.metric.rowwise(x, pts), 2 * h)
+        if best - lower <= TAU_OPT * max(1.0, best):
+            return best, Point(tuple(float(c) for c in x)), lower
+        h *= 0.5
+    raise SolverError(f"compass search stopped with the bracket open after {max_iter} iterations",
+                      Point(tuple(float(c) for c in x)), best)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +595,17 @@ def members_finite(e: KEllipse) -> list[Point]:
 
 
 def nonempty(e: KEllipse) -> bool:
-    """Whether the level set contains at least one space point."""
+    """Whether the level set contains at least one space point.
+
+    On a continuum above the line r is compared with the certified lower
+    bound on the minimum radius, below which the set is certainly empty.
+    """
     if e.space.is_finite:
         return bool(members_finite(e))
-    r_star, _ = min_radius(e.field)
+    r_star, _, lower = _minimum(e.field)
     if e.space.dimension == 1:
         if e.space.membership is None:
             return e.r >= r_star
         return bool(members_finite(e))
-    return e.r >= r_star - TAU_OPT
+    return e.r >= lower
 

@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +12,8 @@ import kellipse as ke
 from kellipse import (KEllipse, Metric, PointClass, Space, SumField, classify,
                       distance_sum, members_finite, min_radius, solve_1d,
                       weiszfeld)
-from kellipse.geometry import SolutionKind, _line_field
+from kellipse.geometry import TAU_OPT, SolutionKind, SolverError, _line_field, _lower, _minimum
+from kellipse.metric import is_exact
 
 
 def brute_min_1d(foci, lo, hi, step=1e-3):
@@ -146,6 +150,176 @@ def test_weiszfeld_duplicate_foci_weighting(plane_l2):
     res = weiszfeld(((0, 0), (0, 0), (0, 0), (10, 0)))
     assert res.value == pytest.approx(10, abs=1e-6)
     assert abs(res.point[0]) <= 1e-6 and abs(res.point[1]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the dual bracket and the solvers it stops
+# ---------------------------------------------------------------------------
+
+# two tight pairs of foci, nearly on one line: the field is a nearly flat valley
+ROUNDING = 1e-12     # the bracket holds up to rounding, relative to max(1, r)
+FLAT_VALLEY = ((3.4150310350225865, 5.559331405907358), (2.4951866470312023, 5.165380919750367),
+               (-5.620291917182882, 1.4515599056957296), (-5.61731893502146, 1.5616008681389761))
+
+
+def scipy_polish(field, start):
+    """Nelder-Mead from `start`: it finds a lower field value if the start is not a minimizer."""
+    from scipy.optimize import minimize
+    res = minimize(lambda y: float(field.values(np.asarray(y)[None, :])[0]), np.asarray(start, float),
+                   method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 20_000})
+    return res.fun
+
+
+@pytest.mark.parametrize("metric", [Metric.l2(), Metric.lp(3)], ids=lambda m: m.label)
+def test_min_radius_flat_valley(metric):
+    field = SumField(Space.continuum(2, metric), FLAT_VALLEY)
+    for _ in range(3):
+        t0 = time.perf_counter()
+        r, arg = min_radius(field)
+        assert time.perf_counter() - t0 < 0.05
+    res = weiszfeld(FLAT_VALLEY, p=metric.p or 2.0)
+    assert res.converged and (res.value, res.point) == (r, arg)
+    truth = min(scipy_polish(field, np.mean(FLAT_VALLEY, axis=0)), scipy_polish(field, arg))
+    assert abs(r - truth) <= TAU_OPT * max(1.0, r)
+    assert res.lower <= r and res.lower <= truth + ROUNDING * truth
+    for prev, cur in zip(res.trace, res.trace[1:]):
+        assert cur <= prev
+
+
+def test_weiszfeld_raises_when_the_budget_leaves_the_bracket_open():
+    with pytest.raises(SolverError, match="bracket open") as info:
+        weiszfeld(FLAT_VALLEY, max_iter=2)
+    assert info.value.best_value > weiszfeld(FLAT_VALLEY).value
+
+
+def test_nonempty_against_the_certified_lower_bound():
+    sp = Space.continuum(2, Metric.l2())
+    lower = weiszfeld(FLAT_VALLEY).lower
+    assert ke.nonempty(KEllipse(sp, FLAT_VALLEY, lower))
+    # below the certified bound the set is empty, even within TAU_OPT of r*
+    assert not ke.nonempty(KEllipse(sp, FLAT_VALLEY, lower - TAU_OPT / 2))
+
+
+def bracket_at(field, x):
+    """The dual bound that the solvers take at x."""
+    pts, x = np.array(field.foci, float), np.asarray(x, float)
+    return _lower(field.space.metric, x - pts, field.space.metric.rowwise(x, pts))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("metric", [Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(3), Metric.lp(4)],
+                         ids=lambda m: m.label)
+def test_dual_bound_never_exceeds_the_field(metric, dim):
+    rng = np.random.default_rng([dim, len(metric.label)])
+    space = Space.continuum(dim, metric)
+    for trial in range(4):
+        foci = rng.uniform(-5, 5, (int(rng.integers(2, 8)), dim))
+        if trial % 2:
+            foci = np.vstack([foci, foci[:1]])       # a repeated focus
+        field = SumField(space, tuple(map(tuple, foci)))
+        floor = float(field.values(rng.uniform(-7, 7, (1000, dim))).min())
+        r, arg = min_radius(field)
+        for x in [*rng.uniform(-7, 7, (3, dim)), foci[0], arg]:
+            assert bracket_at(field, x) <= floor + ROUNDING * max(1.0, floor)
+        _, _, lower = _minimum(field)
+        assert lower <= floor + ROUNDING * max(1.0, floor) and r - lower <= TAU_OPT * max(1.0, r)
+
+
+@pytest.mark.parametrize("metric,dim", [(Metric.l1(), 2), (Metric.l1(), 3), (Metric.linf(), 2)],
+                         ids=["L1-2d", "L1-3d", "Linf-2d"])
+def test_closed_form_minima_are_exact(metric, dim):
+    # the field is piecewise linear with breaks on the grid of focus coordinates
+    # (rotated by 45 degrees for Linf), so some grid node attains its minimum
+    rng = random.Random(f"{metric.label}{dim}")
+    space = Space.continuum(dim, metric)
+    for _ in range(30):
+        foci = tuple(tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(dim))
+                     for _ in range(rng.randint(1, 6)))
+        field = SumField(space, foci)
+        r, arg = min_radius(field)
+        assert is_exact(r) and all(is_exact(c) for c in arg)
+        if metric.kind == "l1":
+            nodes = itertools.product(*({f[i] for f in foci} for i in range(dim)))
+        else:
+            nodes = ((Fraction(s + t, 2), Fraction(s - t, 2))
+                     for s in {a + b for a, b in foci} for t in {a - b for a, b in foci})
+        assert r == min(field.value(nd) for nd in nodes) == field.value(arg)
+        assert _minimum(field)[2] == r
+
+
+def test_nonempty_at_the_exact_minimum_of_float_foci():
+    # the field at the rounded argmin, summed in floats, can exceed the exact
+    # minimum of the float foci; the level set at that minimum is a point
+    rng = random.Random(17)
+    for metric, nodes in ((Metric.linf(), lambda s, t: (Fraction(s + t, 2), Fraction(s - t, 2))),
+                          (Metric.l1(), lambda s, t: (s, t))):
+        sp = Space.continuum(2, metric)
+        for _ in range(60):
+            foci = tuple((rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(rng.randint(2, 7)))
+            exact = [tuple(map(Fraction, f)) for f in foci]
+            us, vs = ({a + b for a, b in exact}, {a - b for a, b in exact}) if metric.kind == "linf" \
+                else ({a for a, _ in exact}, {b for _, b in exact})
+            r_star = min(sum(metric.distance(nodes(s, t), f) for f in exact) for s in us for t in vs)
+            _, _, lower = _minimum(SumField(sp, foci))
+            assert lower <= r_star and ke.nonempty(KEllipse(sp, foci, r_star))
+
+
+@pytest.mark.parametrize("metric,dim", [(Metric.l2(), 2), (Metric.lp(3), 3), (Metric.linf(), 3)],
+                         ids=["L2-2d", "Lp3-3d", "Linf-3d"])
+def test_min_radius_of_coincident_foci(metric, dim):
+    foci = ((1.5,) * dim,) * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _minimum(SumField(Space.continuum(dim, metric), foci)) == (0.0, foci[0], 0.0)
+        if metric.kind != "linf":
+            res = weiszfeld(foci, p=metric.p or 2.0)
+            assert res.converged and (res.value, res.point, res.lower) == (0.0, foci[0], 0.0)
+
+
+def linf_linear_program(foci):
+    """min sum_i t_i subject to -t_i <= x_j - a_ij <= t_i: the Linf minimum, exactly."""
+    from scipy.optimize import linprog
+    k, dim = foci.shape
+    rows, rhs = [], []
+    for i, j, s in itertools.product(range(k), range(dim), (1, -1)):
+        row = np.zeros(dim + k)
+        row[j], row[dim + i] = s, -1
+        rows.append(row)
+        rhs.append(s * foci[i, j])
+    return linprog(np.r_[np.zeros(dim), np.ones(k)], A_ub=np.array(rows), b_ub=rhs,
+                   bounds=[(None, None)] * (dim + k), method="highs").fun
+
+
+def test_linf_compass_search_against_a_linear_program():
+    rng = np.random.default_rng(31)
+    for dim in (3, 3, 3, 4):
+        for _ in range(4):
+            foci = rng.uniform(-5, 5, (int(rng.integers(2, 9)), dim))
+            field = SumField(Space.continuum(dim, Metric.linf()), tuple(map(tuple, foci)))
+            r, arg, lower = _minimum(field)
+            truth = linf_linear_program(foci)
+            assert lower <= truth + ROUNDING * truth and r - lower <= TAU_OPT * max(1.0, r)
+            assert r == field.value(arg)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5, 3.0, 4.0])
+def test_newton_against_nelder_mead(p):
+    # generic foci, repeated foci and sets whose median is a focus, in 2D and 3D
+    rng = np.random.default_rng(int(10 * p))
+    for dim in (2, 3):
+        metric = Metric.l2() if p == 2 else Metric.lp(p)
+        for shape in ("generic", "repeated", "star"):
+            foci = rng.uniform(-5, 5, (int(rng.integers(3, 8)), dim))
+            if shape == "repeated":
+                foci = np.vstack([foci, foci[:2], foci[:1]])
+            elif shape == "star":        # spokes around a centre focus pull it nowhere
+                foci = np.vstack([foci[:1], foci[:1] + 2 * np.eye(dim), foci[:1] - 2 * np.eye(dim)])
+            res = weiszfeld(foci, p=p)
+            field = SumField(Space.continuum(dim, metric), tuple(map(tuple, foci)))
+            truth = scipy_polish(field, res.point)
+            assert res.lower <= truth + ROUNDING * truth and res.value - truth <= TAU_OPT * max(1.0, truth)
+            if shape == "star":
+                assert res.point == tuple(foci[0]) and res.value - res.lower <= ROUNDING * res.value
 
 
 # ---------------------------------------------------------------------------
