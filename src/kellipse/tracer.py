@@ -6,12 +6,15 @@ emitted vertex is within the configured tolerance. The field is the metric's
 column norm of the gaps |x[i] - focus[i]|, bit-identical to SumField.values:
 grid nodes look their gaps up in one table per focus and axis, and as grid
 edges are axis-aligned, bisection rewrites only the one moving gap per round.
-2D segments are stitched into polylines; 3D crossings are emitted as an
-unstructured on-surface cloud.
+In 2D, each cell's segments come from one table indexed by its case, between
+grid edges numbered by integer ids; as an edge borders at most two cells, the
+stitch walks each edge's two segments into polylines. 3D crossings are
+emitted as an unstructured on-surface cloud.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +56,10 @@ class TraceConfig:
     refine_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (8 <= self.resolution <= MAX_RESOLUTION):
-            raise ValueError(f"resolution must be in [8, {MAX_RESOLUTION}]")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be > 0")
+        if not (isinstance(self.resolution, numbers.Integral) and 8 <= self.resolution <= MAX_RESOLUTION):
+            raise ValueError(f"resolution must be an integer in [8, {MAX_RESOLUTION}]")
+        if not (0 < self.refine_tol < math.inf):
+            raise ValueError("refine_tol must be finite and > 0")
         bbox = tuple((float(lo), float(hi)) for lo, hi in self.bbox)
         for lo, hi in bbox:
             if not (hi > lo):
@@ -232,13 +235,19 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
     return pts
 
 
-# marching-squares segment table: case bits are c0..c3 (ccw from lower-left),
-# entries are pairs of local edge slots 0=bottom 1=right 2=top 3=left
-_CASES = {
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(0, 2)],
-    11: [(1, 2)], 12: [(3, 1)], 13: [(0, 1)], 14: [(3, 0)],
-}
+# marching-squares segment table (Lorensen & Cline 1987), indexed by case: case
+# bits are c0..c3 (ccw from lower-left), entries are up to two segments between
+# local edge slots 0=bottom 1=right 2=top 3=left, -1 for none. Rows 16 and 17
+# are the saddles 5 and 10 with an inside centre, whose segments cut off the
+# other corner pair. (Written flat: numpy's nested-list parsing would add about
+# 0.1 MB to the resident size of every importing process.)
+_SEGMENTS = np.array([
+    -1, -1, -1, -1,  3, 0, -1, -1,  0, 1, -1, -1,  3, 1, -1, -1,      # cases 0-3
+    1, 2, -1, -1,    3, 0, 1, 2,    0, 2, -1, -1,  3, 2, -1, -1,      # 4-7
+    2, 3, -1, -1,    0, 2, -1, -1,  0, 1, 2, 3,    1, 2, -1, -1,      # 8-11
+    3, 1, -1, -1,    0, 1, -1, -1,  3, 0, -1, -1,  -1, -1, -1, -1,    # 12-15
+    0, 1, 2, 3,      3, 0, 1, 2,                                      # 16-17
+]).reshape(18, 2, 2)
 
 
 def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
@@ -261,105 +270,96 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
     inside, index, values = _sign_grid(f, r, (xs, ys))
 
     n = cfg.resolution
-    b = inside.astype(np.int8)
-    cases = b[:-1, :-1] + (b[1:, :-1] << 1) + (b[1:, 1:] << 2) + (b[:-1, 1:] << 3)
-    ci, cj = np.nonzero((cases != 0) & (cases != 15))
+    # the cells whose corners differ in sign, and their cases (bits as in _SEGMENTS)
+    corner = inside[:-1, :-1]
+    ci, cj = np.nonzero((inside[1:, :-1] != corner) | (inside[1:, 1:] != corner) | (inside[:-1, 1:] != corner))
+    case = inside[ci, cj] + (inside[ci + 1, cj] << 1) + (inside[ci + 1, cj + 1] << 2) + (inside[ci, cj + 1] << 3)
 
     # resolve saddles by the field sign at cell centers
-    segments = []
-    saddle_idx = [(i, j) for i, j in zip(ci, cj) if cases[i, j] in (5, 10)]
-    saddle_inside = {}
-    if saddle_idx:
-        centers = np.array([[0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])]
-                            for i, j in saddle_idx])
-        cvals = f.values(centers) - r
-        saddle_inside = {ij: v < 0 for ij, v in zip(saddle_idx, cvals)}
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    if len(saddle):
+        si, sj = ci[saddle], cj[saddle]
+        centers = np.column_stack([0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])])
+        center_in = f.values(centers) - r < 0
+        case[saddle] = np.where(center_in, 16 + (case[saddle] == 10), case[saddle])
 
-    def edge_key(i, j, slot):
-        if slot == 0:
-            return ("h", i, j)
-        if slot == 2:
-            return ("h", i, j + 1)
-        if slot == 3:
-            return ("v", i, j)
-        return ("v", i + 1, j)
+    # edge ids in the order of (kind, i, j): h-edges (i, j) -> (i + 1, j) first,
+    # then v-edges (i, j) -> (i, j + 1); a cell's slots are bottom, right, top, left
+    h = ci * (n + 1) + cj
+    v = n * (n + 1) + ci * n + cj
+    slot_ids = np.stack([h, v + n, h + 1, v])
+    slots = _SEGMENTS[case]                         # (cells, 2, 2)
+    seg_cell, seg_slot = np.nonzero(slots[:, :, 0] >= 0)
+    end_slots = slots[seg_cell, seg_slot]
+    ends = slot_ids[end_slots, seg_cell[:, None]]   # (segments, 2)
 
-    for i, j in zip(ci, cj):
-        c = int(cases[i, j])
-        if c in (5, 10):
-            # cut off the corner pair the center sign separates from
-            center_in = saddle_inside[(i, j)]
-            if c == 5:   # lower-left and upper-right inside
-                pairs = [(0, 1), (2, 3)] if center_in else [(3, 0), (1, 2)]
-            else:        # lower-right and upper-left inside
-                pairs = [(3, 0), (1, 2)] if center_in else [(0, 1), (2, 3)]
-        else:
-            pairs = _CASES[c]
-        for sa, sb in pairs:
-            segments.append((edge_key(i, j, sa), edge_key(i, j, sb)))
-
-    if not segments:
-        return TraceResult([], False, cfg.cell_size)
-
-    keys = sorted({k for seg in segments for k in seg})
-    i0 = np.array([i for _, i, _ in keys])
-    j0 = np.array([j for _, _, j in keys])
-    horizontal = np.array([kind == "h" for kind, _, _ in keys])
-    i1, j1 = i0 + horizontal, j0 + ~horizontal      # "h" edges step in x, "v" in y
+    # the crossing edges, in id order, are the ones the segments end on
+    ids = np.concatenate([np.flatnonzero(inside[:-1] != inside[1:]),
+                          n * (n + 1) + np.flatnonzero(inside[:, :-1] != inside[:, 1:])])
+    ends = np.searchsorted(ids, ends)
+    horizontal = ids < n * (n + 1)
+    i0, j0 = np.where(horizontal, divmod(ids, n + 1), divmod(ids - n * (n + 1), n))
+    i1, j1 = i0 + horizontal, j0 + ~horizontal      # h-edges step in x, v-edges in y
     crossings = _bisect_edges(f, r, np.column_stack([xs[i0], ys[j0]]),
                               np.where(horizontal, 0, 1), np.where(horizontal, xs[i1], ys[j1]),
                               _node_values(index, values, (i0, j0), inside.shape),
                               _node_values(index, values, (i1, j1), inside.shape),
                               cfg.refine_tol)
-    vertex = {k: crossings[idx] for idx, k in enumerate(keys)}
-
-    boundary = any(
-        (kind == "h" and (j == 0 or j == n)) or (kind == "v" and (i == 0 or i == n))
-        for kind, i, j in keys
-    )
-
-    polylines = _stitch(segments, vertex)
-    return TraceResult(polylines, boundary, cfg.cell_size)
+    boundary = bool(np.where(horizontal, (j0 == 0) | (j0 == n), (i0 == 0) | (i0 == n)).any())
+    # a bottom or left slot is an edge of the cell before, in row-major order
+    return TraceResult(_stitch(ends, end_slots % 3 == 0, crossings), boundary, cfg.cell_size)
 
 
-def _stitch(segments, vertex) -> list[Polyline]:
-    adj = defaultdict(list)
-    for idx, (ka, kb) in enumerate(segments):
-        adj[ka].append((kb, idx))
-        adj[kb].append((ka, idx))
+def _stitch(ends: np.ndarray, later: np.ndarray, crossings: np.ndarray) -> list[Polyline]:
+    """Polylines through the segments (edge, edge), edges numbered 0..m-1 in sorted order.
 
-    used = [False] * len(segments)
+    An edge ends one segment from each cell it borders; later[s, e] says that
+    segment s lies in the later of the two cells (in row-major order) at its
+    end e. Open chains come first, each from its smaller end; then loops, each
+    from its smallest edge. A chain leaves an edge by its first unused segment.
+    """
+    m = len(crossings)
+    seg = np.arange(ends.size).reshape(ends.shape) // 2
+    first, second = np.full(m, -1), np.full(m, -1)
+    first[ends[~later]], second[ends[later]] = seg[~later], seg[later]
+    # an edge on the bbox borders one cell (the later on its bottom and left sides)
+    lone = first < 0
+    first[lone], second[lone] = second[lone], -1
+    single = second < 0
+    first, second = first.tolist(), second.tolist()
+    a, b = ends[:, 0].tolist(), ends[:, 1].tolist()
+    used = [False] * len(a)
+
+    def unused(edge):
+        for s in (first[edge], second[edge]):
+            if s >= 0 and not used[s]:
+                return s
+        return -1
+
     chains = []
-    open_starts = sorted(k for k, nb in adj.items() if len(nb) == 1)
-    loop_starts = sorted(adj.keys())
-    for start in open_starts + loop_starts:
-        while any(not used[idx] for _, idx in adj[start]):
-            chain = [start]
-            cur = start
-            closed = False
-            while True:
-                nxt = None
-                for kb, idx in adj[cur]:
-                    if not used[idx]:
-                        nxt = (kb, idx)
-                        break
-                if nxt is None:
-                    break
-                used[nxt[1]] = True
-                cur = nxt[0]
+    for start in np.flatnonzero(single).tolist() + list(range(m)):
+        while (seg := unused(start)) >= 0:
+            chain, cur = [start], start
+            while seg >= 0:
+                used[seg] = True
+                cur = a[seg] + b[seg] - cur
                 if cur == start:
-                    closed = True
                     break
                 chain.append(cur)
-            pts = np.array([vertex[k] for k in chain])
-            pts = _dedupe(pts)
+                seg = unused(cur)
+            pts = _dedupe(crossings[chain])
             if len(pts) >= 2:
-                chains.append(Polyline(pts, closed))
+                chains.append(Polyline(pts, cur == start))
     return chains
 
 
 def _dedupe(pts: np.ndarray) -> np.ndarray:
-    if len(pts) < 2:
+    """Drops each point within TAU_EQ (max norm) of the last point kept before it.
+
+    When every consecutive gap is wider than TAU_EQ nothing is dropped, which
+    one array test shows; otherwise the points are scanned one by one.
+    """
+    if (np.abs(np.diff(pts, axis=0)).max(axis=1) > TAU_EQ).all():
         return pts
     keep = [0]
     for i in range(1, len(pts)):

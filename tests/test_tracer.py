@@ -5,6 +5,7 @@ from scipy.spatial import cKDTree
 from kellipse import (KEllipse, Metric, SolverError, Space, TraceConfig,
                       export_csv, export_svg, fixture_scene, min_radius,
                       parse_csv_points, sample_3d, trace_2d, tracer)
+from kellipse.metric import TAU_EQ
 
 
 def l1_tri_ellipse(r=4):
@@ -25,6 +26,52 @@ def test_trace_config_validation():
         TraceConfig(bbox=((0, 0), (0, 1)))
     with pytest.raises(ValueError):
         TraceConfig(bbox=((0, 1), (0, 1)), refine_tol=0)
+
+
+@pytest.mark.parametrize("refine_tol", [float("nan"), float("inf"), -float("inf")])
+def test_trace_config_refuses_a_tolerance_that_is_not_finite(refine_tol):
+    # a NaN tolerance would run every bisection to its budget and then pass
+    # all vertices, as (residual > nan) is never true
+    with pytest.raises(ValueError, match="refine_tol"):
+        TraceConfig(bbox=((0, 1), (0, 1)), refine_tol=refine_tol)
+
+
+@pytest.mark.parametrize("resolution", [16.5, 16.0, "16"])
+def test_trace_config_refuses_a_resolution_that_is_not_an_integer(resolution):
+    with pytest.raises(ValueError, match="resolution"):
+        TraceConfig(bbox=((0, 1), (0, 1)), resolution=resolution)
+    assert len(TraceConfig(bbox=((0, 1), (0, 1)), resolution=np.int64(16)).axes()[0]) == 17
+
+
+def scalar_dedupe(pts):
+    """Each point is kept when it is more than TAU_EQ from the last point kept."""
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.abs(pts[i] - pts[keep[-1]]).max() > TAU_EQ:
+            keep.append(i)
+    return pts[keep]
+
+
+def test_dedupe_compares_with_the_last_kept_point():
+    # three points 0.6 * TAU_EQ apart: the second is dropped, and the third,
+    # 1.2 * TAU_EQ from the first, is kept, though it is near its predecessor
+    step = 0.6 * TAU_EQ
+    pts = np.array([[1.0, 2.0], [1.0 + step, 2.0], [1.0 + 2 * step, 2.0], [3.0, 2.0]])
+    assert np.array_equal(tracer._dedupe(pts), pts[[0, 2, 3]])
+    # the third point is far from its dropped predecessor but near the first
+    pts = np.array([[0.0, 0.0], [0.9 * TAU_EQ, 0.0], [-0.2 * TAU_EQ, 0.0], [1.0, 1.0]])
+    assert np.array_equal(tracer._dedupe(pts), pts[[0, 3]])
+
+
+def test_dedupe_matches_the_scalar_rule_on_clustered_chains():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        # steps of a few TAU_EQ, many of them below it, along random directions
+        steps = rng.choice([0.0, 0.3, 0.6, 0.9, 1.1, 2.0, 1e3], size=(n, 1)) * TAU_EQ
+        pts = np.cumsum(steps * rng.choice([-1.0, 1.0], size=(n, 2)), axis=0)
+        got = tracer._dedupe(pts)
+        assert np.array_equal(got, scalar_dedupe(pts)), pts
 
 
 def test_trace_l1_triangle_hits_derived_point():
