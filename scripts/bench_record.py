@@ -16,7 +16,9 @@ end-to-end metric, each side's quartiles and the number of pairs the change
 wins (lower is better for all five); per workload, each side's failed and
 attempted ops summed over its runs; the per-layer figures of one traced run
 of each side (`--trace 1`, seed 7) on the first workload given (cloud3d by
-default); and the machine: core count, Python and numpy versions.
+default); each side's `src/` line count per module and in all, as `wc -l
+src/kellipse/*.py` gives it; and the machine: core count, Python and numpy
+versions.
 """
 from __future__ import annotations
 
@@ -61,6 +63,12 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().split("\n")[-1])
 
 
+def src_lines(checkout: Path) -> dict:
+    """Newlines per module of src/kellipse in `checkout`, and their total (`wc -l`)."""
+    lines = {p.name: p.read_bytes().count(b"\n") for p in sorted((checkout / "src/kellipse").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def summary(runs: list) -> dict:
     """Per metric: each side's (q1, median, q3) and the pairs the change wins;
     and each side's failed and attempted ops over all runs, with their share."""
@@ -96,6 +104,7 @@ def main() -> int:
             "revisions": {"parent": git("rev-parse", args.parent),
                           "change": git("rev-parse", "HEAD") + " + working tree"},
             "seconds": seconds,
+            "src_lines": {side: src_lines(path) for side, path in sides.items()},
             "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "runs": {},
             "summary": {},

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metric import Metric, Point, Space, as_point, exact_eq, is_exact
+from .metric import _FRACTION, Metric, Point, Space, as_point, exact_eq, is_exact
 
 __all__ = [
     "SumField",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 TAU_OPT = 1e-9      # optimality gap of the dual bracket, relative to max(1, r)
-TAU_BALANCE = TAU_OPT * 1e-4    # a sum of Linf dual rows this short counts as balanced
 MAX_ITER = 10_000
 LINE_SEARCH_HALVINGS = 60
 
@@ -148,11 +147,11 @@ def min_radius(field: SumField):
 
     Finite spaces take the minimum over the point list. In dimension 1 the
     minimizer is the weighted median of the foci (exact). Above it, L1 (and
-    Lp with p = 1) takes the per-axis median and Linf in the plane the median
-    in the rotated coordinates (x + y, x - y), both exact for rational foci.
-    L2 and Lp take damped Newton (`weiszfeld`) and Linf in 3D and above a
-    compass search; both stop only when the dual bracket has closed to
-    TAU_OPT * max(1, r), and raise SolverError otherwise.
+    Lp with p = 1) takes the per-axis median, Linf in the plane the median in
+    the rotated coordinates (x + y, x - y) and Linf in 3D and above a linear
+    program, all exact for rational foci. L2 and Lp take damped Newton
+    (`weiszfeld`), which stops only when the dual bracket has closed to
+    TAU_OPT * max(1, r), and raises SolverError otherwise.
     """
     value, arg, _ = _minimum(field)
     return value, arg
@@ -171,17 +170,18 @@ def _minimum(field: SumField) -> tuple:
         return value, arg, value
     metric = field.space.metric
     if metric.kind == "l1" or metric.p == 1 or len(field.foci) == 1:
-        arg, r_star = _median(field.foci, rotate=False)
+        med, r_star = _median(field.foci, rotate=False)
     elif metric.kind == "linf" and field.space.dimension == 2:
-        arg, r_star = _median(field.foci, rotate=True)
+        med, r_star = _median(field.foci, rotate=True)
     elif metric.kind == "linf":
-        return _compass_search(field)
+        med, r_star = _linf_median(field.foci)
     else:
         res = weiszfeld(field.foci, p=metric.p or 2.0)
         return res.value, res.point, res.lower
-    value = field.value(arg)
-    # float foci: the field at the rounded argmin, summed in floats, may sit
+    # float foci give a float argmin; the field there, summed in floats, may sit
     # on either side of the exact minimum, so the bound is the float below it
+    arg = Point(med if all(is_exact(c) for f in field.foci for c in f) else map(float, med))
+    value = field.value(arg)
     return value, arg, value if is_exact(value) else min(value, _float_below(r_star))
 
 
@@ -191,7 +191,7 @@ def _median(foci, rotate: bool) -> tuple:
     The argmin is the middle of each axis's median interval. With `rotate`
     (Linf in the plane) the medians are taken of x + y and x - y, since
     max(|a|, |b|) = (|a + b| + |a - b|) / 2 makes the field half the L1 field
-    of the rotated foci. Float coordinates give a float argmin; r* stays exact.
+    of the rotated foci.
     """
     cols = [[_exact(c) for c in col] for col in zip(*foci)]
     if rotate:
@@ -201,7 +201,74 @@ def _median(foci, rotate: bool) -> tuple:
     r_star = sum(lf.r_star for lf in lines)
     if rotate:
         med, r_star = [Fraction(med[0] + med[1], 2), Fraction(med[0] - med[1], 2)], Fraction(r_star, 2)
-    return Point(med if all(is_exact(c) for f in foci for c in f) else map(float, med)), r_star
+    return med, r_star
+
+
+def _linf_median(foci) -> tuple:
+    """(argmin, r*) of the Linf field of the foci in any dimension, exact, by linear programming.
+
+    The dual bracket, max sum_i <u_i, a_i> over sum_i u_i = 0 and
+    ||u_i||_1 <= 1, is a linear program: u_i = p_i - q_i, a slack s_i in each
+    focus row ||u_i||_1 + s_i = 1, and the balance rows sum_i u_ij = 0. Its
+    dual is the Weber problem, min sum_i y_i over y_i >= |x_j - a_ij|, so an
+    optimal basis prices the balance rows at the argmin x (Love, Morris &
+    Wesolowsky 1988, ch. 2). Bland's rule pivots in floats from the slacks
+    and the p_0j. A's columns hold at most two entries +-1, so each basis has
+    determinant +-2^m and the float rows [A | b] stay exact; only the reduced
+    costs round. The final basis is kept if it proves itself in Fractions,
+    its feasible u closing the bracket at its x (the verified basis of
+    Applegate, Cook, Dash & Espinoza 2007); otherwise Bland's rule runs again
+    in Fractions.
+    """
+    a = _FRACTION(np.array(foci, dtype=object))
+    k, d = a.shape
+    focus, balance = np.repeat(np.eye(k, dtype=int), d, axis=1), np.tile(np.eye(d, dtype=int), k)
+    c = np.r_[a.ravel(), -a.ravel(), np.zeros(k, int)]
+    table = np.block([[focus, focus, np.eye(k, dtype=int), np.ones((k, 1), int)],
+                      [balance, -balance, np.zeros((d, k + 1), int)], [-c, 0]])
+    start = [2 * k * d + i for i in range(k)] + list(range(d))
+    for exact in (False, True):
+        t = _FRACTION(table) if exact else table.astype(float)
+        basis = _simplex(t, start)
+        cb, z = c[basis], np.zeros(len(c), dtype=object)
+        z[basis] = _FRACTION(t[:-1, -1])
+        u = (z[:k * d] - z[k * d:2 * k * d]).reshape(k, d)
+        # y = cb B^-1 prices p_0j at y_0 + x_j and s_0 at y_0
+        x = cb @ _FRACTION(t[:-1, :d]) - cb @ _FRACTION(t[:-1, 2 * k * d])
+        r_star = np.abs(x - a).max(axis=1).sum()
+        if not u.sum(axis=0).any() and (np.abs(u).sum(axis=1) <= 1).all() and (u * a).sum() == r_star:
+            return list(x), r_star
+    raise SolverError(f"Bland's rule in Fractions stopped after {MAX_ITER} pivots",
+                      Point(map(float, x)), float(r_star))
+
+
+def _simplex(t: np.ndarray, columns: list) -> list:
+    """Pivot the tableau t onto the feasible basis `columns`, row r onto
+    column columns[r], then by Bland's rule (1977) toward an optimum.
+
+    t holds the rows [A | b] over the reduced costs [-c | 0] of max c.z
+    subject to Az = b, z >= 0. Bland's rule enters the first column of
+    negative reduced cost and leaves the row of least ratio, then of least
+    basic column, for at most MAX_ITER pivots. Returns each row's basic column.
+    """
+    basis = list(columns)
+
+    def pivot(r, j):
+        t[r] /= t[r, j]
+        rest = np.flatnonzero(t[:, j])
+        rest = rest[rest != r]
+        t[rest] -= t[rest, j][:, None] * t[r]
+        basis[r] = j
+
+    for r, j in enumerate(columns):
+        pivot(r, j)
+    for _ in range(MAX_ITER):
+        enter = np.flatnonzero(t[-1, :-1] < 0)
+        if not enter.size:
+            break
+        j = enter[0]
+        pivot(min(np.flatnonzero(t[:-1, j] > 0), key=lambda r: (t[r, -1] / t[r, j], basis[r])), j)
+    return basis
 
 
 def _float_below(q) -> float:
@@ -220,16 +287,16 @@ def _coords(foci) -> np.ndarray:
 # for every y and x (Love, Morris & Wesolowsky 1988, ch. 2)
 # ---------------------------------------------------------------------------
 
-def _lower(metric, v: np.ndarray, n: np.ndarray, eps: float = 0.0, shift=None) -> float:
+def _lower(metric, v: np.ndarray, n: np.ndarray, shift=None) -> float:
     """A lower bound on the field's minimum from the gaps v_i = x - a_i (norms n) at a point x.
 
-    Each focus off x takes its term's gradient at x (under Linf, the
-    least-norm balanced mixture of its signed coordinates within eps of n_i);
-    the foci at x take equal shares of minus the others' sum. The mean is
-    then subtracted and the rows rescaled into the dual-norm ball, giving
-    dual rows u_i and the bound sum_i <u_i, v_i>, whatever x is. It tends to
-    f(x) as x tends to a minimizer off the foci under L2 and Lp, and equals
-    it, less rounding, at a focus that minimizes.
+    Each focus off x takes its term's gradient at x (under Linf, the signed
+    unit vector of its first largest gap); the foci at x take equal shares of
+    minus the others' sum. The mean is then subtracted and the rows rescaled
+    into the dual-norm ball, giving dual rows u_i and the bound
+    sum_i <u_i, v_i>, whatever x is. It tends to f(x) as x tends to a
+    minimizer off the foci under L2 and Lp, and equals it, less rounding, at
+    a focus that minimizes.
 
     `shift` (rows) is added to the gradients first: the Newton solver passes
     each term's Hessian times its step, which moves the gradients to their
@@ -237,15 +304,12 @@ def _lower(metric, v: np.ndarray, n: np.ndarray, eps: float = 0.0, shift=None) -
     norm annihilates v_i, so the bound then falls short of f(x) only to
     second order in the step.
     """
-    if metric.kind == "linf":
-        u = _linf_balance(v, n, eps)
-    else:
-        u = _gradients(v, _exponent(metric))
-        if shift is not None:
-            u += shift
-        free = n == 0
-        if free.any():
-            u[free] = -u[~free].sum(axis=0) / free.sum()
+    u = _gradients(v, _exponent(metric))
+    if shift is not None:
+        u += shift
+    free = n == 0
+    if free.any():
+        u[free] = -u[~free].sum(axis=0) / free.sum()
     u -= u.mean(axis=0)
     u /= max(1.0, float(_dual_norm(u, _exponent(metric)).max()))
     # rounding allowance: the rows sum to zero and lie in the ball only up to
@@ -263,6 +327,8 @@ def _gradients(v: np.ndarray, p: float) -> np.ndarray:
     a, s = np.abs(v), np.sign(v)
     if p == 1:
         return s
+    if p == math.inf:
+        return s * (np.arange(v.shape[1]) == a.argmax(axis=1)[:, None])
     m = a.max(axis=1, keepdims=True)
     w = a / np.where(m > 0, m, 1.0)
     total = (w ** p).sum(axis=1, keepdims=True)
@@ -279,48 +345,6 @@ def _dual_norm(u: np.ndarray, p: float) -> np.ndarray:
     q = p / (p - 1)
     m = a.max(axis=1)
     return m * ((a / np.where(m > 0, m, 1.0)[:, None]) ** q).sum(axis=1) ** (1 / q)
-
-
-def _linf_balance(v: np.ndarray, n: np.ndarray, eps: float) -> np.ndarray:
-    """Rows u_i in the L1 ball whose sum has the least norm, by Wolfe's (1976) algorithm.
-
-    Row i mixes the signed unit vectors s e_j whose piece s v_ij is within
-    eps of n_i (all of them when n_i <= eps / 2), so <u_i, v_i> >= n_i - eps.
-    Wolfe's corral holds at most dim + 1 choices.
-    """
-    dim = v.shape[1]
-    units = np.concatenate([np.eye(dim), -np.eye(dim)])
-    allowed = np.concatenate([v, -v], axis=1) >= (n - eps)[:, None]
-
-    def vertex(c):          # the allowed choice per row minimizing <c, sum_i u_i>
-        return np.argmin(np.where(allowed, units @ c, np.inf), axis=1)
-
-    corral, lam = [vertex(np.zeros(dim))], np.ones(1)
-    for _ in range(MAX_ITER):
-        q = np.array([units[c].sum(axis=0) for c in corral])
-        y = lam @ q
-        size = float(np.linalg.norm(y))
-        c = vertex(y)
-        if (size <= TAU_BALANCE or y @ y - y @ units[c].sum(axis=0) <= TAU_BALANCE * size
-                or any(np.array_equal(c, b) for b in corral)):
-            break
-        corral.append(c)
-        lam = np.append(lam, 0.0)
-        while True:         # minor cycle: the affine least-norm point of the corral
-            q = np.array([units[c].sum(axis=0) for c in corral])
-            m = len(corral)
-            kkt = np.block([[q @ q.T, np.ones((m, 1))], [np.ones((1, m)), np.zeros((1, 1))]])
-            alpha = np.linalg.lstsq(kkt, np.r_[np.zeros(m), 1.0], rcond=None)[0][:m]
-            if (alpha > 0).all():
-                lam = alpha
-                break
-            out = np.flatnonzero(alpha <= 0)
-            ratio = lam[out] / (lam[out] - alpha[out])
-            lam = lam + ratio.min() * (alpha - lam)
-            lam[out[np.argmin(ratio)]] = 0.0
-            corral = [c for c, w in zip(corral, lam) if w > 0]
-            lam = lam[lam > 0]
-    return np.einsum("s,skd->kd", lam, units[np.array(corral)])
 
 
 # ---------------------------------------------------------------------------
@@ -408,38 +432,14 @@ def _newton_step(v: np.ndarray, n: np.ndarray, p: float, extent: float) -> tuple
     curv = c[:, None] * np.maximum(np.abs(v) / n[:, None], np.finfo(float).eps) ** (p - 2)
     hess = np.diag(curv.sum(axis=0)) - np.einsum("i,ij,il->jl", c, g, g)
     hess += np.finfo(float).eps * c.sum() * np.eye(len(grad))
-    step = -np.linalg.solve(hess, grad)
+    try:
+        step = -np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:     # a singular Hessian: the least-norm step
+        step = -np.linalg.lstsq(hess, grad, rcond=None)[0]
     size = float(np.linalg.norm(step))
     if size > extent:
         step *= extent / size
     return step, curv * step - c[:, None] * g * (g @ step)[:, None]
-
-
-def _compass_search(field: SumField, max_iter: int = MAX_ITER) -> tuple:
-    """Linf in 3D and above: compass search over the sign-vector stencil from the per-axis median.
-
-    Each time no stencil point is lower the dual bracket is taken, with the
-    pieces within twice the step counted active; the search returns when it
-    has closed and halves the step otherwise.
-    """
-    pts = _coords(field.foci)
-    x = np.median(pts, axis=0)
-    dirs = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=pts.shape[1]) if any(v)])
-    h = max(1.0, float(np.ptp(pts, axis=0).max()))
-    best = float(field.values(x[None, :])[0])
-    for _ in range(max_iter):
-        cands = x[None, :] + h * dirs
-        vals = field.values(cands)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            x, best = cands[j], float(vals[j])
-            continue
-        lower = _lower(field.space.metric, x - pts, field.space.metric.rowwise(x, pts), 2 * h)
-        if best - lower <= TAU_OPT * max(1.0, best):
-            return best, Point(tuple(float(c) for c in x)), lower
-        h *= 0.5
-    raise SolverError(f"compass search stopped with the bracket open after {max_iter} iterations",
-                      Point(tuple(float(c) for c in x)), best)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ def is_exact(v) -> bool:
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
 
 
+_FRACTION = np.frompyfunc(Fraction, 1, 1)   # elementwise exact conversion into an object array
+
+
 def exact_eq(v, r) -> bool:
     """v == r, exactly when both are exact numbers, else within TAU_EQ."""
     if is_exact(v) and is_exact(r):

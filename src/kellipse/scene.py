@@ -38,7 +38,7 @@ from pathlib import Path
 from .geometry import KEllipse
 from .metric import Membership, Metric, Point, Space
 from .piecewise import PiecewiseAffine1D, srelu
-from .tracer import TraceConfig
+from .tracer import REFINE_TOL, TraceConfig
 from .verifier import (Affine1D, ConstantPoint, Identity, InFiniteSet,
                        InHalfspace, InInterval, OnEllipse, Otherwise,
                        Rational1D, SamplePlan, SelfMap, default_plan)
@@ -254,7 +254,7 @@ def parse_scene(data: dict, name: str = "<scene>") -> Scene:
             trace = TraceConfig(
                 bbox=tuple((float(_num(lo)), float(_num(hi))) for lo, hi in t["bbox"]),
                 resolution=int(t.get("resolution", 256)),
-                refine_tol=float(_num(t.get("refine_tol", 1e-9))),
+                refine_tol=float(_num(t.get("refine_tol", REFINE_TOL))),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SceneError(f"bad trace config: {exc}") from exc

@@ -44,6 +44,7 @@ MAX_RESOLUTION = 4096
 # MAX_RESOLUTION would have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
+REFINE_TOL = 1e-9           # default bound on |field - r| at every traced point
 BLOCK = 8                   # cells per axis of a pruning block
 EVAL_CHUNK = 1 << 16        # grid nodes per field evaluation
 CSV_ROWS = 1 << 12          # float rows formatted per step by export_csv
@@ -53,7 +54,7 @@ CSV_ROWS = 1 << 12          # float rows formatted per step by export_csv
 class TraceConfig:
     bbox: tuple                 # per-axis (lo, hi)
     resolution: int = 256       # cells per axis
-    refine_tol: float = 1e-9
+    refine_tol: float = REFINE_TOL
 
     def __post_init__(self):
         if not (isinstance(self.resolution, numbers.Integral) and 8 <= self.resolution <= MAX_RESOLUTION):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .geometry import (KEllipse, PointClass, SolutionKind, SumField, classify,
                        solve_1d)
-from .metric import TAU_EQ, Point, Space, as_point, exact_eq, is_exact
+from .metric import _FRACTION, TAU_EQ, Point, Space, as_point, exact_eq, is_exact
 
 __all__ = [
     "ConfigurationError",
@@ -349,7 +349,7 @@ def _plan_nd(e: KEllipse, seed: int, off_count: int, trace_config) -> SamplePlan
             (min(float(f[a]) for f in e.foci) - r, max(float(f[a]) for f in e.foci) + r)
             for a in range(e.space.dimension)
         )
-        trace_config = TraceConfig(bbox=bbox, resolution=64, refine_tol=1e-9)
+        trace_config = TraceConfig(bbox=bbox, resolution=64)
     if e.space.dimension == 2:
         result = trace_2d(e, trace_config)
         on_pts = result.all_vertices()
@@ -518,8 +518,6 @@ def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
 # ---------------------------------------------------------------------------
 
 PAIR_BLOCK = 1 << 18   # most entries in one temporary of a blocked pair reduction
-
-_FRACTION = np.frompyfunc(Fraction, 1, 1)
 
 
 def _coords(points, dim: int, exact: bool) -> np.ndarray:

@@ -12,6 +12,7 @@ import kellipse as ke
 from kellipse import (KEllipse, Metric, PointClass, Space, SumField, classify,
                       distance_sum, members_finite, min_radius, solve_1d,
                       weiszfeld)
+from kellipse import geometry
 from kellipse.geometry import TAU_OPT, SolutionKind, SolverError, _line_field, _lower, _minimum
 from kellipse.metric import is_exact
 
@@ -290,16 +291,71 @@ def linf_linear_program(foci):
                    bounds=[(None, None)] * (dim + k), method="highs").fun
 
 
-def test_linf_compass_search_against_a_linear_program():
+def linf_cases():
+    """Seeded Linf foci in 3D and above: generic sets, then coincident, collinear,
+    duplicated, two-focus, 5D and rational ones."""
     rng = np.random.default_rng(31)
-    for dim in (3, 3, 3, 4):
-        for _ in range(4):
-            foci = rng.uniform(-5, 5, (int(rng.integers(2, 9)), dim))
-            field = SumField(Space.continuum(dim, Metric.linf()), tuple(map(tuple, foci)))
-            r, arg, lower = _minimum(field)
-            truth = linf_linear_program(foci)
-            assert lower <= truth + ROUNDING * truth and r - lower <= TAU_OPT * max(1.0, r)
-            assert r == field.value(arg)
+    cases = [rng.uniform(-5, 5, (int(rng.integers(2, 9)), dim)) for dim in (3, 3, 3, 4) for _ in range(4)]
+    base = rng.uniform(-5, 5, (4, 3))
+    cases += [np.repeat(base[:1], 3, axis=0), base[0] + np.outer(np.linspace(-2, 3, 5), base[1]),
+              np.vstack([base, base[:2], base[:1]]), base[:2], rng.uniform(-5, 5, (7, 5))]
+    rational = [tuple(tuple(map(Fraction, rng.integers(-20, 21, d).tolist(), rng.integers(1, 7, d).tolist()))
+                      for _ in range(k)) for k, d in ((3, 3), (6, 4), (5, 5))]
+    return [tuple(map(tuple, f)) for f in cases] + rational
+
+
+def test_linf_minimum_against_a_linear_program(monkeypatch):
+    kinds, simplex = [], geometry._simplex
+
+    def spy(t, columns):
+        kinds.append(t.dtype.kind)
+        return simplex(t, columns)
+
+    monkeypatch.setattr(geometry, "_simplex", spy)
+    for foci in linf_cases():
+        space = Space.continuum(len(foci[0]), Metric.linf())
+        truth = linf_linear_program(np.array(foci, dtype=float))
+        arg, r_star = geometry._linf_median(foci)
+        exact = SumField(space, tuple(tuple(map(Fraction, f)) for f in foci))
+        r, x, lower = _minimum(exact)
+        # rational foci: the Fraction minimum, attained at a Fraction point
+        assert type(r) is Fraction and all(type(c) is Fraction for c in x)
+        assert list(x) == arg and r == r_star == lower == exact.value(x)
+        assert abs(r - truth) <= ROUNDING * max(1.0, truth)
+        if not all(is_exact(c) for f in foci for c in f):
+            # float foci: the same point, rounded, and the float just below r*
+            r, y, lower = _minimum(SumField(space, foci))
+            assert y == tuple(map(float, x)) and lower <= r_star
+            assert abs(r - truth) <= ROUNDING * max(1.0, truth)
+    assert "O" not in kinds      # every float basis proved itself
+
+
+def test_linf_minimum_pivots_in_fractions_when_the_float_basis_fails(monkeypatch):
+    # a float pass that stops at its start basis leaves the bracket open; Bland's
+    # rule then runs again in Fractions and still reaches the exact minimum
+    kinds, simplex = [], geometry._simplex
+
+    def stop_at_start(t, columns):
+        kinds.append(t.dtype.kind)
+        if t.dtype.kind == "f":
+            t[-1] = 0.0         # no negative reduced cost: no pivot after the start
+        return simplex(t, columns)
+
+    for foci in linf_cases()[:16:5]:
+        expected = geometry._linf_median(foci)
+        monkeypatch.setattr(geometry, "_simplex", stop_at_start)
+        kinds.clear()
+        assert geometry._linf_median(foci) == expected and kinds == ["f", "O"]
+        monkeypatch.undo()
+
+
+def test_newton_steps_past_a_singular_hessian():
+    # the Hessian of two L3 foci at their midpoint is singular; the least-norm
+    # step is taken, and the minimum is their distance
+    field = SumField(Space.continuum(2, Metric.lp(3)), ((1.784653, -0.528892), (-1.582579, -2.279749)))
+    r, _, lower = _minimum(field)
+    d = field.space.metric.distance(*field.foci)
+    assert lower <= d <= r + ROUNDING * d and r - lower <= TAU_OPT * max(1.0, r)
 
 
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0, 4.0])
