@@ -16,9 +16,8 @@ from .metric import (AxiomReport, Membership, Metric, Point, Space, as_point,
 from .piecewise import (FixedSet1D, PiecewiseAffine1D, fixed_kellipse_radii,
                         fixed_point_set, is_fixed_kellipse, srelu)
 from .scene import Scene, SceneError, fixture_names, fixture_path, fixture_scene, load_scene
-from .tracer import (CloudResult, Polyline, SvgStyle, TraceConfig, TraceResult,
-                     export_csv, export_svg, parse_csv_points, sample_3d,
-                     trace_2d)
+from .tracer import (CloudResult, Polyline, TraceConfig, TraceResult, export_csv,
+                     export_svg, parse_csv_points, sample_3d, trace_2d)
 from .verifier import (Affine1D, ConditionReport, ConfigurationError,
                        ConstantPoint, Identity, InFiniteSet, InHalfspace,
                        InInterval, OnEllipse, Otherwise, Rational1D, SamplePlan,

@@ -16,30 +16,14 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from .geometry import SolverError, min_radius
-from .metric import verify_metric_axioms
+from .metric import fmt_num, verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
-from .scene import Scene, SceneError, load_scene
-from .tracer import _format_rows, export_csv, export_svg, sample_3d, trace_2d
+from .scene import SceneError, load_scene
+from .tracer import export_csv, export_svg, sample_3d, trace_2d
 from .verifier import FAIL, THEOREM_FAMILIES, certify, check_identity_condition
-
-
-def fmt_num(v) -> str:
-    """Exact, deterministic rendering: ints and fractions verbatim, floats via repr."""
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(float(v))
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 def fmt_point(p) -> str:
@@ -69,33 +53,24 @@ def report_to_dict(rep) -> dict:
     }
 
 
-def _load(path: str) -> Scene:
-    return load_scene(path)
-
-
 def cmd_trace(args) -> int:
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     if scene.trace is None:
         raise SceneError(f"scene {scene.name!r} has no trace config")
     e = scene.ellipse
     if scene.space.dimension == 2:
         result = trace_2d(e, scene.trace)
-        svg = export_svg(result.polylines, foci=e.foci, bbox=scene.trace.bbox)
-        points = result.all_vertices()
-        n = sum(len(p) for p in result.polylines)
-        what = f"{len(result.polylines)} polyline(s), {n} vertices"
+        polylines, points, dots = result.polylines, result.all_vertices(), None
+        what = f"{len(polylines)} polyline(s), {len(points)} vertices"
     elif scene.space.dimension == 3:
         result = sample_3d(e, scene.trace)
-        points = result.points
-        svg = export_svg([], foci=[(float(f[0]), float(f[1])) for f in e.foci],
-                         bbox=scene.trace.bbox[:2])
-        # a 3D cloud renders as projected dots appended to the base document
-        svg = svg.replace("</svg>", _dots(points, scene.trace.bbox[:2]) + "\n</svg>")
+        polylines, points = [], result.points
+        dots = points       # a 3D cloud is drawn as its (x, y) projection
         what = f"cloud of {len(points)} points"
     else:
         raise SceneError("trace requires a 2D or 3D continuum scene")
 
-    Path(args.output).write_text(svg, encoding="utf-8")
+    Path(args.output).write_text(export_svg(polylines, e.foci, scene.trace.bbox, dots), encoding="utf-8")
     if args.csv:
         Path(args.csv).write_text(export_csv(points), encoding="utf-8")
     if result.boundary_warning:
@@ -104,22 +79,8 @@ def cmd_trace(args) -> int:
     return 0
 
 
-DOT_ROWS = 1 << 12     # dots formatted per step, so that few Python floats live at once
-
-
-def _dots(points: np.ndarray, bbox) -> str:
-    """SVG circles for the (x, y) projection of a point cloud (N, 3)."""
-    (x0, x1), (y0, y1) = bbox
-    w = 640
-    pad = 0.05 * max(x1 - x0, y1 - y0)
-    sx = w / (x1 - x0 + 2 * pad)
-    xy = np.column_stack([(points[:, 0] - x0 + pad) * sx, (y1 + pad - points[:, 1]) * sx])
-    dot = '<circle cx="%.3f" cy="%.3f" r="0.8" fill="#1f4e8c"/>'
-    return "\n".join(_format_rows(dot, xy[s:s + DOT_ROWS]) for s in range(0, len(xy), DOT_ROWS))
-
-
 def cmd_verify(args) -> int:
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     if scene.self_map is None:
         raise SceneError(f"scene {scene.name!r} has no self-map")
     theorem = (args.theorem or scene.theorem or "t1").lower()
@@ -127,35 +88,29 @@ def cmd_verify(args) -> int:
     plan = scene.build_plan(seed=args.seed)
 
     if theorem == "t5":
-        rep = check_identity_condition(scene.self_map, e.field, len(e.foci), plan)
-        reports = {"Ik": rep}
-        summary = {
-            "scene": scene.name,
-            "theorem": "t5",
-            "family": "identity-forcing",
-            "plan": {"on": len(plan.on_ellipse), "off": len(plan.off_ellipse),
-                     "exhaustive": plan.exhaustive, "exact": plan.exact},
-            "conditions": [report_to_dict(rep)],
-            "passed": rep.verdict != FAIL,
-        }
-        failed = rep.verdict == FAIL
+        verdict = None
+        reports = {"Ik": check_identity_condition(scene.self_map, e.field, len(e.foci), plan)}
+        family = "identity-forcing"
     elif theorem in THEOREM_FAMILIES:
         verdict = certify(theorem, scene.self_map, e, plan)
-        reports = verdict.reports
-        summary = {
-            "scene": scene.name,
-            "theorem": theorem,
-            "family": verdict.family,
-            "plan": {"on": len(plan.on_ellipse), "off": len(plan.off_ellipse),
-                     "exhaustive": plan.exhaustive, "exact": plan.exact},
-            "conditions": [report_to_dict(r) for r in reports.values()],
-            "existence_certified": verdict.existence_certified,
-            "uniqueness_certified": verdict.uniqueness_certified,
-            "qualifier": verdict.qualifier,
-        }
-        failed = any(r.verdict == FAIL for r in reports.values())
+        reports, family = verdict.reports, verdict.family
     else:
         raise SceneError(f"unknown theorem {theorem!r} (choose t1..t5)")
+    failed = any(r.verdict == FAIL for r in reports.values())
+    summary = {
+        "scene": scene.name,
+        "theorem": theorem,
+        "family": family,
+        "plan": {"on": len(plan.on_ellipse), "off": len(plan.off_ellipse),
+                 "exhaustive": plan.exhaustive, "exact": plan.exact},
+        "conditions": [report_to_dict(r) for r in reports.values()],
+    }
+    if verdict is None:
+        summary["passed"] = not failed
+    else:
+        summary.update(existence_certified=verdict.existence_certified,
+                       uniqueness_certified=verdict.uniqueness_certified,
+                       qualifier=verdict.qualifier)
 
     for rep in reports.values():
         extra = ""
@@ -164,11 +119,11 @@ def cmd_verify(args) -> int:
         if rep.witness:
             extra += "  witness=" + ", ".join(fmt_point(p) for p in rep.witness)
         print(f"{rep.condition_id:8s} {rep.verdict:8s} margin={fmt_num(rep.worst_margin)}{extra}")
-    if "existence_certified" in summary:
-        print(f"existence: {'certified' if summary['existence_certified'] else 'NOT certified'} "
-              f"({summary['qualifier']})")
-        print(f"uniqueness: {'certified' if summary['uniqueness_certified'] else 'NOT certified'} "
-              f"({summary['qualifier']})")
+    if verdict is not None:
+        print(f"existence: {'certified' if verdict.existence_certified else 'NOT certified'} "
+              f"({verdict.qualifier})")
+        print(f"uniqueness: {'certified' if verdict.uniqueness_certified else 'NOT certified'} "
+              f"({verdict.qualifier})")
 
     if args.report:
         Path(args.report).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
@@ -176,14 +131,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_median(args) -> int:
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     r_star, argmin = min_radius(scene.ellipse.field)
     print(f"({fmt_num(r_star)}, {fmt_point(argmin)})")
     return 0
 
 
 def cmd_fixpoints(args) -> int:
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     if scene.piecewise is None:
         raise SceneError(f"scene {scene.name!r} has no piecewise map")
     fix = fixed_point_set(scene.piecewise)
@@ -196,7 +151,7 @@ def cmd_fixpoints(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     seed = args.seed if args.seed is not None else scene.seed
     report = verify_metric_axioms(scene.space, args.samples, seed=seed)
     print(f"metric {report.metric.label}: {report.sample_count} triples, seed {report.seed}, "

@@ -8,20 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .metric import fmt_num
 
 NEG_INF = -math.inf
 POS_INF = math.inf
-
-
-def _fmt(x) -> str:
-    if x == NEG_INF:
-        return "-inf"
-    if x == POS_INF:
-        return "inf"
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -76,10 +67,10 @@ class Interval:
 
     def __str__(self) -> str:
         if self.is_point:
-            return "{" + _fmt(self.lo) + "}"
+            return "{" + fmt_num(self.lo) + "}"
         lb = "(" if self.lo_open else "["
         rb = ")" if self.hi_open else "]"
-        return f"{lb}{_fmt(self.lo)}, {_fmt(self.hi)}{rb}"
+        return f"{lb}{fmt_num(self.lo)}, {fmt_num(self.hi)}{rb}"
 
 
 def _touches(a: Interval, b: Interval) -> bool:

@@ -42,6 +42,16 @@ def is_exact(v) -> bool:
 _FRACTION = np.frompyfunc(Fraction, 1, 1)   # elementwise exact conversion into an object array
 
 
+def fmt_num(v) -> str:
+    """Exact, deterministic text of a number: floats by repr (so inf and -inf),
+    ints and Fractions by str (n or p/q), None as "-"."""
+    if v is None:
+        return "-"
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
+
+
 def exact_eq(v, r) -> bool:
     """v == r, exactly when both are exact numbers, else within TAU_EQ."""
     if is_exact(v) and is_exact(r):

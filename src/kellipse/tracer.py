@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .geometry import KEllipse, SolverError, SumField
-from .metric import TAU_EQ, Point
+from .metric import TAU_EQ, Point, fmt_num
 
 __all__ = [
     "TraceConfig",
@@ -29,7 +30,6 @@ __all__ = [
     "CloudResult",
     "trace_2d",
     "sample_3d",
-    "SvgStyle",
     "export_svg",
     "export_csv",
     "parse_csv_points",
@@ -47,7 +47,7 @@ BISECT_BUDGET = 60          # halvings per crossing edge
 REFINE_TOL = 1e-9           # default bound on |field - r| at every traced point
 BLOCK = 8                   # cells per axis of a pruning block
 EVAL_CHUNK = 1 << 16        # grid nodes per field evaluation
-CSV_ROWS = 1 << 12          # float rows formatted per step by export_csv
+FORMAT_ROWS = 1 << 12       # rows formatted per % operation by _format_rows
 
 
 @dataclass(frozen=True)
@@ -428,42 +428,23 @@ def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
 # export
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 640
-    stroke: str = "#1f4e8c"
-    stroke_width: float = 1.5
-    focus_color: str = "#c0392b"
-    axis_color: str = "#cccccc"
-    margin: float = 0.05        # fraction of extent
-
-
-def export_svg(polylines, foci=(), bbox=None, style: SvgStyle | None = None) -> str:
-    """SVG 1.1 document: one path per polyline, foci drawn as markers.
-
-    With no polylines the document still shows axes and foci. `bbox` defaults
-    to the bounds of the drawn geometry.
-    """
-    style = style or SvgStyle()
-    polylines = list(polylines)
-    pts = [p.vertices for p in polylines]
-    if foci:
-        pts.append(np.array([[float(c) for c in f] for f in foci]))
-    if bbox is None:
-        if not pts:
-            bbox = ((-1.0, 1.0), (-1.0, 1.0))
-        else:
-            allp = np.vstack(pts)
-            bbox = tuple((float(allp[:, a].min()), float(allp[:, a].max())) for a in range(2))
-    (x_min, x_max), (y_min, y_max) = bbox
-    pad = style.margin * max(x_max - x_min, y_max - y_min, 1e-9)
+def export_svg(polylines, foci, bbox, points=None) -> str:
+    """SVG 1.1 document of the (x, y) plane over bbox (its first two axes): axes
+    through the origin, one path per polyline, the foci as markers and, when
+    given, the (x, y) projection of `points` (n, >= 2) as dots."""
+    (x_min, x_max), (y_min, y_max) = bbox[:2]
+    if not (x_max > x_min and y_max > y_min):
+        raise ValueError(f"bbox {bbox[:2]} has an axis with no extent")
+    pad = 0.05 * max(x_max - x_min, y_max - y_min)
     x_min, x_max, y_min, y_max = x_min - pad, x_max + pad, y_min - pad, y_max + pad
-    w = style.width
+    w = 640
     sx = w / (x_max - x_min)
     h = max(1, round((y_max - y_min) * sx))
 
-    def to_px(p):
-        return ((p[0] - x_min) * sx, (y_max - p[1]) * sx)
+    def to_px(p) -> np.ndarray:
+        """Pixel (x, y) of each row of p, from its first two coordinates."""
+        p = np.atleast_2d(np.asarray(p, dtype=float))
+        return np.column_stack([(p[:, 0] - x_min) * sx, (y_max - p[:, 1]) * sx])
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -471,26 +452,20 @@ def export_svg(polylines, foci=(), bbox=None, style: SvgStyle | None = None) -> 
         f'viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
     ]
+    px, py = to_px((0.0, 0.0))[0]
     if x_min < 0 < x_max:
-        px = to_px((0.0, 0.0))[0]
-        lines.append(f'<line x1="{px:.2f}" y1="0" x2="{px:.2f}" y2="{h}" '
-                     f'stroke="{style.axis_color}" stroke-width="1"/>')
+        lines.append(f'<line x1="{px:.2f}" y1="0" x2="{px:.2f}" y2="{h}" stroke="#cccccc" stroke-width="1"/>')
     if y_min < 0 < y_max:
-        py = to_px((0.0, 0.0))[1]
-        lines.append(f'<line x1="0" y1="{py:.2f}" x2="{w}" y2="{py:.2f}" '
-                     f'stroke="{style.axis_color}" stroke-width="1"/>')
+        lines.append(f'<line x1="0" y1="{py:.2f}" x2="{w}" y2="{py:.2f}" stroke="#cccccc" stroke-width="1"/>')
     for pl in polylines:
-        coords = [to_px(v) for v in pl.vertices]
-        d = "M " + " L ".join(f"{x:.4f} {y:.4f}" for x, y in coords)
-        if pl.closed:
-            d += " Z"
-        lines.append(f'<path d="{d}" fill="none" stroke="{style.stroke}" '
-                     f'stroke-width="{style.stroke_width}"/>')
-    for focus in foci:
-        fx, fy = to_px((float(focus[0]), float(focus[1])))
-        lines.append(f'<circle cx="{fx:.4f}" cy="{fy:.4f}" r="3" fill="{style.focus_color}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        d = "M " + _format_rows("%.4f %.4f", to_px(pl.vertices), " L ") + (" Z" if pl.closed else "")
+        lines.append(f'<path d="{d}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>')
+    if len(foci):
+        lines.append(_format_rows('<circle cx="%.4f" cy="%.4f" r="3" fill="#c0392b"/>', to_px(foci)))
+    if points is not None:
+        lines.append(_format_rows('<circle cx="%.3f" cy="%.3f" r="0.8" fill="#1f4e8c"/>', to_px(points)))
+    lines.append("</svg>\n")     # the final newline, without another copy of the text
+    return "\n".join(lines)
 
 
 def export_csv(points) -> str:
@@ -500,31 +475,25 @@ def export_csv(points) -> str:
     dim = points.shape[1] if table else len(rows[0]) if rows else 2
     if dim > 3:
         raise ValueError(f"CSV export takes at most 3 columns (x, y, z), got {dim}")
-    if rows is None:
-        # CSV_ROWS rows at a time, one % per chunk, so that the Python floats
-        # alive at once stay few next to the text itself
-        row = ",".join(["%r"] * dim)
-        body = [_format_rows(row, points[s:s + CSV_ROWS]) for s in range(0, len(points), CSV_ROWS)]
-    else:
-        body = [",".join(_csv_num(c) for c in row) for row in rows]
-    return "\n".join([",".join("xyz"[:dim])] + body) + "\n"
+    lines = [",".join("xyz"[:dim])]
+    if rows is not None:
+        lines += [",".join(fmt_num(c) for c in row) for row in rows]
+    elif len(points):
+        lines.append(_format_rows(",".join(["%r"] * dim), points))
+    lines.append("")        # the final newline, without another copy of the text
+    return "\n".join(lines)
 
 
-def _format_rows(row: str, values: np.ndarray) -> str:
-    """The lines `row % v` for each row v of `values` (n, m), formatted by one % operation."""
-    return "\n".join([row] * len(values)) % tuple(values.ravel().tolist())
-
-
-def _csv_num(c) -> str:
-    if isinstance(c, float):
-        return repr(float(c))   # plain-float repr round-trips exactly
-    return str(c)               # int and Fraction print exactly
+def _format_rows(row: str, values: np.ndarray, sep: str = "\n") -> str:
+    """`row % v` for each row v of `values` (n, m), joined by sep. Each chunk of
+    FORMAT_ROWS rows is formatted by one % operation, so that the Python floats
+    alive at once stay few next to the text itself."""
+    chunks = (values[s:s + FORMAT_ROWS] for s in range(0, len(values), FORMAT_ROWS))
+    return sep.join(sep.join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
 
 
 def parse_csv_points(text: str) -> list[Point]:
     """Inverse of export_csv; fractions and floats both round-trip."""
-    from fractions import Fraction
-
     lines = [ln for ln in text.strip().split("\n") if ln]
     out = []
     for ln in lines[1:]:

@@ -1,10 +1,13 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import kellipse as ke
-from kellipse import Metric, Point, Space
+from kellipse import Interval, IntervalUnion, Metric, Point, Space, export_csv
+from kellipse.metric import fmt_num
 
 ALL_KINDS = [Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(4)]
 
@@ -171,3 +174,69 @@ def test_axiom_violations_are_reported_not_raised():
     assert "symmetry" in kinds
     v = report.violations[0]
     assert len(v.points) >= 1 and v.amount > 0
+
+
+# ---------------------------------------------------------------------------
+# number text: fmt_num serves the CLI, interval text and CSV cells alike
+# ---------------------------------------------------------------------------
+
+def _cli_fmt_num(v):
+    """The CLI's former formatter."""
+    if v is None:
+        return "-"
+    if isinstance(v, float):
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return repr(float(v))
+    if isinstance(v, Fraction):
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+    return str(v)
+
+
+def _interval_fmt(x):
+    """Interval endpoints' former formatter."""
+    if x == -math.inf:
+        return "-inf"
+    if x == math.inf:
+        return "inf"
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return str(x.numerator)
+    return str(x)
+
+
+def _csv_num(c):
+    """CSV cells' former formatter."""
+    if isinstance(c, float):
+        return repr(float(c))
+    return str(c)
+
+
+NUMBERS = [0, 7, -3, 10**30, np.int64(5), np.int64(-9),
+           Fraction(6, 3), Fraction(-4), Fraction(1, 3), Fraction(-7, 2), Fraction(10**20 + 1, 3),
+           0.1, -2.5, 1e300, 5e-324, 0.0, -0.0, math.inf, -math.inf,
+           np.float64(0.1), np.float64(-0.0), np.float64(math.inf), np.float64(-math.inf)]
+
+
+def test_fmt_num_agrees_with_the_former_formatters():
+    assert fmt_num(None) == _cli_fmt_num(None) == "-"
+    for v in NUMBERS:
+        assert fmt_num(v) == _cli_fmt_num(v) == _interval_fmt(v), v
+        if isinstance(v, float):
+            assert fmt_num(v) == _csv_num(v) == repr(float(v))
+    assert [fmt_num(v) for v in (Fraction(6, 3), Fraction(-7, 2), math.inf, np.float64(-0.0))] == \
+        ["2", "-7/2", "inf", "-0.0"]
+
+
+def test_interval_text_and_csv_cells_agree_with_the_former_formatters():
+    for v in NUMBERS:
+        s = _interval_fmt(v)
+        if math.isfinite(v):
+            assert str(Interval.point(v)) == "{" + s + "}"
+            assert str(Interval(-math.inf, v, hi_open=True)) == f"(-inf, {s})"
+            assert str(IntervalUnion.of([Interval(v, math.inf), Interval.point(-10**31)])) == \
+                f"{{{-10**31}}} U [{s}, inf)"
+        else:
+            assert str(Interval(min(v, 0), max(v, 0))) in (f"({s}, 0]", f"[0, {s})")
+        assert export_csv([(v, v)]) == f"x,y\n{_csv_num(v)},{_csv_num(v)}\n"
+        if isinstance(v, float):
+            assert export_csv(np.array([[v, v]])) == f"x,y\n{_csv_num(v)},{_csv_num(v)}\n"

@@ -178,20 +178,23 @@ def test_cli_trace_and_csv(tmp_path, capsys):
 
 
 def test_cli_trace_cloud_dots_and_csv_in_chunks(tmp_path, monkeypatch):
-    import kellipse.cli as cli
     import kellipse.tracer as tracer
 
-    scene_data = json.loads(fixture_path("tri3d_l2").read_text())
-    scene_data["trace"]["resolution"] = 24
-    p = tmp_path / "scene.json"
-    p.write_text(json.dumps(scene_data))
+    def scene(name, resolution):
+        data = json.loads(fixture_path(name).read_text())
+        data["trace"]["resolution"] = resolution
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(data))
+        return p, data
 
-    def run(tag):
-        svg, csv = tmp_path / f"{tag}.svg", tmp_path / f"{tag}.csv"
+    def run(p, tag):
+        svg, csv = tmp_path / f"{p.stem}-{tag}.svg", tmp_path / f"{p.stem}-{tag}.csv"
         assert main(["trace", str(p), "-o", str(svg), "--csv", str(csv)]) == 0
         return svg.read_text(), csv.read_text()
 
-    svg, csv = run("whole")
+    cloud, scene_data = scene("tri3d_l2", 24)
+    plane, _ = scene("tri_l1", 64)
+    svg, csv = run(cloud, "whole")
     pts = ke.parse_csv_points(csv)
     (x0, x1), (y0, y1) = scene_data["trace"]["bbox"][:2]
     pad = 0.05 * max(x1 - x0, y1 - y0)
@@ -199,10 +202,12 @@ def test_cli_trace_cloud_dots_and_csv_in_chunks(tmp_path, monkeypatch):
     dots = [f'<circle cx="{(x - x0 + pad) * sx:.3f}" cy="{(y1 + pad - y) * sx:.3f}" r="0.8" '
             f'fill="#1f4e8c"/>' for x, y, _ in pts]
     assert len(pts) > 100 and svg.endswith("\n".join(dots) + "\n</svg>\n")
-    # formatting in chunks that end mid-cloud writes the same bytes
-    monkeypatch.setattr(cli, "DOT_ROWS", 7)
-    monkeypatch.setattr(tracer, "CSV_ROWS", 5)
-    assert run("chunked") == (svg, csv)
+    plane_svg, plane_csv = run(plane, "whole")
+    assert plane_svg.count(" L ") > 7 and plane_csv.count("\n") > 8
+    # formatting in chunks that end mid-cloud and mid-path writes the same bytes
+    monkeypatch.setattr(tracer, "FORMAT_ROWS", 7)
+    assert run(cloud, "chunked") == (svg, csv)
+    assert run(plane, "chunked") == (plane_svg, plane_csv)
 
 
 def test_cli_median(capsys):

@@ -343,6 +343,20 @@ def test_export_svg_empty_still_draws_axes_and_foci():
     assert svg.count("<line") == 2
 
 
+def test_export_svg_draws_the_xy_projection_of_points():
+    pts = np.array([[0.5, 0.5, 9.0], [-1.0, 1.5, -9.0], [1.0, -1.0, 0.0]])
+    svg = export_svg([], ((1, 0, 0), (0, 1, 0)), ((-2, 2), (-2, 2), (-10, 10)), points=pts)
+    assert svg.count("<circle") == 2 + 3
+    # the projection drops z: the same dots as from the (x, y) columns alone
+    assert svg == export_svg([], ((1, 0), (0, 1)), ((-2, 2), (-2, 2)), points=pts[:, :2])
+
+
+@pytest.mark.parametrize("bbox", [((0, 0), (0, 1)), ((0, 1), (2, 1)), ((0, float("nan")), (0, 1))])
+def test_export_svg_rejects_an_empty_bbox(bbox):
+    with pytest.raises(ValueError, match="no extent"):
+        export_svg([], (), bbox)
+
+
 def test_csv_round_trip_floats():
     e = l1_tri_ellipse()
     res = trace_2d(e, TraceConfig(bbox=((-3, 4), (-3, 4)), resolution=32))
