@@ -13,12 +13,13 @@ Exit codes: 0 success/Pass, 1 condition Fail, 2 usage or scene error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from pathlib import Path
 
-from .geometry import SolverError, min_radius
+from .geometry import SolverError, min_radius, nonempty
 from .metric import fmt_num, verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
 from .scene import SceneError, load_scene
@@ -75,6 +76,9 @@ def cmd_trace(args) -> int:
         Path(args.csv).write_text(export_csv(points), encoding="utf-8")
     if result.boundary_warning:
         print("warning: the curve touches the bbox boundary", file=sys.stderr)
+    if not len(points):
+        why = "the bbox misses the level set" if nonempty(e) else "r is below the minimum radius"
+        print(f"warning: traced no points: {why}", file=sys.stderr)
     print(f"traced {what} -> {args.output}")
     return 0
 
@@ -162,7 +166,9 @@ def cmd_axioms(args) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="kellipse",
         description="k-ellipse level sets, tracing, and fixed-figure verification",
@@ -196,8 +202,11 @@ def main(argv=None) -> int:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, help="override the scene seed")
     p.set_defaults(func=cmd_axioms)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SceneError as exc:

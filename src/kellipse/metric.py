@@ -192,9 +192,12 @@ class Metric:
         short axis. A single gap is its own norm under every metric. Object
         gaps stay exact under L1 and Linf: each sum and maximum runs in Python
         arithmetic, and a maximum keeps the first of equal gaps, as max() does.
+        Under L2 and Lp each object gap becomes its float first, as in `distance`.
         """
         if len(g) == 1:
             return g[0]
+        if self.kind in ("l2", "lp") and _holds_objects(g[0]):
+            g = [gi.astype(float) for gi in g]
         if self.kind == "l1":
             return _fold(np.add, g)
         if self.kind == "l2":

@@ -462,7 +462,7 @@ def export_svg(polylines, foci, bbox, points=None) -> str:
         lines.append(f'<path d="{d}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>')
     if len(foci):
         lines.append(_format_rows('<circle cx="%.4f" cy="%.4f" r="3" fill="#c0392b"/>', to_px(foci)))
-    if points is not None:
+    if points is not None and len(points):
         lines.append(_format_rows('<circle cx="%.3f" cy="%.3f" r="0.8" fill="#1f4e8c"/>', to_px(points)))
     lines.append("</svg>\n")     # the final newline, without another copy of the text
     return "\n".join(lines)

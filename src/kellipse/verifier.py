@@ -1,17 +1,17 @@
 """Self-maps and numeric verification of fixed-figure conditions.
 
-A self-map is an ordered rule table (region predicate, action); a sample plan
-pairs on-level-set points with ambient points. Every condition is computed by
-one kernel of numpy reductions over the plan's distance vectors and pairwise
-distance matrices (in blocks of at most PAIR_BLOCK entries), on one of two
-dtypes. When the plan is exact, the metric keeps rationals (the line, L1,
-Linf) and the foci, the radius, the plan points and their images all have
-int/Fraction coordinates, the kernel runs on object arrays in rational
-arithmetic with zero slack, and the report is "exact": every margin is an int
-or a Fraction. Every other input runs on float arrays with a 1e-9 slack.
-Pair conditions fit the minimal feasible constant and report the witness pair
-(the first in plan order on ties); every verdict is qualified by whether the
-plan was exhaustive.
+A self-map is an ordered rule table (region mask, action), applied to a list
+of points at once; a sample plan pairs on-level-set points with ambient
+points. Every condition is computed by one kernel of numpy reductions over
+the plan's distance vectors and pairwise distance matrices (in blocks of at
+most PAIR_BLOCK entries), on one of two dtypes. When the plan is exact, the
+metric keeps rationals (the line, L1, Linf) and the foci, the radius, the
+plan points and their images all have int/Fraction coordinates, the kernel
+runs on object arrays in rational arithmetic with zero slack, and the report
+is "exact": every margin is an int or a Fraction. Every other input runs on
+float arrays with a 1e-9 slack. Pair conditions fit the minimal feasible
+constant and report the witness pair (the first in plan order on ties);
+every verdict is qualified by whether the plan was exhaustive.
 
 Condition families (classical contraction types):
   Ek1 Caristi-type descent          Ek2 image-not-interior
@@ -31,8 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (KEllipse, PointClass, SolutionKind, SumField, classify,
-                       solve_1d)
+from .geometry import KEllipse, SolutionKind, SumField, solve_1d
 from .metric import _FRACTION, TAU_EQ, Point, Space, as_point, exact_eq, is_exact
 
 __all__ = [
@@ -83,8 +82,10 @@ class OnEllipse:
     ellipse: KEllipse
     tol: object = 0
 
-    def matches(self, x: Point) -> bool:
-        return classify(self.ellipse, x, self.tol) is PointClass.ON
+    def mask(self, P: np.ndarray) -> np.ndarray:
+        if self.tol < 0:
+            raise ValueError("tol must be >= 0")
+        return np.abs(self.ellipse.field.values(P) - self.ellipse.r) <= self.tol
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,12 @@ class InFiniteSet:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(as_point(p) for p in self.points))
 
-    def matches(self, x: Point) -> bool:
-        return any(x == p for p in self.points)
+    def mask(self, P: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(P), dtype=bool)
+        for p in self.points:
+            if len(p) == P.shape[1]:
+                out |= np.logical_and.reduce([col == c for col, c in zip(P.T, p)])
+        return out
 
 
 @dataclass(frozen=True)
@@ -107,13 +112,14 @@ class InInterval:
     lo_open: bool = False
     hi_open: bool = False
 
-    def matches(self, x: Point) -> bool:
-        v = x[0]
-        if self.lo is not None and (v < self.lo or (v == self.lo and self.lo_open)):
-            return False
-        if self.hi is not None and (v > self.hi or (v == self.hi and self.hi_open)):
-            return False
-        return True
+    def mask(self, P: np.ndarray) -> np.ndarray:
+        v = P[:, 0]
+        out = np.ones(len(P), dtype=bool)
+        if self.lo is not None:
+            out &= ~((v <= self.lo) if self.lo_open else (v < self.lo))
+        if self.hi is not None:
+            out &= ~((v >= self.hi) if self.hi_open else (v > self.hi))
+        return out
 
 
 @dataclass(frozen=True)
@@ -123,40 +129,24 @@ class InHalfspace:
     coeffs: tuple
     offset: object
 
-    def matches(self, x: Point) -> bool:
-        return sum(c * v for c, v in zip(self.coeffs, x)) <= self.offset
+    def mask(self, P: np.ndarray) -> np.ndarray:
+        return sum((c * col for c, col in zip(self.coeffs, P.T)), np.zeros(len(P), P.dtype)) <= self.offset
 
 
+@dataclass(frozen=True)
 class Otherwise:
-    def matches(self, x: Point) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "Otherwise()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Otherwise)
-
-    def __hash__(self) -> int:
-        return hash("Otherwise")
+    def mask(self, P: np.ndarray) -> np.ndarray:
+        return np.ones(len(P), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
 # actions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class Identity:
     def __call__(self, x: Point) -> Point:
         return x
-
-    def __repr__(self) -> str:
-        return "Identity()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Identity)
-
-    def __hash__(self) -> int:
-        return hash("Identity")
 
 
 @dataclass(frozen=True)
@@ -207,11 +197,26 @@ class SelfMap:
     rules: tuple
 
     def __call__(self, x) -> Point:
-        pt = as_point(x)
-        for region, action in self.rules:
-            if region.matches(pt):
-                return action(pt)
-        raise ConfigurationError(f"no rule matches {pt}; add a final Otherwise rule")
+        return self.map_points([x])[0]
+
+    def map_points(self, points) -> list:
+        """Tx for each point, in order. In one walk of the rules each region masks
+        the points no earlier region matched; the actions then run in point
+        order, so the first point that matches no rule or hits a pole raises."""
+        pts = [as_point(x) for x in points]
+        P, left = _coords(pts, len(pts[0]) if pts else 0), np.arange(len(pts))
+        rule = np.full(len(pts), len(self.rules))
+        for j, (region, _) in enumerate(self.rules):
+            if len(left):
+                hit = region.mask(P[left])
+                rule[left[hit]] = j
+                left = left[~hit]
+        images = []
+        for x, j in zip(pts, rule.tolist()):
+            if j == len(self.rules):
+                raise ConfigurationError(f"no rule matches {x}; add a final Otherwise rule")
+            images.append(self.rules[j][1](x))
+        return images
 
 
 def evaluate(self_map: SelfMap, x) -> Point:
@@ -270,10 +275,11 @@ def exhaustive_plan(e: KEllipse) -> SamplePlan:
     return SamplePlan(e.space, tuple(on), tuple(off), seed=0, exhaustive=True, exact=exact)
 
 
-def _halton(index: int, base: int) -> float:
-    out, f = 0.0, 1.0
-    i = index
-    while i > 0:
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Halton's radical inverse in `base` of each index, each the float that the
+    scalar loop f /= base; out += f * digit gives, digit by digit."""
+    out, f, i = np.zeros(len(index)), 1.0, index.copy()
+    while i.any():
         f /= base
         out += f * (i % base)
         i //= base
@@ -344,30 +350,22 @@ def _plan_nd(e: KEllipse, seed: int, off_count: int, trace_config) -> SamplePlan
     from .tracer import TraceConfig, sample_3d, trace_2d
 
     if trace_config is None:
-        r = float(e.r)
-        bbox = tuple(
-            (min(float(f[a]) for f in e.foci) - r, max(float(f[a]) for f in e.foci) + r)
-            for a in range(e.space.dimension)
-        )
-        trace_config = TraceConfig(bbox=bbox, resolution=64)
-    if e.space.dimension == 2:
-        result = trace_2d(e, trace_config)
-        on_pts = result.all_vertices()
-    else:
-        result = sample_3d(e, trace_config)
-        on_pts = result.points
-    on = [Point(tuple(float(c) for c in row)) for row in on_pts]
+        F, r = np.array(e.foci, dtype=float), float(e.r)
+        trace_config = TraceConfig(bbox=tuple(zip(F.min(axis=0) - r, F.max(axis=0) + r)), resolution=64)
+    on_pts = (trace_2d(e, trace_config).all_vertices() if e.space.dimension == 2
+              else sample_3d(e, trace_config).points)
+    on = [Point(row) for row in on_pts.tolist()]
 
-    rng = random.Random(seed)
-    start = rng.randint(1, 1000)
-    off: list[Point] = []
-    i = start
+    # Halton candidates in blocks of the missing count, kept when off the set
+    lo, hi = np.array(trace_config.bbox).T
+    off: list = []
+    i = start = random.Random(seed).randint(1, 1000)
     while len(off) < off_count and i < start + 100 * off_count:
-        u = [_halton(i, _HALTON_BASES[a]) for a in range(e.space.dimension)]
-        p = Point(tuple(lo + (hi - lo) * ua for (lo, hi), ua in zip(trace_config.bbox, u)))
-        i += 1
-        if classify(e, p, trace_config.refine_tol) is not PointClass.ON:
-            off.append(p)
+        index = np.arange(i, min(i + off_count - len(off), start + 100 * off_count))
+        i += len(index)
+        P = lo + (hi - lo) * np.column_stack([_radical_inverse(index, b) for b in _HALTON_BASES[:len(lo)]])
+        off += P[~(np.abs(e.field.values(P) - e.r) <= trace_config.refine_tol)].tolist()
+    off = [Point(p) for p in off]
     return SamplePlan(e.space, tuple(on), tuple(off), seed=seed, exhaustive=False, exact=False)
 
 
@@ -510,7 +508,7 @@ def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
     on-set points to pair; otherwise the on-set points alone."""
     pairs = plan.on_ellipse and any(cid in PAIR_FIT for cid in condition_ids)
     points = plan.all_points if "Ik" in condition_ids or pairs else plan.on_ellipse
-    return [m(x) for x in points]
+    return m.map_points(points)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +518,10 @@ def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
 PAIR_BLOCK = 1 << 18   # most entries in one temporary of a blocked pair reduction
 
 
-def _coords(points, dim: int, exact: bool) -> np.ndarray:
+def _coords(points, dim: int, exact: bool | None = None) -> np.ndarray:
+    """(n, dim) coordinates: object ones (int/Fraction kept) when exact, else
+    float; exact=None means exact unless every coordinate is a float."""
+    exact = not all(isinstance(c, float) for p in points for c in p) if exact is None else exact
     return np.array(points, dtype=object if exact else float).reshape(len(points), dim)
 
 
@@ -746,7 +747,7 @@ def fixed_points_on(m: SelfMap, plan: SamplePlan) -> list[Point]:
     The tolerance is 0 only for a rational step on an exact plan; a float
     step (a float map on a rational plan, say) gets TAU_IDENT.
     """
-    d = plan.space.metric.distance
-    steps = ((x, d(x, m(x))) for x in plan.all_points)
-    return [x for x, step in steps
+    points, dim = plan.all_points, plan.space.dimension
+    steps = plan.space.metric.rowwise(_coords(points, dim), _coords(m.map_points(points), dim))
+    return [x for x, step in zip(points, steps.tolist())
             if step <= (0 if plan.exact and is_exact(step) else TAU_IDENT)]

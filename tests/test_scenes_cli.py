@@ -285,3 +285,27 @@ def test_every_fixture_runs_via_cli(tmp_path):
             assert main(["fixpoints", path]) == 0, name
         else:
             assert "trace" in scene.expect, f"{name} documents no outcome"
+
+
+def test_cli_trace_warns_when_the_trace_is_empty(tmp_path, capsys):
+    # below the minimum radius: a 3D cloud of no points, drawn with no dots element
+    data = json.loads(fixture_path("tri3d_l2").read_text())
+    data["ellipse"]["r"] = 1
+    data["trace"]["resolution"] = 16
+    below, svg = tmp_path / "below.json", tmp_path / "below.svg"
+    below.write_text(json.dumps(data))
+    assert main(["trace", str(below), "-o", str(svg)]) == 0
+    out, err = capsys.readouterr()
+    assert out == f"traced cloud of 0 points -> {svg}\n"
+    assert err == "warning: traced no points: r is below the minimum radius\n"
+    assert svg.read_text().endswith('fill="#c0392b"/>\n</svg>\n')
+    # a nonempty circle about (1001, 1000) outside the bbox
+    missed = trace_scene(tmp_path, {"bbox": [[0, 1], [0, 1]], "resolution": 16})
+    assert main(["trace", missed, "-o", str(tmp_path / "missed.svg")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("traced 0 polyline(s), 0 vertices")
+    assert err == "warning: traced no points: the bbox misses the level set\n"
+    # a trace with points writes no warning
+    hit = trace_scene(tmp_path, {"bbox": [[996, 1006], [995, 1005]], "resolution": 16})
+    assert main(["trace", hit, "-o", str(tmp_path / "hit.svg")]) == 0
+    assert capsys.readouterr().err == ""

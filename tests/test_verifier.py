@@ -2,16 +2,18 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import kellipse as ke
 from kellipse import (Affine1D, ConfigurationError, ConstantPoint, Identity,
-                      InFiniteSet, InInterval, KEllipse, Metric, OnEllipse,
-                      Otherwise, Rational1D, SelfMap, Space, certify,
-                      check_condition, check_identity_condition, default_plan,
-                      evaluate, exhaustive_plan, fixed_points_on,
-                      make_fixing_map, selfmap_from_piecewise)
-from kellipse.verifier import FAIL, PASS, VACUOUS, ik_margin, pair_ratio, pointwise_margin
+                      InFiniteSet, InHalfspace, InInterval, KEllipse, Metric,
+                      OnEllipse, Otherwise, PointClass, Rational1D, SelfMap,
+                      Space, certify, check_condition, check_identity_condition,
+                      classify, default_plan, evaluate, exhaustive_plan,
+                      fixed_points_on, make_fixing_map, selfmap_from_piecewise)
+from kellipse.verifier import (FAIL, PASS, VACUOUS, _radical_inverse, ik_margin, pair_ratio,
+                               pointwise_margin)
 
 
 def line_map(on_points, on_value, else_value):
@@ -382,3 +384,217 @@ def test_kannan_fit_minimality(line_ellipse, plan9):
     d = line_ellipse.space.metric.distance
     tx, ty = evaluate(FAR_H, x), evaluate(FAR_H, y)
     assert d(tx, ty) > h * (d(tx, x) + d(ty, y))
+
+
+# ---------------------------------------------------------------------------
+# the array map and plan against the scalar rule walk and Halton loop
+# ---------------------------------------------------------------------------
+
+NORMS = [Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(3), Metric.lp(4)]
+
+
+def scalar_matches(region, x):
+    """The point-by-point region predicates that the masks replaced."""
+    if isinstance(region, OnEllipse):
+        return classify(region.ellipse, x, region.tol) is PointClass.ON
+    if isinstance(region, InFiniteSet):
+        return any(x == p for p in region.points)
+    if isinstance(region, InInterval):
+        v = x[0]
+        if region.lo is not None and (v < region.lo or (v == region.lo and region.lo_open)):
+            return False
+        return not (region.hi is not None and (v > region.hi or (v == region.hi and region.hi_open)))
+    if isinstance(region, InHalfspace):
+        return sum(c * v for c, v in zip(region.coeffs, x)) <= region.offset
+    assert isinstance(region, Otherwise)
+    return True
+
+
+def scalar_map(m, x):
+    """The first-match rule walk for one point that map_points replaced."""
+    x = ke.as_point(x)
+    for region, action in m.rules:
+        if scalar_matches(region, x):
+            return action(x)
+    raise ConfigurationError(f"no rule matches {x}; add a final Otherwise rule")
+
+
+def typed(points):
+    return [[(type(c), c) for c in p] for p in points]
+
+
+def assert_maps_like_scalar(m, points):
+    """map_points gives the scalar images with the same coordinate types, or
+    raises the scalar walk's error about the same (first failing) point."""
+    try:
+        expect = [scalar_map(m, x) for x in points]
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as got:
+            m.map_points(points)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    assert typed(m.map_points(points)) == typed(expect)
+    assert typed([m(x) for x in points]) == typed(expect)
+
+
+def halton_scalar(i, base):
+    """The scalar radical inverse that the array form replaced."""
+    out, f = 0.0, 1.0
+    while i > 0:
+        f /= base
+        out += f * (i % base)
+        i //= base
+    return out
+
+
+def halton_exact(i, base):
+    """The radical inverse in rational arithmetic."""
+    out, f = Fraction(0), Fraction(1)
+    while i > 0:
+        f /= base
+        out += f * (i % base)
+        i //= base
+    return out
+
+
+def assert_values_like_value(field, P, pts):
+    """SumField.values over P equals SumField.value point by point, in value and
+    type, bit for bit except under Lp: there numpy's vector power and the C
+    library's pow may each be an ulp off, and on hosts with a vector power
+    they differ, so a sum of five distances of two powers each may be some
+    ulps apart."""
+    got, expect = field.values(P).tolist(), [field.value(p) for p in pts]
+    assert [type(v) for v in got] == [type(v) for v in expect]
+    if field.space.metric.kind == "lp":
+        np.testing.assert_array_max_ulp(np.array(got, float), np.array(expect, float), maxulp=8)
+    else:
+        assert got == expect
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("metric", NORMS, ids=lambda m: m.label)
+def test_sumfield_values_equal_value_bit_for_bit(metric, dim):
+    rng = random.Random(31 * dim + len(metric.label))
+    space = Space.continuum(dim, metric)
+    field = ke.SumField(space, tuple(tuple(rng.uniform(-6, 6) for _ in range(dim)) for _ in range(5)))
+    pts = [tuple(rng.uniform(-9, 9) for _ in range(dim)) for _ in range(300)]
+    pts += [tuple(float(rng.randint(-6, 6)) for _ in range(dim)) for _ in range(20)]   # gaps of 0
+    assert_values_like_value(field, np.array(pts), pts)
+    # int/Fraction points: exact sums under L1 and Linf, the floats of `distance` under L2 and Lp
+    exact = [tuple(Fraction(rng.randint(-40, 40), rng.choice((1, 3, 7))) for _ in range(dim))
+             for _ in range(60)]
+    exact_field = ke.SumField(space, ((0,) * dim, (Fraction(1, 3),) * dim, (2,) + (-1,) * (dim - 1)))
+    assert_values_like_value(exact_field, np.array(exact, dtype=object), exact)
+
+
+def test_map_points_matches_scalar_walk_on_the_line():
+    line = Space.continuum(1, Metric.l1())
+    e = KEllipse(line, ((-1,), (0,), (1,)), 9)           # {-3, 3}
+    m = SelfMap((
+        (InFiniteSet(((Fraction(1, 3),), (7,))), ConstantPoint((5,))),
+        (OnEllipse(e, 0), Identity()),
+        (InInterval(Fraction(-1, 2), 2, lo_open=True), Affine1D(Fraction(1, 2), Fraction(1, 3))),
+        (InInterval(None, -5, hi_open=True), Rational1D((1, 0), (2, 1))),     # pole at -1/2
+        (InHalfspace((2,), Fraction(21, 2)), Affine1D(2.5, 1)),
+        (Otherwise(), ConstantPoint((0.25,))),
+    ))
+    rng = random.Random(5)
+    edges = [Fraction(-1, 2), 2, -5, Fraction(21, 4), Fraction(1, 3), 7, -3, 3, 0, -6, 100]
+    exact = edges + [Fraction(rng.randint(-800, 800), rng.choice((1, 2, 3, 4, 8))) for _ in range(300)]
+    assert_maps_like_scalar(m, [(x,) for x in exact])
+    floats = [-0.5, 2.0, -5.0, 5.25, 1 / 3, 7.0, -3.0, 3.0, 5.2500000000000001, -3.0000000000000004]
+    assert_maps_like_scalar(m, [(x,) for x in floats + [rng.uniform(-12, 12) for _ in range(300)]])
+    assert_maps_like_scalar(m, [(x,) for x in exact[:40] + floats])                # mixed types
+    assert m.map_points([]) == []
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_map_points_matches_scalar_walk_in_the_plane(exact):
+    def num(a, b=1):
+        return Fraction(a, b) if exact else a / b
+
+    plane = Space.continuum(2, Metric.l1())
+    e = KEllipse(plane, ((0, 0),), 1)                   # |x| + |y| = 1
+    tol = num(1, 4)
+    m = SelfMap((
+        (OnEllipse(e, tol), Identity()),
+        (InFiniteSet(((num(5), num(5)), (Fraction(1, 3), 2))), ConstantPoint((9, 9))),
+        (InHalfspace((1, -2), num(1, 2)), ConstantPoint((1.0, 2.0))),
+        (Otherwise(), ConstantPoint((0, 0))),
+    ))
+    at_tol = (num(1, 2), num(3, 4))                     # |f - r| = 1/4 = tol exactly: on the set
+    past_tol = (num(1, 2), num(13, 16))                 # |f - r| = 5/16 > tol
+    assert abs(e.field.value(at_tol) - e.r) == tol
+    rng = random.Random(11)
+    pts = [at_tol, past_tol, (num(5), num(5)), (num(1, 3), num(2)), (num(1, 2), num(0))]
+    pts += [(num(rng.randint(-48, 48), 8), num(rng.randint(-48, 48), 8)) for _ in range(400)]
+    assert_maps_like_scalar(m, pts)
+    assert m.map_points(pts)[:2] == [at_tol, (1.0, 2.0)]
+
+
+def test_map_points_on_a_root_metric_with_exact_points():
+    plane = Space.continuum(2, Metric.l2())
+    e = KEllipse(plane, ((0, 0), (6, 0)), 10)
+    m = SelfMap(((OnEllipse(e, 0), Identity()), (Otherwise(), ConstantPoint((3, 0)))))
+    pts = [(3, 4), (-2, 0), (8, 0), (Fraction(1, 3), 5), (3, 0)]
+    pts += [(x, y) for x in range(-3, 9) for y in (-4, 0, 4)]
+    assert_maps_like_scalar(m, pts)
+    assert m.map_points(pts)[:3] == [(3, 4), (-2, 0), (8, 0)]
+
+
+def test_map_points_raises_about_the_first_failing_point():
+    pole = Rational1D((1, 0), (1, -Fraction(5, 2)))
+    gap = SelfMap(((InInterval(0, 1), Identity()), (InInterval(2, 3), pole)))
+    # a gap at 1.5 before the pole at 5/2, then the pole before the gap
+    msg = assert_maps_like_scalar(gap, [(Fraction(1, 2),), (3,), (Fraction(3, 2),), (Fraction(5, 2),), (9,)])
+    assert msg.startswith("no rule matches Point(3/2)")
+    msg = assert_maps_like_scalar(gap, [(Fraction(1, 2),), (Fraction(5, 2),), (Fraction(3, 2),)])
+    assert "pole x=5/2" in msg
+    msg = assert_maps_like_scalar(gap, [(0.5,), (2.5,), (1.5,)])
+    assert "pole x=2.5" in msg
+
+
+@pytest.mark.parametrize("base", [2, 3, 5])
+def test_radical_inverse_matches_the_scalar_loop_and_the_exact_value(base):
+    index = np.arange(1, 10_001)
+    got = _radical_inverse(index, base).tolist()
+    assert got == [halton_scalar(i, base) for i in range(1, 10_001)]
+    for i, x in zip(range(1, 10_001), got):
+        q = halton_exact(i, base)
+        if base == 2:
+            assert x == q                                 # dyadic: every step is exact
+        else:
+            # f after k of the n digit steps is off by at most k unit roundoffs,
+            # f * digit by one more and each running sum by one: at most
+            # 2n + 1 unit roundoffs of the value
+            n = len(np.base_repr(i, base))
+            assert abs(Fraction(x) - q) <= (2 * n + 1) * Fraction(1, 2 ** 53) * q
+
+
+def scalar_off_points(e, seed, off_count, cfg):
+    """The off-set points of the point-by-point Halton plan that the blocks replaced."""
+    start = random.Random(seed).randint(1, 1000)
+    off, i = [], start
+    while len(off) < off_count and i < start + 100 * off_count:
+        u = [halton_scalar(i, b) for b in (2, 3, 5)[:len(cfg.bbox)]]
+        p = ke.Point(tuple(lo + (hi - lo) * ua for (lo, hi), ua in zip(cfg.bbox, u)))
+        i += 1
+        if classify(e, p, cfg.refine_tol) is not PointClass.ON:
+            off.append(p)
+    return off
+
+
+@pytest.mark.parametrize("dim,metric,refine_tol,off_count", [
+    (2, Metric.l2(), 1e-9, 128),
+    (2, Metric.l1(), 0.9, 40),        # a third of the candidates on the band: several blocks
+    (2, Metric.l1(), 5.0, 7),         # every candidate on the band: the cap stops the walk
+    (3, Metric.lp(4), 0.5, 64),
+])
+def test_halton_blocks_give_the_scalar_plan(dim, metric, refine_tol, off_count):
+    e = KEllipse(Space.continuum(dim, metric), ((0,) * dim, (1,) + (0,) * (dim - 1)), 2)
+    cfg = ke.TraceConfig(bbox=((-1.5, 2.5),) + ((-1.5, 1.5),) * (dim - 1), resolution=12,
+                         refine_tol=refine_tol)
+    plan = default_plan(e, seed=3, off_count=off_count, trace_config=cfg)
+    expect = scalar_off_points(e, 3, off_count, cfg)
+    assert typed(plan.off_ellipse) == typed(expect)
+    assert (len(expect) == 0) == (refine_tol == 5.0)
