@@ -4,8 +4,9 @@ Grid cells are classified by the sign of (field - r) at their corners; every
 crossing edge is refined by bisection until the residual |field - r| at the
 emitted vertex is within the configured tolerance. The field is the metric's
 column norm of the gaps |x[i] - focus[i]|, bit-identical to SumField.values:
-grid nodes look their gaps up in one table per focus and axis, and as grid
-edges are axis-aligned, bisection rewrites only the one moving gap per round.
+grid nodes look their gaps up in one table per focus and axis; bisection keeps
+one (k, N) block of gaps per axis and, as grid edges are axis-aligned, each
+round rewrites only the moving axis's slice of it.
 In 2D, each cell's segments come from one table indexed by its case, between
 grid edges numbered by integer ids; as an edge borders at most two cells, the
 stitch walks each edge's two segments into polylines. 3D crossings are
@@ -40,8 +41,9 @@ MAX_RESOLUTION = 4096
 # 8 per evaluated node (flat index; their field values come after the mask is
 # freed). sample_3d of tri3d_l2 on a 321^3 grid peaks 89 MB (2.8 bytes per
 # node) above the interpreter. The grid is freed before bisection, which holds
-# the crossing edges and their gaps to each focus (27 MB there). A 3D grid at
-# MAX_RESOLUTION would have 6.9e10 nodes.
+# the crossing edges, their gaps as one (k, N) block per axis and the norms
+# of a round (32 MB there, by tracemalloc). A 3D grid at MAX_RESOLUTION would
+# have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 REFINE_TOL = 1e-9           # default bound on |field - r| at every traced point
@@ -192,42 +194,50 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
 
     Edge i runs from the point p0[i] to the point whose coordinate axis[i]
     (an int, or one per edge) is hi[i] instead; f0 and f1 are field - r at its
-    ends. Only that coordinate is bisected, since 0.5 * (x + x) == x: the
-    gaps of each point to each focus are taken once, and each round rewrites
-    only the moving gap before taking the norms. Keeps the best
-    (smallest-residual) point seen, so every returned point satisfies
-    |field - r| <= tol; raises SolverError when some edge has not got there
-    within BISECT_BUDGET halvings.
+    ends. Only that coordinate is bisected, since 0.5 * (x + x) == x. The
+    edges are grouped by axis in a stable order, and the gaps of every point
+    to every focus are kept as one (k, N) block per axis: each round rewrites
+    one slice of each moving axis's block, takes every norm in one
+    column_norm call and sums their rows in focus order from zeros, as
+    SumField.values does. Keeps the best (smallest-residual) point seen, so
+    every returned point satisfies |field - r| <= tol; raises SolverError
+    when some edge has not got there within BISECT_BUDGET halvings.
     """
-    pts = np.array(p0, dtype=float, order="C")
-    coords = pts.reshape(-1)                                # a view of pts
-    moving = np.arange(len(pts)) * pts.shape[1] + axis      # in coords, per edge
-    a, b = coords[moving], np.array(hi, dtype=float)
-    foci = [np.asarray(c, dtype=float) for c in f.foci]
-    gaps = [np.abs(pts - c) for c in foci]                  # (N, d) per focus
-    columns = [[g[:, i] for i in range(pts.shape[1])] for g in gaps]
-    on_axis = [c[axis] for c in foci]                       # focus coordinate, per edge
-    fa = f0.copy()
+    pts = np.array(p0, dtype=float)
+    n, d = pts.shape
+    order = np.argsort(np.broadcast_to(axis, n), kind="stable")
+    axes = np.broadcast_to(axis, n)[order]
+    spans = [slice(*np.searchsorted(axes, [i, i + 1])) for i in range(d)]     # axis i's edges
+    foci = np.array(f.foci, dtype=float)                    # as SumField.values has them
+    gaps = [np.abs(pts[order, i] - foci[:, i, None]) for i in range(d)]     # (k, N) per axis
+    a, b = pts[order, axes], np.asarray(hi, dtype=float)[order]
+    f0, f1 = f0[order], f1[order]
+    below = f0 < 0                  # f - r < 0 at each end a, which stays so as a moves
     best = np.where(np.abs(f0) <= np.abs(f1), a, b)
     best_res = np.minimum(np.abs(f0), np.abs(f1))
     for _ in range(BISECT_BUDGET):
         if (best_res <= tol).all():
             break
         mid = 0.5 * (a + b)
-        for g, c in zip(gaps, on_axis):
-            np.put(g, moving, np.abs(mid - c))
-        fm = _gap_field(f, len(pts), columns) - r
+        for i, s in enumerate(spans):
+            g = gaps[i][:, s]
+            np.subtract(mid[s], foci[:, i, None], out=g)
+            np.abs(g, out=g)
+        fm = np.zeros(n)
+        for row in f.space.metric.column_norm(gaps):
+            fm += row
+        fm -= r
         res = np.abs(fm)
         better = res < best_res
         np.copyto(best, mid, where=better)
         np.copyto(best_res, res, where=better)
-        same = (fm < 0) == (fa < 0)
+        same = (fm < 0) == below
         np.copyto(a, mid, where=same)
-        np.copyto(fa, fm, where=same)
         np.copyto(b, mid, where=~same)
-    coords[moving] = best
+    pts[order, axes] = best
     unconverged = int((best_res > tol).sum())
     if unconverged:
+        best_res = best_res[np.argsort(order)]              # in the caller's order
         worst = int(np.argmax(best_res))
         raise SolverError(
             f"bisection left {unconverged} of {len(best_res)} crossing edge(s) unconverged "

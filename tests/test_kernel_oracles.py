@@ -4,6 +4,8 @@ one-coordinate bisection on gap columns against full-vector bisection
 through SumField.values, the grid's per-axis gap tables against
 SumField.values at the node coordinates, and the flat sign-change scan
 against a whole-grid comparison."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,77 @@ def test_one_coordinate_bisection_raises_as_full_vector_bisection():
     assert errors[0].best_point == errors[1].best_point
     assert errors[0].best_value == errors[1].best_value
     assert f"{len(p0)} of {len(p0)} crossing edge(s)" in str(errors[0])
+
+
+def bisect_unchanged(f, r, p0, axis, hi, f0, f1, tol):
+    """_bisect_edges, checked to leave p0, hi, f0 and f1 as they were."""
+    before = [x.copy() for x in (p0, hi, f0, f1)]
+    got = tracer._bisect_edges(f, r, p0, axis, hi, f0, f1, tol)
+    assert all(np.array_equal(x, y) for x, y in zip((p0, hi, f0, f1), before))
+    return got
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
+@pytest.mark.parametrize("k, dim", [(1, 2), (9, 2), (1, 3), (9, 3)])
+def test_bisection_equals_full_vector_bisection_for_any_focus_count(metric, k, dim):
+    # k = 9 is where summing the k norms as a pairwise reduction would round
+    # otherwise; a one-edge batch is where numpy's own row sum would do that
+    rng = np.random.default_rng(31 * k + 5 * dim + len(metric.label))
+    foci = tuple(map(tuple, rng.uniform(-3, 3, size=(k, dim))))
+    f = SumField(Space.continuum(dim, metric), foci)
+    r = 2.5 if k == 1 else 1.2 * float(f.values(np.mean(foci, axis=0)[None, :])[0])
+    p0, axis, p1, f0, f1 = crossing_edges(f, r, [-6] * dim, [6] * dim, 0.3, 40000 * (dim - 1), rng)
+    hi = p1[np.arange(len(p1)), axis]
+    assert len(set(axis.tolist())) == dim and len(p0) > 100
+    # the whole batch, batches of one edge, and in 3D a mixed batch in which
+    # axis 1 has no edge; the rounds end when every edge of a batch is done,
+    # and at tol 1e-300 none is, so each batch raises after its last round
+    batches = [slice(None)] + [slice(i, i + 1) for i in range(6)] + [axis != 1] * (dim == 3)
+    for sel, tol in itertools.product(batches, (1e-9, 1e-300)):
+        want = outcome(lambda: full_vector_bisect(f, r, p0[sel], p1[sel], f0[sel], f1[sel], tol))
+        got = outcome(lambda: bisect_unchanged(f, r, p0[sel], axis[sel], hi[sel], f0[sel], f1[sel], tol))
+        assert type(got) is type(want)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+def outcome(run):
+    """What a bisection gives: its points, or its SolverError's text, point and value."""
+    try:
+        return run()
+    except SolverError as e:
+        return str(e), e.best_point, e.best_value
+
+
+def test_unconverged_bisection_names_the_worst_edge_in_the_callers_order():
+    # each focus lies on the diagonal, so an edge and its mirror image in x = y
+    # have the same residuals bit for bit: the worst point is the mirror image
+    # of another, and which one is named depends on the order of the edges
+    f = KEllipse(Space.continuum(2, Metric.l2()), ((1000, 1000), (1001, 1001)), 4).field
+    rng = np.random.default_rng(5)
+    p0, axis, p1, f0, f1 = crossing_edges(f, 4.0, [997, 997], [1004, 1004], 0.4, 600, rng)
+    h = axis == 0
+    p0, p1 = (np.vstack([x[h], x[h][:, ::-1]]) for x in (p0, p1))
+    f0, f1 = np.tile(f0[h], 2), np.tile(f1[h], 2)
+    axis = np.repeat([0, 1], h.sum())
+    errors = []
+    for shuffle in (rng.permutation(len(p0)), np.arange(len(p0))):
+        p0, axis, p1, f0, f1 = p0[shuffle], axis[shuffle], p1[shuffle], f0[shuffle], f1[shuffle]
+        hi = p1[np.arange(len(p1)), axis]
+        for run in (lambda: bisect_unchanged(f, 4.0, p0, axis, hi, f0, f1, 1e-300),
+                    lambda: full_vector_bisect(f, 4.0, p0, p1, f0, f1, 1e-300)):
+            with pytest.raises(SolverError) as info:
+                run()
+            errors.append(info.value)
+        assert str(errors[-2]) == str(errors[-1])
+        assert errors[-2].best_point == errors[-1].best_point
+        assert errors[-2].best_value == errors[-1].best_value
+    # with the v-edges first, the named point is the mirror image of the
+    # point named with the h-edges first, as grouping by axis would order them
+    p0, axis, p1, f0, f1 = (x[np.argsort(-axis, kind="stable")] for x in (p0, axis, p1, f0, f1))
+    with pytest.raises(SolverError) as info:
+        bisect_unchanged(f, 4.0, p0, axis, p1[np.arange(len(p1)), axis], f0, f1, 1e-300)
+    assert info.value.best_point == errors[0].best_point[::-1] != errors[0].best_point
+    assert info.value.best_value == errors[0].best_value
 
 
 @pytest.mark.parametrize("chunk", [1, 50, 1 << 16])
