@@ -11,6 +11,11 @@ first on every other seed, so that slow drift of the machine falls on both
 alike; ten seeds (ten pairs, the default) are the fewest from which a gain
 may be claimed. Each run takes about the run length plus 10 s.
 
+Before any timing, both trees are byte-compiled (`python -m compileall -q
+src`). The export has no `__pycache__` while the checkout may hold `.pyc`
+files from earlier runs, so without this `setup_s` would compare bytecode
+caches, not code.
+
 The record keeps the final JSON line of every run; per workload and
 end-to-end metric, each side's quartiles and the number of pairs the change
 wins (lower is better for all five); per workload, each side's failed and
@@ -63,6 +68,11 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().split("\n")[-1])
 
 
+def compile_tree(checkout: Path) -> None:
+    """Byte-compile `checkout`'s src/, so that every run imports from fresh `.pyc` files."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, check=True)
+
+
 def src_lines(checkout: Path) -> dict:
     """Newlines per module of src/kellipse in `checkout`, and their total (`wc -l`)."""
     lines = {p.name: p.read_bytes().count(b"\n") for p in sorted((checkout / "src/kellipse").glob("*.py"))}
@@ -98,6 +108,8 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
+        for path in sides.values():
+            compile_tree(path)
         record = {
             "machine": {"cores": os.cpu_count(), "python": platform.python_version(),
                         "numpy": np.__version__, "platform": platform.platform()},

@@ -498,11 +498,19 @@ class LineField:
     from prefix sums of fs. at[j] is the field at fs[j]: it falls up to the
     lower median fs[(k-1)//2] and rises from the upper median fs[k//2] on,
     so bisection over it finds the piece of a radius on either branch.
+
+    `solve` works on one common denominator D, the lcm of the focus
+    denominators (Knuth, TAOCP vol. 2, 4.5.1): C[i] = intercepts[i] * D and
+    A[j] = at[j] * D are Python ints. `fs`, `intercepts` and `at` keep the
+    foci's own types, since `value`, `median` and `r_star` return them.
     """
 
     fs: tuple
     intercepts: tuple
     at: tuple
+    D: int
+    C: tuple
+    A: tuple
 
     @property
     def median(self) -> tuple:
@@ -522,49 +530,69 @@ class LineField:
         return (2 * i - len(self.fs)) * x + self.intercepts[i]
 
     def solve(self, r) -> LevelSolution1D:
-        """Exactly solve field(x) = r: one exact division per branch."""
-        r = _exact(r)
-        if r < self.r_star:
+        """Exactly solve field(x) = r, for r = n/d, in integers: one Fraction per branch point."""
+        n, d = _ratio(r)
+        k, A = len(self.fs), self.A
+        m = (k - 1) // 2
+        nD, star = n * self.D, d * A[m]
+        if nD < star:
             return LevelSolution1D.empty()
-        if r == self.r_star:
+        if nD == star:
             lo, hi = self.median
             return LevelSolution1D.at_points(lo) if lo == hi else LevelSolution1D.flat(lo, hi)
-        k = len(self.fs)
         # r lies on piece i (left) with at[i] < r <= at[i-1], on piece j (right)
-        # with at[j-1] < r <= at[j]
-        i = (k + 1) // 2 - bisect.bisect_left(self.at[(k - 1) // 2::-1], r)
-        j = bisect.bisect_left(self.at, r, k // 2)
-        return LevelSolution1D.at_points(Fraction(r - self.intercepts[i], 2 * i - k),
-                                         Fraction(r - self.intercepts[j], 2 * j - k))
+        # with at[j-1] < r <= at[j]; as every A[j] is an int, A[j] < nD/d exactly
+        # when A[j] < ceil(nD/d)
+        up = -(-nD // d)
+        i = (k + 1) // 2 - bisect.bisect_left(A[m::-1], up)
+        j = bisect.bisect_left(A, up, k // 2)
+        dD = d * self.D
+        return LevelSolution1D(SolutionKind.POINTS, (Fraction(nD - self.C[i] * d, (2 * i - k) * dD),
+                                                     Fraction(nD - self.C[j] * d, (2 * j - k) * dD)))
+
+
+def _ratio(x) -> tuple:
+    """x as (n, d) with x == n/d and d > 0, as `Fraction(x)` takes it."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:      # numpy integers have none
+        q = Fraction(x)
+        return int(q.numerator), int(q.denominator)
 
 
 def line_field(foci) -> LineField:
-    """The memoized exact line field of 1D foci (ints stay ints, floats become Fractions)."""
+    """The memoized exact line field of 1D foci (ints stay ints, other foci become Fractions)."""
     foci = tuple(foci)
-    return _line_field(foci, tuple(map(type, foci)))
+    return _line_field(tuple(map(type, foci)), tuple(map(_ratio, foci)))
 
 
 @functools.lru_cache(maxsize=64)
-def _line_field(foci: tuple, types: tuple) -> LineField:
-    # `types` only keys the memo: 1, 1.0 and Fraction(1) are equal and hash
-    # alike, but the median that solve_1d returns at r* keeps its focus's type
-    fs = tuple(sorted(_exact(f) for f in foci))
+def _line_field(types: tuple, ratios: tuple) -> LineField:
+    # the memo is keyed on ints, which hash and compare faster than Fractions;
+    # `types` keeps 1, 1.0 and Fraction(1) apart, since the median that
+    # solve_1d returns at r* keeps its focus's type
+    fs = tuple(sorted(n if t is int else Fraction(n, d) for t, (n, d) in zip(types, ratios)))
     k = len(fs)
     if k == 0:
         raise ValueError("a 1D field needs at least one focus")
+    D = math.lcm(*(d for _, d in ratios))
     prefix = (0, *itertools.accumulate(fs))
     intercepts = tuple(prefix[-1] - 2 * p for p in prefix)
     at = tuple((2 * j + 2 - k) * f + intercepts[j + 1] for j, f in enumerate(fs))   # from piece j + 1
-    return LineField(fs, intercepts, at)
+    C = tuple(int(c * D) for c in intercepts)
+    A = tuple(int(a * D) for a in at)
+    return LineField(fs, intercepts, at, D, C, A)
 
 
 def solve_1d(foci, r) -> LevelSolution1D:
     """Exactly solve sum_i |x - xi| = r over the reals.
 
-    The field is piecewise linear with slope 2i - k after passing i foci;
-    the piece of each branch is found by bisection over the memoized line
-    field and solved by exact rational arithmetic, so returned points satisfy
-    the equation with zero error.
+    The field is piecewise linear with slope 2i - k after passing i foci.
+    With r = n/d and the memoized line field on one common denominator D,
+    the piece of each branch is found by integer bisection with the key
+    ceil(nD/d), and each branch point is the one Fraction
+    (nD - C[i] d) / ((2i - k) d D), so returned points satisfy the equation
+    with zero error.
     """
     return line_field(foci).solve(r)
 

@@ -7,6 +7,7 @@ discontinuous piecewise maps. Infinite endpoints are always open.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .metric import fmt_num
@@ -88,6 +89,10 @@ class IntervalUnion:
 
     parts: tuple = ()
 
+    def __post_init__(self):
+        # the part starts, for `contains`
+        object.__setattr__(self, "_starts", tuple(p.lo for p in self.parts))
+
     @classmethod
     def of(cls, intervals) -> "IntervalUnion":
         items = [iv for iv in intervals if not iv.is_empty]
@@ -111,7 +116,10 @@ class IntervalUnion:
         return not self.parts
 
     def contains(self, x) -> bool:
-        return any(p.contains(x) for p in self.parts)
+        # parts are sorted, disjoint and merged, so only the last one that
+        # starts at or before x can hold it
+        i = bisect_right(self._starts, x)
+        return i > 0 and self.parts[i - 1].contains(x)
 
     def contains_interval(self, iv: Interval) -> bool:
         # parts are maximal, so containment must happen within a single part

@@ -203,7 +203,11 @@ class Metric:
         if self.kind == "l1":
             return _fold(np.add, g)
         if self.kind == "l2":
-            return np.sqrt(_fold(np.add, [gi * gi for gi in g]))
+            # one square at a time through one scratch buffer, summed in axis order
+            acc, tmp = g[0] * g[0], np.empty_like(g[0])
+            for gi in g[1:]:
+                acc += np.multiply(gi, gi, out=tmp)
+            return np.sqrt(acc, out=acc)
         m = _fold(np.maximum, g)
         if self.kind == "linf":
             return m

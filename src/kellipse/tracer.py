@@ -42,7 +42,7 @@ MAX_RESOLUTION = 4096
 # freed). sample_3d of tri3d_l2 on a 321^3 grid peaks 89 MB (2.8 bytes per
 # node) above the interpreter. The grid is freed before bisection, which holds
 # the crossing edges, their gaps as one (k, N) block per axis and the norms
-# of a round (32 MB there, by tracemalloc). A 3D grid at MAX_RESOLUTION would
+# of a round (29.5 MB there, by tracemalloc). A 3D grid at MAX_RESOLUTION would
 # have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge

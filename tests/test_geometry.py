@@ -518,6 +518,62 @@ def test_line_field_memo_is_bounded():
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
+def test_line_field_memo_hits_equal_foci_that_are_other_objects():
+    f = ke.srelu(-6, 2, 6, 3)
+    for foci, copy in [((-5, 1, 4), (-5, 1, 4)),
+                       ((Fraction(-9, 4), Fraction(1, 3), Fraction(7, 2)),
+                        (Fraction(-18, 8), Fraction(2, 6), Fraction(14, 4)))]:
+        assert all(a == b and a is not b for a, b in zip(foci, copy) if type(a) is Fraction)
+        _line_field.cache_clear()
+        ke.fixed_kellipse_radii(f, foci)
+        for r in (10, Fraction(21, 2), 11):
+            ke.is_fixed_kellipse(f, copy, r)
+        info = _line_field.cache_info()
+        # fixed_kellipse_radii keys its entry as Fractions, so int foci miss once more
+        want_misses = 2 if type(foci[0]) is int else 1
+        assert (info.misses, info.hits) == (want_misses, 4 - want_misses), info
+
+
+def test_line_field_memo_keeps_equal_foci_of_each_type_apart():
+    _line_field.cache_clear()
+    # the exact type of the median and of r*: ints stay ints, the rest become Fractions
+    kinds = {int: int, float: Fraction, Fraction: Fraction, np.int64: Fraction}
+    for t, exact in kinds.items():
+        foci = tuple(map(t, (-2, 1, 3)))
+        sol = solve_1d(foci, 5)             # r* = 5 at the median 1
+        assert typed(sol.points) == ((exact, 1),), t
+        assert typed((geometry.line_field(foci).r_star,)) == ((exact, 5),), t
+    assert _line_field.cache_info().currsize == len(kinds)
+
+
+@pytest.mark.parametrize("den", [3, 7, 11, 3 * 7 * 11])
+def test_solve_1d_matches_piece_loop_on_coprime_denominators(den):
+    rng = random.Random(den)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        foci = [Fraction(rng.randint(-5 * den, 5 * den), rng.choice((den, 1, 2 * den))) for _ in range(k)]
+        fs = sorted(foci)
+        r_star = sum(abs(fs[(k - 1) // 2] - f) for f in fs)
+        for r in (r_star - Fraction(1, den), r_star, r_star + Fraction(1, 13 * den),
+                  r_star + Fraction(rng.randint(1, 400), rng.choice((1, den, 17))), float(r_star) + 0.1):
+            want_kind, want = solve_1d_by_piece_loop(foci, r)
+            got = solve_1d(foci, r)
+            assert got.kind is want_kind and typed(got.scalars()) == typed(want), (foci, r)
+
+
+def test_solve_1d_matches_piece_loop_on_float_foci():
+    # 0.1 is 3602879701896397 / 2**55, so the common denominator of these foci is 2**55
+    assert geometry.line_field([0.1, 0.5, -3.0]).D == 2 ** 55
+    rng = random.Random(55)
+    for _ in range(200):
+        foci = [rng.choice((0.1, 0.3, 1e-3, 2.5, -0.7, 1 / 3)) * rng.randint(-9, 9)
+                for _ in range(rng.randint(1, 6))]
+        for r in (0.35, 1, Fraction(7, 3), 12.1, sum(abs(foci[0] - f) for f in foci)):
+            want_kind, want = solve_1d_by_piece_loop(foci, r)
+            got = solve_1d(foci, r)
+            assert got.kind is want_kind and typed(got.scalars()) == typed(want), (foci, r)
+
+
 def test_min_radius_1d_median_keeps_focus_types(line):
     # equal foci of different types keep their input order, so the median's type does too
     for foci, want in [((1, 2, 3), (2, 2)), ((Fraction(1), 2, Fraction(3)), (Fraction(2), 2)),

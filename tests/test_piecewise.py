@@ -249,3 +249,21 @@ def test_interval_union_algebra():
     assert not w.contains(3) and w.contains(Fraction(29, 10))
     assert u.contains_interval(Interval(1, 4))
     assert not u.contains_interval(Interval(4, 8))
+
+
+def test_interval_union_contains_agrees_with_a_scan_of_every_part():
+    rng = random.Random(118)
+    ends = [ke.intervals.NEG_INF, ke.intervals.POS_INF] + [Fraction(v, 2) for v in range(-12, 13)]
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.randint(0, 6)):
+            lo, hi = sorted(rng.sample(ends, 2))
+            if rng.random() < 0.25:                         # a single point
+                lo = hi = rng.choice(ends[2:])
+            elif rng.random() < 0.25 and parts:             # touching the last part
+                lo = parts[-1].hi if parts[-1].hi != ke.intervals.POS_INF else lo
+            parts.append(Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5))
+        for u in (IntervalUnion.of(parts), IntervalUnion.of(parts).without_point(Fraction(1, 2))):
+            probes = {x for p in u.parts for x in (p.lo, p.hi)} | {Fraction(v, 4) for v in range(-60, 61)}
+            for x in probes:
+                assert u.contains(x) is any(p.contains(x) for p in u.parts), (u, x)
