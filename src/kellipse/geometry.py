@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .intervals import Interval, IntervalUnion
 from .metric import _FRACTION, Metric, Point, Space, as_point, exact_eq, is_exact
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "KEllipse",
     "PointClass",
     "SolverError",
-    "distance_sum",
     "classify",
     "min_radius",
     "weiszfeld",
@@ -87,11 +87,6 @@ class SumField:
         for f in self.foci:
             total += self.space.metric.distance_field(pts, f)
         return total
-
-
-def distance_sum(field: SumField, x):
-    """Sum of distances from x to the field's foci."""
-    return field.value(x)
 
 
 @dataclass(frozen=True)
@@ -597,43 +592,45 @@ def solve_1d(foci, r) -> LevelSolution1D:
     return line_field(foci).solve(r)
 
 
+def _level_set_1d(e: KEllipse) -> IntervalUnion:
+    """The exact level set of a 1D continuum, intersected with its membership."""
+    sol = solve_1d([f[0] for f in e.foci], e.r)
+    if sol.kind is SolutionKind.INTERVAL:
+        level = IntervalUnion((Interval(*sol.interval),))
+    else:
+        level = IntervalUnion(tuple(map(Interval.point, sol.points)))
+    # the membership first, so that equal ends keep the solution's own numbers
+    return level if e.space.membership is None else e.space.membership.intersect(level)
+
+
 def members_finite(e: KEllipse) -> list[Point]:
     """All space points lying exactly on the level set.
 
     Finite spaces are scanned directly (exact comparison when the arithmetic
-    stayed rational). A 1D continuum with a membership restriction intersects
-    the exact 1D solution with the membership predicate.
+    stayed rational). On a 1D continuum the exact level set, intersected
+    with the membership restriction if there is one, must be finitely many
+    points; a segment of it raises ValueError.
     """
     if e.space.is_finite:
         return [p for p in e.space.points if exact_eq(e.field.value(p), e.r)]
     if e.space.dimension == 1:
-        sol = solve_1d([f[0] for f in e.foci], e.r)
-        if sol.kind is SolutionKind.INTERVAL:
-            member = e.space.membership
-            if member is None:
-                raise ValueError("level set is a whole segment; member list is infinite")
-            lo, hi = sol.interval
-            inside = [p for p in member.isolated if lo <= p <= hi]
-            for ilo, ihi in member.intervals:
-                if max(lo, ilo) <= min(hi, ihi):
-                    raise ValueError("level set intersects the space in a segment; member list is infinite")
-            return [Point((p,)) for p in sorted(inside)]
-        return [Point((x,)) for x in sol.points if e.space.contains(Point((x,)))]
+        level = _level_set_1d(e)
+        if not all(p.is_point for p in level.parts):
+            raise ValueError("level set meets the space in a segment; member list is infinite")
+        return [Point((p.lo,)) for p in level.parts]
     raise ValueError("members_finite requires a finite space or a 1D continuum")
 
 
 def nonempty(e: KEllipse) -> bool:
     """Whether the level set contains at least one space point.
 
-    On a continuum above the line r is compared with the certified lower
-    bound on the minimum radius, below which the set is certainly empty.
+    On a mixed 1D space the exact level set, intersected with the membership
+    restriction, is tested for emptiness. On any other continuum r is
+    compared with the certified lower bound on the minimum radius, below
+    which the set is certainly empty (on the line, the minimum itself).
     """
     if e.space.is_finite:
         return bool(members_finite(e))
-    r_star, _, lower = _minimum(e.field)
-    if e.space.dimension == 1:
-        if e.space.membership is None:
-            return e.r >= r_star
-        return bool(members_finite(e))
-    return e.r >= lower
-
+    if e.space.membership is not None:
+        return not _level_set_1d(e).is_empty
+    return e.r >= _minimum(e.field)[2]

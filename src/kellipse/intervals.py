@@ -2,13 +2,17 @@
 
 Endpoints are int/Fraction (or +-math.inf); open/closed flags are tracked per
 endpoint so unions of fixed-point sets and radius sets stay exact even for
-discontinuous piecewise maps. Infinite endpoints are always open.
+discontinuous piecewise maps. Infinite endpoints are always open. The same
+types hold every exact subset of the line: fixed sets, radius sets, the
+membership restriction of a mixed space and the regions of a 1D self-map.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .metric import fmt_num
 
@@ -47,6 +51,17 @@ class Interval:
         above = x > self.lo or (x == self.lo and not self.lo_open)
         below = x < self.hi or (x == self.hi and not self.hi_open)
         return above and below
+
+    def mask(self, P: np.ndarray) -> np.ndarray:
+        """`contains` of each row's first coordinate, as a self-map region; an
+        infinite end takes no comparison."""
+        v = P[:, 0]
+        out = np.ones(len(P), dtype=bool)
+        if self.lo != NEG_INF:
+            out &= (v > self.lo) if self.lo_open else (v >= self.lo)
+        if self.hi != POS_INF:
+            out &= (v < self.hi) if self.hi_open else (v <= self.hi)
+        return out
 
     def contains_interval(self, other: "Interval") -> bool:
         if other.is_empty:

@@ -11,9 +11,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .intervals import IntervalUnion
 
 __all__ = [
     "TAU_EQ",
@@ -21,7 +24,6 @@ __all__ = [
     "as_point",
     "Metric",
     "distance",
-    "Membership",
     "Space",
     "sample_points",
     "AxiomViolation",
@@ -245,39 +247,18 @@ def distance(metric: Metric, a, b):
 
 
 @dataclass(frozen=True)
-class Membership:
-    """A 1D point-set union: isolated coordinates plus closed intervals.
-
-    Interval endpoints may be ``-math.inf`` / ``math.inf``. Used to restrict a
-    1D continuum to sets like {-2, -1} U [0, inf).
-    """
-
-    isolated: tuple = ()
-    intervals: tuple = ()     # (lo, hi) pairs
-
-    def __post_init__(self):
-        for lo, hi in self.intervals:
-            if lo > hi:
-                raise ValueError(f"empty membership interval ({lo}, {hi})")
-
-    def contains(self, x) -> bool:
-        if any(x == p for p in self.isolated):
-            return True
-        return any(lo <= x <= hi for lo, hi in self.intervals)
-
-
-@dataclass(frozen=True)
 class Space:
     """A continuum of a given dimension, or a finite point set, with a metric.
 
-    A 1D continuum may carry a Membership restriction (a mixed space); every
+    A 1D continuum may carry a membership restriction, an exact
+    `IntervalUnion` such as {-2} U {-1} U [0, inf) (a mixed space); every
     sampling operation respects it.
     """
 
     metric: Metric
     dimension: int
     points: tuple | None = None          # Finite variant, None for continuum
-    membership: Membership | None = None
+    membership: IntervalUnion | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -294,7 +275,7 @@ class Space:
             raise ValueError("membership restrictions are supported in dimension 1 only")
 
     @classmethod
-    def continuum(cls, dimension: int, metric: Metric, membership: Membership | None = None) -> "Space":
+    def continuum(cls, dimension: int, metric: Metric, membership: IntervalUnion | None = None) -> "Space":
         return cls(metric=metric, dimension=dimension, membership=membership)
 
     @classmethod
@@ -338,7 +319,8 @@ def sample_points(space: Space, n: int, seed: int, window=None) -> list[Point]:
 
     Continuum spaces sample uniformly in `window` (per-axis (lo, hi), default
     (-10, 10)); finite spaces sample from the point list; membership
-    restrictions are honored by sampling each isolated point / interval.
+    restrictions are honored by sampling each isolated point / interval,
+    isolated points first.
     """
     rng = random.Random(seed)
     if space.is_finite:
@@ -346,18 +328,18 @@ def sample_points(space: Space, n: int, seed: int, window=None) -> list[Point]:
     if window is None:
         window = [(-10.0, 10.0)] * space.dimension
     if space.membership is not None:
-        entries = list(space.membership.isolated) + list(space.membership.intervals)
+        parts = space.membership.parts
+        entries = [p for p in parts if p.is_point] + [p for p in parts if not p.is_point]
         lo_w, hi_w = window[0]
         out = []
         for _ in range(n):
             entry = rng.choice(entries)
-            if isinstance(entry, tuple):
-                lo, hi = entry
-                lo = max(float(lo), lo_w) if lo != -math.inf else lo_w
-                hi = min(float(hi), hi_w) if hi != math.inf else hi_w
-                out.append(Point((rng.uniform(lo, hi),)))
+            if entry.is_point:
+                out.append(Point((entry.lo,)))
             else:
-                out.append(Point((entry,)))
+                lo = max(float(entry.lo), lo_w) if entry.lo != -math.inf else lo_w
+                hi = min(float(entry.hi), hi_w) if entry.hi != math.inf else hi_w
+                out.append(Point((rng.uniform(lo, hi),)))
         return out
     return [
         Point(tuple(rng.uniform(lo, hi) for lo, hi in window))

@@ -21,6 +21,9 @@ Schema (version 1), all keys optional unless a subcommand needs them:
 
 Region kinds: on_ellipse (index, tol), in_set (points), interval (lo, hi,
 lo_open, hi_open; null = unbounded), halfspace (coeffs, offset), otherwise.
+An interval region and the membership of a mixed 1D space are exact
+`Interval` / `IntervalUnion` values, null ends becoming -inf / inf; a
+membership interval must have lo <= hi.
 Action kinds: identity, constant (point), affine (slope, intercept),
 rational (num [a, b], den [c, d]).
 
@@ -36,12 +39,13 @@ from importlib import resources
 from pathlib import Path
 
 from .geometry import KEllipse
-from .metric import Membership, Metric, Point, Space
+from .intervals import Interval, IntervalUnion
+from .metric import Metric, Point, Space
 from .piecewise import PiecewiseAffine1D, srelu
 from .tracer import REFINE_TOL, TraceConfig
 from .verifier import (Affine1D, ConstantPoint, Identity, InFiniteSet,
-                       InHalfspace, InInterval, OnEllipse, Otherwise,
-                       Rational1D, SamplePlan, SelfMap, default_plan)
+                       InHalfspace, OnEllipse, Otherwise, Rational1D,
+                       SamplePlan, SelfMap, default_plan)
 
 SCHEMA_VERSION = 1
 
@@ -133,16 +137,18 @@ def _parse_space(obj) -> Space:
         raise SceneError("continuum space needs an integer 'dimension' >= 1")
     membership = None
     if "membership" in obj:
-        isolated, intervals = [], []
+        parts = []
         for entry in obj["membership"]:
             if "point" in entry:
-                isolated.append(_num(entry["point"]))
+                parts.append(Interval.point(_num(entry["point"])))
             elif "interval" in entry:
                 lo, hi = entry["interval"]
-                intervals.append((_num_or_none(lo, -1), _num_or_none(hi, +1)))
+                parts.append(Interval(_num_or_none(lo, -1), _num_or_none(hi, +1)))
+                if parts[-1].is_empty:
+                    raise SceneError(f"empty membership interval {entry['interval']!r}")
             else:
                 raise SceneError(f"bad membership entry {entry!r}")
-        membership = Membership(tuple(isolated), tuple(intervals))
+        membership = IntervalUnion.of(parts)
     return Space.continuum(dim, metric, membership)
 
 
@@ -166,12 +172,8 @@ def _parse_region(obj, ellipses):
     if kind == "in_set":
         return InFiniteSet(tuple(Point([_num(c) for c in p]) for p in obj["points"]))
     if kind == "interval":
-        lo = obj.get("lo")
-        hi = obj.get("hi")
-        return InInterval(None if lo is None else _num(lo),
-                          None if hi is None else _num(hi),
-                          bool(obj.get("lo_open", False)),
-                          bool(obj.get("hi_open", False)))
+        return Interval(_num_or_none(obj.get("lo"), -1), _num_or_none(obj.get("hi"), +1),
+                        bool(obj.get("lo_open", False)), bool(obj.get("hi_open", False)))
     if kind == "halfspace":
         return InHalfspace(tuple(_num(c) for c in obj["coeffs"]), _num(obj["offset"]))
     if kind == "otherwise":

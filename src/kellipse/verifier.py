@@ -38,7 +38,6 @@ __all__ = [
     "ConfigurationError",
     "OnEllipse",
     "InFiniteSet",
-    "InInterval",
     "InHalfspace",
     "Otherwise",
     "Identity",
@@ -56,7 +55,6 @@ __all__ = [
     "ConditionReport",
     "check_condition",
     "check_identity_condition",
-    "check_Ik",
     "TheoremVerdict",
     "THEOREM_FAMILIES",
     "certify",
@@ -100,25 +98,6 @@ class InFiniteSet:
         for p in self.points:
             if len(p) == P.shape[1]:
                 out |= np.logical_and.reduce([col == c for col, c in zip(P.T, p)])
-        return out
-
-
-@dataclass(frozen=True)
-class InInterval:
-    """1D interval predicate; None endpoints mean unbounded."""
-
-    lo: object = None
-    hi: object = None
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def mask(self, P: np.ndarray) -> np.ndarray:
-        v = P[:, 0]
-        out = np.ones(len(P), dtype=bool)
-        if self.lo is not None:
-            out &= ~((v <= self.lo) if self.lo_open else (v < self.lo))
-        if self.hi is not None:
-            out &= ~((v >= self.hi) if self.hi_open else (v > self.hi))
         return out
 
 
@@ -225,13 +204,9 @@ def evaluate(self_map: SelfMap, x) -> Point:
 
 
 def selfmap_from_piecewise(f) -> SelfMap:
-    """Wrap a PiecewiseAffine1D as a rule-table self-map on the line."""
-    rules = []
-    for i, (a, b) in enumerate(f.pieces):
-        dom = f.piece_domain(i)
-        lo = None if dom.lo == -math.inf else dom.lo
-        hi = None if dom.hi == math.inf else dom.hi
-        rules.append((InInterval(lo, hi, dom.lo_open, dom.hi_open), Affine1D(a, b)))
+    """Wrap a PiecewiseAffine1D as a rule-table self-map on the line: each
+    piece's domain, an `Interval`, is its region."""
+    rules = [(f.piece_domain(i), Affine1D(a, b)) for i, (a, b) in enumerate(f.pieces)]
     rules.append((Otherwise(), Identity()))   # unreachable; keeps the table total
     return SelfMap(tuple(rules))
 
@@ -325,7 +300,7 @@ def _plan_1d(e: KEllipse, seed: int, off_count: int, window) -> SamplePlan:
     off: list[Point] = []
     seen = {p[0] for p in on}
     if e.space.membership is not None:
-        for iso in e.space.membership.isolated:
+        for iso in (p.lo for p in e.space.membership.parts if p.is_point):
             if iso not in seen and not exact_eq(e.field.value(Point((iso,))), e.r):
                 off.append(Point((iso,)))
                 seen.add(iso)
@@ -665,11 +640,6 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, images) -> Co
         return ConditionReport(condition_id, verdict, None, worst, (on[i], on[j]), **meta)
 
     raise AssertionError(f"unhandled condition {condition_id}")
-
-
-def check_Ik(m: SelfMap, f: SumField, k: int, plan: SamplePlan) -> ConditionReport:
-    """Alias of check_identity_condition under the condition's report id."""
-    return check_identity_condition(m, f, k, plan)
 
 
 # ---------------------------------------------------------------------------

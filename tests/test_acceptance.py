@@ -40,7 +40,7 @@ def test_criterion_1_exact_1d_level_sets():
     ]:
         sp = Space.finite(pts, Metric.l1())
         assert members_finite(KEllipse(sp, foci, r)) == want
-    mem = ke.Membership(isolated=(-2, -1), intervals=((0, math.inf),))
+    mem = ke.IntervalUnion.of((ke.Interval.point(-2), ke.Interval.point(-1), ke.Interval(0, math.inf)))
     spm = Space.continuum(1, Metric.l1(), mem)
     assert members_finite(KEllipse(spm, ((-2,), (0,), (2,)), 21)) == [(7,)]
     elapsed = time.perf_counter() - t0

@@ -10,8 +10,7 @@ import pytest
 
 import kellipse as ke
 from kellipse import (KEllipse, Metric, PointClass, Space, SumField, classify,
-                      distance_sum, members_finite, min_radius, solve_1d,
-                      weiszfeld)
+                      members_finite, min_radius, solve_1d, weiszfeld)
 from kellipse import geometry
 from kellipse.geometry import TAU_OPT, SolutionKind, SolverError, _line_field, _lower, _minimum
 from kellipse.metric import is_exact
@@ -31,8 +30,8 @@ def brute_min_1d(foci, lo, hi, step=1e-3):
 
 def test_distance_sum_line(line):
     f = SumField(line, ((-1,), (0,), (1,)))
-    assert distance_sum(f, (-3,)) == 9        # 2 + 3 + 4
-    assert distance_sum(f, (0,)) == 2
+    assert f.value((-3,)) == 9        # 2 + 3 + 4
+    assert f.value((0,)) == 2
 
 
 def test_distance_sum_l1_plane(plane_l1):
@@ -598,10 +597,27 @@ def test_members_finite_examples():
 
 
 def test_members_finite_mixed_space():
-    mem = ke.Membership(isolated=(-2, -1), intervals=((0, math.inf),))
+    mem = ke.IntervalUnion.of((ke.Interval.point(-2), ke.Interval.point(-1), ke.Interval(0, math.inf)))
     sp = Space.continuum(1, Metric.l1(), mem)
     e = KEllipse(sp, ((-2,), (0,), (2,)), 21)
     assert members_finite(e) == [(7,)]
+
+
+def test_members_finite_mixed_space_flat_segment_touching_the_half_line():
+    # the flat segment [-1, 0] of foci (-1, 0) at r = 1 meets {-2, -1} U [0, inf)
+    # in the isolated point -1 and the end 0 of the half-line: two points
+    mem = ke.IntervalUnion.of((ke.Interval.point(-2), ke.Interval.point(-1), ke.Interval(0, math.inf)))
+    sp = Space.continuum(1, Metric.l1(), mem)
+    assert members_finite(KEllipse(sp, ((-1,), (0,)), 1)) == [(-1,), (0,)]
+    with pytest.raises(ValueError, match="segment"):
+        members_finite(KEllipse(sp, ((0,), (2,)), 2))     # [0, 2] lies in the half-line
+
+
+def test_nonempty_mixed_space_flat_segment_inside_the_half_line():
+    mem = ke.IntervalUnion.of((ke.Interval.point(-2), ke.Interval.point(-1), ke.Interval(0, math.inf)))
+    sp = Space.continuum(1, Metric.l1(), mem)
+    assert ke.nonempty(KEllipse(sp, ((0,), (2,)), 2))          # the whole segment [0, 2]
+    assert not ke.nonempty(KEllipse(sp, ((-2,), (-1,)), 2))     # {-5/2, -1/2}: neither a member
 
 
 def test_nonempty():

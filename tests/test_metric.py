@@ -121,7 +121,7 @@ def test_finite_space_dedupe_keeps_first_seen_point():
 
 def test_membership_restriction():
     import math
-    mem = ke.Membership(isolated=(-2, -1), intervals=((0, math.inf),))
+    mem = ke.IntervalUnion.of((ke.Interval.point(-2), ke.Interval.point(-1), ke.Interval(0, math.inf)))
     sp = Space.continuum(1, Metric.l1(), mem)
     assert sp.contains((-2,)) and sp.contains((0,)) and sp.contains((17.5,))
     assert not sp.contains((-0.5,)) and not sp.contains((-3,))

@@ -266,6 +266,18 @@ def test_cli_missing_scene_is_usage_error(capsys):
     assert main(["verify", "/nonexistent/scene.json", "--theorem", "t1"]) == 2
 
 
+def test_cli_reversed_membership_interval_is_usage_error(tmp_path, capsys):
+    data = {"space": {"kind": "continuum", "dimension": 1, "metric": {"kind": "l1"},
+                      "membership": [{"point": -2}, {"interval": [3, 1]}]},
+            "ellipse": {"foci": [[-2]], "r": 1}}
+    with pytest.raises(SceneError, match="membership"):
+        parse_scene(data)
+    p = tmp_path / "reversed.json"
+    p.write_text(json.dumps(data))
+    assert main(["median", str(p)]) == 2
+    assert "membership" in capsys.readouterr().err
+
+
 def test_cli_bad_json_is_usage_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
