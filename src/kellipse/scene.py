@@ -143,9 +143,10 @@ def _parse_space(obj) -> Space:
                 parts.append(Interval.point(_num(entry["point"])))
             elif "interval" in entry:
                 lo, hi = entry["interval"]
-                parts.append(Interval(_num_or_none(lo, -1), _num_or_none(hi, +1)))
-                if parts[-1].is_empty:
+                iv = Interval(_num_or_none(lo, -1), _num_or_none(hi, +1))
+                if iv.is_empty:
                     raise SceneError(f"empty membership interval {entry['interval']!r}")
+                parts.append(iv)
             else:
                 raise SceneError(f"bad membership entry {entry!r}")
         membership = IntervalUnion.of(parts)
