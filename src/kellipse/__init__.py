@@ -10,8 +10,7 @@ from .geometry import (KEllipse, LevelSolution1D, PointClass, SolutionKind,
                        SolverError, SumField, classify, members_finite,
                        min_radius, nonempty, solve_1d, weiszfeld)
 from .intervals import Interval, IntervalUnion
-from .metric import (AxiomReport, Metric, Point, Space, as_point, distance,
-                     sample_points, verify_metric_axioms)
+from .metric import AxiomReport, Metric, Point, Space, as_point, sample_points, verify_metric_axioms
 from .piecewise import (FixedSet1D, PiecewiseAffine1D, fixed_kellipse_radii,
                         fixed_point_set, is_fixed_kellipse, srelu)
 from .scene import Scene, SceneError, fixture_names, fixture_path, fixture_scene, load_scene
@@ -21,7 +20,7 @@ from .verifier import (Affine1D, ConditionReport, ConfigurationError,
                        ConstantPoint, Identity, InFiniteSet, InHalfspace,
                        OnEllipse, Otherwise, Rational1D, SamplePlan, SelfMap,
                        TheoremVerdict, certify, check_condition,
-                       check_identity_condition, default_plan, evaluate,
+                       check_identity_condition, default_plan,
                        exhaustive_plan, fixed_points_on, make_fixing_map,
                        selfmap_from_piecewise)
 

@@ -93,7 +93,7 @@ def cmd_verify(args) -> int:
 
     if theorem == "t5":
         verdict = None
-        reports = {"Ik": check_identity_condition(scene.self_map, e.field, len(e.foci), plan)}
+        reports = {"Ik": check_identity_condition(scene.self_map, e.field, plan)}
         family = "identity-forcing"
     elif theorem in THEOREM_FAMILIES:
         verdict = certify(theorem, scene.self_map, e, plan)

@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import Interval, IntervalUnion
-from .metric import _FRACTION, Metric, Point, Space, as_point, exact_eq, is_exact
+from .metric import (_FRACTION, TAU_OPT, Metric, Point, Space, as_exact, as_point, as_ratio,
+                     exact_eq, float_below, is_exact)
 
 __all__ = [
     "SumField",
@@ -38,7 +39,6 @@ __all__ = [
     "nonempty",
 ]
 
-TAU_OPT = 1e-9      # optimality gap of the dual bracket, relative to max(1, r)
 MAX_ITER = 10_000
 LINE_SEARCH_HALVINGS = 60
 
@@ -133,10 +133,6 @@ def classify(e: KEllipse, x, tol) -> PointClass:
 # minimum radius (geometric median)
 # ---------------------------------------------------------------------------
 
-def _exact(x):
-    return x if is_exact(x) else Fraction(x)
-
-
 def min_radius(field: SumField):
     """Minimum of the sum-of-distances field and a point attaining it.
 
@@ -177,7 +173,7 @@ def _minimum(field: SumField) -> tuple:
     # on either side of the exact minimum, so the bound is the float below it
     arg = Point(med if all(is_exact(c) for f in field.foci for c in f) else map(float, med))
     value = field.value(arg)
-    return value, arg, value if is_exact(value) else min(value, _float_below(r_star))
+    return value, arg, value if is_exact(value) else min(value, float_below(r_star))
 
 
 def _median(foci, rotate: bool) -> tuple:
@@ -188,7 +184,7 @@ def _median(foci, rotate: bool) -> tuple:
     max(|a|, |b|) = (|a + b| + |a - b|) / 2 makes the field half the L1 field
     of the rotated foci.
     """
-    cols = [[_exact(c) for c in col] for col in zip(*foci)]
+    cols = [[as_exact(c) for c in col] for col in zip(*foci)]
     if rotate:
         cols = [[a + b for a, b in zip(*cols)], [a - b for a, b in zip(*cols)]]
     lines = [line_field(col) for col in cols]
@@ -264,16 +260,6 @@ def _simplex(t: np.ndarray, columns: list) -> list:
         j = enter[0]
         pivot(min(np.flatnonzero(t[:-1, j] > 0), key=lambda r: (t[r, -1] / t[r, j], basis[r])), j)
     return basis
-
-
-def _float_below(q) -> float:
-    """The largest float <= the exact number q."""
-    f = float(q)
-    return f if f <= q else math.nextafter(f, -math.inf)
-
-
-def _coords(foci) -> np.ndarray:
-    return np.array([[float(c) for c in f] for f in foci])
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +342,7 @@ class WeiszfeldResult:
     converged: bool      # the bracket has closed
 
 
-def weiszfeld(foci, start=None, max_iter: int = MAX_ITER, p: float = 2.0) -> WeiszfeldResult:
+def weiszfeld(foci, max_iter: int = MAX_ITER, p: float = 2.0) -> WeiszfeldResult:
     """The geometric median under L2 (or Lp, p > 1) by damped Newton with a monotone line search.
 
     The Newton step solves the closed-form Hessian of the field, sum_i
@@ -373,8 +359,8 @@ def weiszfeld(foci, start=None, max_iter: int = MAX_ITER, p: float = 2.0) -> Wei
     if not p > 1:
         raise ValueError(f"damped Newton needs p > 1, got {p}")
     metric = Metric.l2() if p == 2 else Metric.lp(p)
-    pts = _coords(foci)
-    x = pts.mean(axis=0) if start is None else np.array([float(c) for c in as_point(start)])
+    pts = np.array(foci, dtype=float)
+    x = pts.mean(axis=0)
     extent = max(1.0, float(np.ptp(pts, axis=0).max()))
 
     def obj(y):
@@ -526,7 +512,7 @@ class LineField:
 
     def solve(self, r) -> LevelSolution1D:
         """Exactly solve field(x) = r, for r = n/d, in integers: one Fraction per branch point."""
-        n, d = _ratio(r)
+        n, d = as_ratio(r)
         k, A = len(self.fs), self.A
         m = (k - 1) // 2
         nD, star = n * self.D, d * A[m]
@@ -546,19 +532,10 @@ class LineField:
                                                      Fraction(nD - self.C[j] * d, (2 * j - k) * dD)))
 
 
-def _ratio(x) -> tuple:
-    """x as (n, d) with x == n/d and d > 0, as `Fraction(x)` takes it."""
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:      # numpy integers have none
-        q = Fraction(x)
-        return int(q.numerator), int(q.denominator)
-
-
 def line_field(foci) -> LineField:
     """The memoized exact line field of 1D foci (ints stay ints, other foci become Fractions)."""
     foci = tuple(foci)
-    return _line_field(tuple(map(type, foci)), tuple(map(_ratio, foci)))
+    return _line_field(tuple(map(type, foci)), tuple(map(as_ratio, foci)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -624,13 +601,13 @@ def members_finite(e: KEllipse) -> list[Point]:
 def nonempty(e: KEllipse) -> bool:
     """Whether the level set contains at least one space point.
 
-    On a mixed 1D space the exact level set, intersected with the membership
-    restriction, is tested for emptiness. On any other continuum r is
+    On the line the exact level set, intersected with the membership
+    restriction if there is one, is tested for emptiness. Above it r is
     compared with the certified lower bound on the minimum radius, below
-    which the set is certainly empty (on the line, the minimum itself).
+    which the set is certainly empty.
     """
     if e.space.is_finite:
         return bool(members_finite(e))
-    if e.space.membership is not None:
+    if e.space.dimension == 1:
         return not _level_set_1d(e).is_empty
     return e.r >= _minimum(e.field)[2]

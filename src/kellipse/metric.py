@@ -1,4 +1,5 @@
-"""Points, Minkowski metrics, and metric spaces (continuum, finite, or mixed).
+"""Points, Minkowski metrics, metric spaces (continuum, finite, or mixed), and
+the numeric policy: every float tolerance and the exact-number helpers.
 
 Coordinates may be int, float, or Fraction. Exact types are preserved through
 distance computations wherever the metric allows (L1, Linf, and any metric in
@@ -23,7 +24,6 @@ __all__ = [
     "Point",
     "as_point",
     "Metric",
-    "distance",
     "Space",
     "sample_points",
     "AxiomViolation",
@@ -31,7 +31,15 @@ __all__ = [
     "verify_metric_axioms",
 ]
 
-TAU_EQ = 1e-9   # point-coincidence tolerance on continuum spaces
+# the float tolerances; exact (int/Fraction) comparisons take no slack
+TAU_EQ = 1e-9         # absolute: float coordinates, or a float field value and r, that coincide
+TAU_OPT = 1e-9        # relative to max(1, r): gap at which min_radius's dual bracket is closed
+REFINE_TOL = 1e-9     # absolute: default bound on |field - r| at every traced point
+PRUNE_SLACK = 1e-9    # relative to 1 + |r|: added to the Lipschitz reach when the sign grid prunes a block
+TAU_COND = 1e-9       # absolute: a condition's inequality slack on float plans
+TAU_IDENT = 1e-9      # absolute: the step d(x, Tx) within which a float point is fixed
+STRICT_MARGIN = 1e-9  # absolute: the gap a float constant needs below an open threshold
+TAU_TRI = 1e-9        # absolute: the triangle-inequality excess verify_metric_axioms reports
 P_MIN = 1.0
 P_MAX = 64.0    # larger p overflows double powers; reject at construction
 
@@ -39,6 +47,36 @@ P_MAX = 64.0    # larger p overflows double powers; reject at construction
 def is_exact(v) -> bool:
     """Whether v is an exact number: an int or a Fraction, not a bool."""
     return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+def exact_points(r, *groups) -> bool:
+    """Whether the radius r and every coordinate of every point in the groups are exact."""
+    return is_exact(r) and all(is_exact(c) for pts in groups for p in pts for c in p)
+
+
+def as_exact(x):
+    """x as an exact number: an int or Fraction as it is, any other real as its Fraction."""
+    return x if is_exact(x) else Fraction(x)
+
+
+def as_ratio(x) -> tuple:
+    """x as (n, d) with x == n/d and d > 0, as `Fraction(x)` takes it."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:      # numpy integers have none
+        q = Fraction(x)
+        return int(q.numerator), int(q.denominator)
+
+
+def float_below(q) -> float:
+    """The largest float <= the exact number q."""
+    f = float(q)
+    return f if f <= q else math.nextafter(f, -math.inf)
+
+
+def exact_div(num, den):
+    """num / den, a Fraction when both are exact (an int over an int would give a float)."""
+    return Fraction(num) / den if is_exact(num) and is_exact(den) else num / den
 
 
 _FRACTION = np.frompyfunc(Fraction, 1, 1)   # elementwise exact conversion into an object array
@@ -241,11 +279,6 @@ def _fold(op, g: list) -> np.ndarray:
     return acc
 
 
-def distance(metric: Metric, a, b):
-    """Free-function form of Metric.distance."""
-    return metric.distance(as_point(a), as_point(b))
-
-
 @dataclass(frozen=True)
 class Space:
     """A continuum of a given dimension, or a finite point set, with a metric.
@@ -366,18 +399,18 @@ class AxiomReport:
         return not self.violations
 
 
-def verify_metric_axioms(space: Space, sample_count: int, seed: int = 0,
-                         tau_tri: float = 1e-9, window=None) -> AxiomReport:
+def verify_metric_axioms(space: Space, sample_count: int, seed: int = 0) -> AxiomReport:
     """Check the metric axioms on seeded sample triples.
 
     Violations are report content, not errors: the report lists each
-    offending triple with the violated axiom and the violation amount.
+    offending triple with the violated axiom and the violation amount. A
+    triangle excess counts when it is above TAU_TRI.
     """
     if sample_count < 3:
         raise ValueError("sample_count must be >= 3")
     d = space.metric.distance
     violations: list[AxiomViolation] = []
-    samples = sample_points(space, 3 * sample_count, seed, window=window)
+    samples = sample_points(space, 3 * sample_count, seed)
     for i in range(sample_count):
         a, b, c = samples[3 * i: 3 * i + 3]
         dab, dba = d(a, b), d(b, a)
@@ -390,6 +423,6 @@ def verify_metric_axioms(space: Space, sample_count: int, seed: int = 0,
         if dab <= TAU_EQ and max(abs(x - y) for x, y in zip(a, b)) > TAU_EQ:
             violations.append(AxiomViolation("identity", (a, b), float(dab)))
         gap = d(a, c) - (dab + d(b, c))
-        if gap > tau_tri:
+        if gap > TAU_TRI:
             violations.append(AxiomViolation("triangle", (a, b, c), float(gap)))
     return AxiomReport(space.metric, sample_count, seed, tuple(violations))

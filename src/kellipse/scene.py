@@ -40,9 +40,9 @@ from pathlib import Path
 
 from .geometry import KEllipse
 from .intervals import Interval, IntervalUnion
-from .metric import Metric, Point, Space
+from .metric import REFINE_TOL, Metric, Point, Space
 from .piecewise import PiecewiseAffine1D, srelu
-from .tracer import REFINE_TOL, TraceConfig
+from .tracer import TraceConfig
 from .verifier import (Affine1D, ConstantPoint, Identity, InFiniteSet,
                        InHalfspace, OnEllipse, Otherwise, Rational1D,
                        SamplePlan, SelfMap, default_plan)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import KEllipse, SolverError, SumField
-from .metric import TAU_EQ, Point, fmt_num
+from .metric import PRUNE_SLACK, REFINE_TOL, TAU_EQ, Point, fmt_num
 
 __all__ = [
     "TraceConfig",
@@ -46,7 +46,6 @@ MAX_RESOLUTION = 4096
 # have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
-REFINE_TOL = 1e-9           # default bound on |field - r| at every traced point
 BLOCK = 8                   # cells per axis of a pruning block
 EVAL_CHUNK = 1 << 16        # grid nodes per field evaluation
 FORMAT_ROWS = 1 << 12       # rows formatted per % operation by _format_rows
@@ -149,7 +148,7 @@ def _sign_grid(f: SumField, r: float, axes) -> tuple:
     blocks = tuple(len(lo) for lo in starts)
     fc = (f.values(rows(centres)) - r).reshape(blocks)
     radius = f.k * f.space.metric.distance_field(rows(halves), np.zeros(len(axes))).reshape(blocks)
-    evaluated = np.abs(fc) <= radius + 1e-9 * (1 + abs(r))
+    evaluated = np.abs(fc) <= radius + PRUNE_SLACK * (1 + abs(r))
     neg = fc < 0
     # node i lies in blocks (i - 1) // BLOCK and i // BLOCK, clipped to the grid
     for axis, n in enumerate(shape):

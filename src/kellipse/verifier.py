@@ -9,9 +9,10 @@ metric keeps rationals (the line, L1, Linf) and the foci, the radius, the
 plan points and their images all have int/Fraction coordinates, the kernel
 runs on object arrays in rational arithmetic with zero slack, and the report
 is "exact": every margin is an int or a Fraction. Every other input runs on
-float arrays with a 1e-9 slack. Pair conditions fit the minimal feasible
-constant and report the witness pair (the first in plan order on ties);
-every verdict is qualified by whether the plan was exhaustive.
+float arrays with the slack `metric.TAU_COND`. Pair conditions fit the
+minimal feasible constant and report the witness pair (the first in plan
+order on ties); every verdict is qualified by whether the plan was
+exhaustive.
 
 Condition families (classical contraction types):
   Ek1 Caristi-type descent          Ek2 image-not-interior
@@ -32,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import KEllipse, SolutionKind, SumField, solve_1d
-from .metric import _FRACTION, TAU_EQ, Point, Space, as_point, exact_eq, is_exact
+from .metric import (_FRACTION, STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, as_point,
+                     exact_div, exact_eq, exact_points, is_exact)
 
 __all__ = [
     "ConfigurationError",
@@ -45,7 +47,6 @@ __all__ = [
     "Affine1D",
     "Rational1D",
     "SelfMap",
-    "evaluate",
     "selfmap_from_piecewise",
     "SamplePlan",
     "exhaustive_plan",
@@ -61,11 +62,6 @@ __all__ = [
     "make_fixing_map",
     "fixed_points_on",
 ]
-
-TAU_COND = 1e-9     # inequality slack on floating-point plans (0 when exact)
-TAU_IDENT = 1e-9    # fixed-point identification tolerance
-STRICT_MARGIN = 1e-9  # required gap below open-interval constant thresholds
-
 
 class ConfigurationError(RuntimeError):
     """A self-map rule table failed to produce a value (gap or guard hit)."""
@@ -162,11 +158,7 @@ class Rational1D:
         dv = c * x[0] + d
         if dv == 0:
             raise ConfigurationError(f"rational action evaluated at its pole x={x[0]}")
-        return Point((_div(nv, dv),))
-
-
-def _div(num, den):
-    return Fraction(num) / den if is_exact(num) and is_exact(den) else num / den
+        return Point((exact_div(nv, dv),))
 
 
 @dataclass(frozen=True)
@@ -196,11 +188,6 @@ class SelfMap:
                 raise ConfigurationError(f"no rule matches {x}; add a final Otherwise rule")
             images.append(self.rules[j][1](x))
         return images
-
-
-def evaluate(self_map: SelfMap, x) -> Point:
-    """Apply the first matching rule's action to x."""
-    return self_map(x)
 
 
 def selfmap_from_piecewise(f) -> SelfMap:
@@ -245,8 +232,7 @@ def exhaustive_plan(e: KEllipse) -> SamplePlan:
         v = e.field.value(p)
         target = on if exact_eq(v, e.r) else off
         target.append(p)
-    exact = (e.space.keeps_rationals and is_exact(e.r)
-             and all(all(is_exact(c) for c in p) for p in e.space.points))
+    exact = e.space.keeps_rationals and exact_points(e.r, e.space.points)
     return SamplePlan(e.space, tuple(on), tuple(off), seed=0, exhaustive=True, exact=exact)
 
 
@@ -317,7 +303,7 @@ def _plan_1d(e: KEllipse, seed: int, off_count: int, window) -> SamplePlan:
             continue
         off.append(p)
         seen.add(x)
-    exact = is_exact(e.r) and all(is_exact(f[0]) for f in e.foci)
+    exact = exact_points(e.r, e.foci)
     return SamplePlan(e.space, tuple(on), tuple(off), seed=seed, exhaustive=False, exact=exact)
 
 
@@ -424,22 +410,21 @@ def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
         raise ValueError(f"{condition_id!r} is not a constant-fitting pair condition")
     if den <= tau:
         return None if num <= tau else math.inf
-    return _div(num, den)
+    return exact_div(num, den)
 
 
 def ik_margin(m: SelfMap, f: SumField, k: int, x: Point, tx: Point | None = None):
     """Slack of the identity-forcing bound at x (negative = violated)."""
     d = f.space.metric.distance
     tx = m(x) if tx is None else tx
-    return _div(f.value(x) - f.value(tx), k + 1) - d(x, tx)
+    return exact_div(f.value(x) - f.value(tx), k + 1) - d(x, tx)
 
 
 def _runs_exact(plan: SamplePlan, f: SumField, points, images, r) -> bool:
     """Rational arithmetic decides a check: an exact plan under a metric that
     keeps rationals (any metric on the line, L1 and Linf), with int/Fraction
     foci, radius, points and images. Every margin is then exact."""
-    return (plan.exact and f.space.keeps_rationals and is_exact(r)
-            and all(is_exact(c) for pts in (f.foci, points, images) for p in pts for c in p))
+    return plan.exact and f.space.keeps_rationals and exact_points(r, f.foci, points, images)
 
 
 def _fit_report(condition_id, fitted, threshold, strict, witness, meta) -> ConditionReport:
@@ -461,20 +446,19 @@ def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan
     if condition_id not in CONDITION_IDS:
         raise ValueError(f"unknown condition id {condition_id!r}; choose from {CONDITION_IDS}")
     if condition_id == "Ik":
-        return check_identity_condition(m, e.field, len(e.foci), plan)
+        return check_identity_condition(m, e.field, plan)
     return _check(condition_id, e.field, e.r, e.k, plan, _images(m, plan, (condition_id,)))
 
 
-def check_identity_condition(m: SelfMap, f: SumField, k: int | None, plan: SamplePlan) -> ConditionReport:
-    """Check d(x, Tx) <= (sum-field drop)/(k+1) over the whole plan.
+def check_identity_condition(m: SelfMap, f: SumField, plan: SamplePlan) -> ConditionReport:
+    """Check d(x, Tx) <= (sum-field drop)/(k+1), for k foci, over the whole plan.
 
     A passing point is necessarily a fixed point (the bound self-collapses);
     the report notes the last passing point that moves by more than
     TAU_IDENT, which only float rounding can produce. The check runs in the
     condition kernel on exact or float arrays, as in check_condition.
     """
-    k = len(f.foci) if k is None else k
-    return _check("Ik", f, 0, k, plan, _images(m, plan, ("Ik",)))
+    return _check("Ik", f, 0, len(f.foci), plan, _images(m, plan, ("Ik",)))
 
 
 def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:

@@ -213,7 +213,7 @@ def test_criterion_7_identity_forcing_property_suite():
     # the identity map passes everywhere
     e = KEllipse(line, ((-1,), (0,), (1,)), 9)
     plan = ke.default_plan(e, seed=3, off_count=128)
-    rep = ke.check_identity_condition(identity_map, e.field, 3, plan)
+    rep = ke.check_identity_condition(identity_map, e.field, plan)
     assert rep.verdict == PASS and rep.worst_margin == 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

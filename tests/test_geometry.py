@@ -12,8 +12,8 @@ import kellipse as ke
 from kellipse import (KEllipse, Metric, PointClass, Space, SumField, classify,
                       members_finite, min_radius, solve_1d, weiszfeld)
 from kellipse import geometry
-from kellipse.geometry import TAU_OPT, SolutionKind, SolverError, _line_field, _lower, _minimum
-from kellipse.metric import is_exact
+from kellipse.geometry import SolutionKind, SolverError, _line_field, _lower, _minimum
+from kellipse.metric import TAU_OPT, is_exact
 
 
 def brute_min_1d(foci, lo, hi, step=1e-3):
@@ -627,6 +627,17 @@ def test_nonempty():
     line = Space.continuum(1, Metric.l1())
     assert ke.nonempty(KEllipse(line, ((-1,), (0,), (1,)), 2))
     assert not ke.nonempty(KEllipse(line, ((-1,), (0,), (1,)), 1))
+
+
+def test_nonempty_on_the_line_is_the_exact_level_set():
+    # with float foci the float r* can lie below the exact minimum, where the
+    # exact level set is empty
+    rng = random.Random(3)
+    line = Space.continuum(1, Metric.l1())
+    for _ in range(2000):
+        foci = tuple((rng.uniform(-9, 9),) for _ in range(rng.randint(1, 7)))
+        r = min_radius(SumField(line, foci))[0]
+        assert ke.nonempty(KEllipse(line, foci, r)) == (not solve_1d([f[0] for f in foci], r).is_empty)
 
 
 def test_convexity_midpoint_property():

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,11 +155,6 @@ def test_sample_points_deterministic():
     assert ke.sample_points(sp, 10, seed=3) != ke.sample_points(sp, 10, seed=4)
 
 
-def test_distance_free_function():
-    assert ke.distance(Metric.l1(), (1, 0), (0, 1)) == 2
-    assert ke.distance(Metric.l2(), 3, 7) == 4     # scalars coerce to 1D points
-
-
 class _Asymmetric(Metric):
     """Deliberately broken metric used to exercise violation reporting."""
 
@@ -240,3 +237,14 @@ def test_interval_text_and_csv_cells_agree_with_the_former_formatters():
         assert export_csv([(v, v)]) == f"x,y\n{_csv_num(v)},{_csv_num(v)}\n"
         if isinstance(v, float):
             assert export_csv(np.array([[v, v]])) == f"x,y\n{_csv_num(v)},{_csv_num(v)}\n"
+
+
+def test_tolerances_are_defined_only_in_metric():
+    # every float tolerance is a named constant of kellipse.metric, so no
+    # other module may hold a small float literal
+    src = Path(ke.__file__).parent
+    found = [f"{path.name}:{node.lineno}: {node.value!r}"
+             for path in sorted(src.glob("*.py")) if path.name != "metric.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-6]
+    assert not found, found

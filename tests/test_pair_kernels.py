@@ -23,9 +23,9 @@ from kellipse import (Affine1D, ConstantPoint, Identity, InFiniteSet, InHalfspac
                       SumField, check_condition, default_plan, exhaustive_plan,
                       make_fixing_map, min_radius)
 from kellipse.cli import main
-from kellipse.verifier import (CONDITION_IDS, FAIL, PAIR_FIT, PASS, POINTWISE_IDS,
-                               STRICT_MARGIN, TAU_COND, TAU_IDENT, VACUOUS, RadiusGap,
-                               ik_margin, pair_ratio, pointwise_margin)
+from kellipse.metric import STRICT_MARGIN, TAU_COND, TAU_IDENT
+from kellipse.verifier import (CONDITION_IDS, FAIL, PAIR_FIT, PASS, POINTWISE_IDS, VACUOUS,
+                               RadiusGap, ik_margin, pair_ratio, pointwise_margin)
 
 METRICS = (Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(3))
 

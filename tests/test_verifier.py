@@ -10,7 +10,7 @@ from kellipse import (Affine1D, ConfigurationError, ConstantPoint, Identity,
                       InFiniteSet, InHalfspace, Interval, KEllipse, Metric,
                       OnEllipse, Otherwise, PointClass, Rational1D, SelfMap,
                       Space, certify, check_condition, check_identity_condition,
-                      classify, default_plan, evaluate, exhaustive_plan,
+                      classify, default_plan, exhaustive_plan,
                       fixed_points_on, make_fixing_map, selfmap_from_piecewise)
 from kellipse.verifier import (FAIL, PASS, VACUOUS, _radical_inverse, ik_margin, pair_ratio,
                                pointwise_margin)
@@ -38,37 +38,37 @@ def plan9(line_ellipse):
 # ---------------------------------------------------------------------------
 
 def test_evaluate_rule_table(line_ellipse):
-    assert evaluate(COLLAPSE_T, (3,)) == (0,)
-    assert evaluate(COLLAPSE_T, (-3,)) == (0,)
-    assert evaluate(COLLAPSE_T, (5,)) == (-3,)
+    assert COLLAPSE_T((3,)) == (0,)
+    assert COLLAPSE_T((-3,)) == (0,)
+    assert COLLAPSE_T((5,)) == (-3,)
 
 
 def test_evaluate_identity_and_rational():
     ident = SelfMap(((Otherwise(), Identity()),))
-    assert evaluate(ident, (7,)) == (7,)
+    assert ident((7,)) == (7,)
     recip = SelfMap(((Otherwise(), Rational1D((0, 1), (1, 1))),))
-    assert evaluate(recip, (0,)) == (1,)
-    assert evaluate(recip, (1,)) == (Fraction(1, 2),)
+    assert recip((0,)) == (1,)
+    assert recip((1,)) == (Fraction(1, 2),)
     with pytest.raises(ConfigurationError):
-        evaluate(recip, (-1,))     # pole not excluded by any region
+        recip((-1,))     # pole not excluded by any region
 
 
 def test_evaluate_no_matching_rule():
     gap = SelfMap(((Interval(0, 1), Identity()),))
     with pytest.raises(ConfigurationError):
-        evaluate(gap, (5,))
+        gap((5,))
 
 
 def test_affine_action_exact():
     m = SelfMap(((Otherwise(), Affine1D(Fraction(1, 2), 3)),))
-    assert evaluate(m, (Fraction(1, 3),)) == (Fraction(19, 6),)
+    assert m((Fraction(1, 3),)) == (Fraction(19, 6),)
 
 
 def test_selfmap_from_piecewise_matches_direct_evaluation():
     f = ke.srelu(-6, 2, 6, 3)
     m = selfmap_from_piecewise(f)
     for x in (-8, -6, Fraction(-11, 2), 0, 6, 10):
-        assert evaluate(m, (x,)) == (f(x),)
+        assert m((x,)) == (f(x),)
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +148,13 @@ def test_chatterjea_constant_exact_four_sevenths():
     h = rep.fitted_constant - Fraction(1, 10 ** 9)
     x, y = rep.witness
     d = sp.metric.distance
-    tx, ty = evaluate(m, x), evaluate(m, y)
+    tx, ty = m(x), m(y)
     assert d(tx, ty) > h * (d(tx, y) + d(ty, x))
     # independent exhaustive oracle over all on x off pairs
-    best = max(Fraction(d(evaluate(m, x), evaluate(m, yy)),
-                        d(evaluate(m, x), yy) + d(evaluate(m, yy), x))
+    best = max(Fraction(d(m(x), m(yy)),
+                        d(m(x), yy) + d(m(yy), x))
                for yy in plan.off_ellipse
-               if d(evaluate(m, x), yy) + d(evaluate(m, yy), x) != 0)
+               if d(m(x), yy) + d(m(yy), x) != 0)
     assert best == Fraction(4, 7)
     assert check_condition("E'k1", m, e, plan).verdict == PASS
     assert check_condition("E'k2", m, e, plan).verdict == PASS
@@ -206,7 +206,7 @@ def test_slack_interior_bound_fit(line_ellipse, plan9):
 
 def test_ik_identity_passes_everywhere(line_ellipse, plan9):
     ident = SelfMap(((Otherwise(), Identity()),))
-    rep = check_identity_condition(ident, line_ellipse.field, 3, plan9)
+    rep = check_identity_condition(ident, line_ellipse.field, plan9)
     assert rep.condition_id == "Ik" and rep.verdict == PASS and rep.worst_margin == 0
     assert check_condition("Ik", ident, line_ellipse, plan9).verdict == PASS
 
@@ -219,7 +219,7 @@ def test_ik_collapse_map_fails_with_derived_margin(line_ellipse):
 
 def test_ik_constant_map_fails_off_target(line_ellipse, plan9):
     const = SelfMap(((Otherwise(), ConstantPoint((0,))),))
-    rep = check_identity_condition(const, line_ellipse.field, 3, plan9)
+    rep = check_identity_condition(const, line_ellipse.field, plan9)
     assert rep.verdict == FAIL
     for x in plan9.all_points:
         if x == (0,):
@@ -306,7 +306,7 @@ def test_theorem1_soundness_on_finite_plans():
     assert v.existence_certified and v.uniqueness_certified
     assert v.reports["Ek3"].fitted_constant == Fraction(1, 3)
     for x in plan.on_ellipse:
-        assert sp.metric.distance(x, evaluate(m, x)) == 0
+        assert sp.metric.distance(x, m(x)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +315,9 @@ def test_theorem1_soundness_on_finite_plans():
 
 def test_make_fixing_map_single(line_ellipse):
     m = make_fixing_map([line_ellipse], (0,))       # field value 2 != 9
-    assert evaluate(m, (3,)) == (3,)
-    assert evaluate(m, (-3,)) == (-3,)
-    assert evaluate(m, (4,)) == (0,)
+    assert m((3,)) == (3,)
+    assert m((-3,)) == (-3,)
+    assert m((4,)) == (0,)
 
 
 def test_make_fixing_map_rejects_on_set_fallback(line_ellipse):
@@ -381,7 +381,7 @@ def test_kannan_fit_minimality(line_ellipse, plan9):
     h = rep.fitted_constant - Fraction(1, 10 ** 9)
     x, y = rep.witness
     d = line_ellipse.space.metric.distance
-    tx, ty = evaluate(FAR_H, x), evaluate(FAR_H, y)
+    tx, ty = FAR_H(x), FAR_H(y)
     assert d(tx, ty) > h * (d(tx, x) + d(ty, y))
 
 
