@@ -4,17 +4,19 @@
         [--workloads cloud3d plane2d certify2d exact1d] [--seeds 802 ... 811]
 
 The parent is exported with `git archive` into a temporary directory and
-benchmarked there with its own `bench/run.py`; the change is this checkout as
-it stands. Workloads and run length come from BENCHMARK.json. For every
+benchmarked there with its own `bench/run.py`; the change is copied beside it
+from this checkout as it stands, tracked and untracked files alike except the
+ignored ones (`git ls-files -co --exclude-standard`). The two copies, at
+`<tmp>/parent` and `<tmp>/change`, have paths of the same length and no
+bytecode caches, so a difference between them is one of code, not of
+directory or cache state. Workloads and run length come from BENCHMARK.json. For every
 workload and seed the parent and the change run back to back, the parent
 first on every other seed, so that slow drift of the machine falls on both
 alike; ten seeds (ten pairs, the default) are the fewest from which a gain
 may be claimed. Each run takes about the run length plus 10 s.
 
 Before any timing, both trees are byte-compiled (`python -m compileall -q
-src`). The export has no `__pycache__` while the checkout may hold `.pyc`
-files from earlier runs, so without this `setup_s` would compare bytecode
-caches, not code.
+src`), so that every run imports from fresh `.pyc` files.
 
 The record keeps the final JSON line of every run; per workload and
 end-to-end metric, each side's quartiles and the number of pairs the change
@@ -31,6 +33,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +58,17 @@ def export(rev: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def copy_worktree(into: Path) -> Path:
+    """This checkout's tracked and untracked, not ignored, files as they stand, copied under `into`."""
+    into.mkdir()
+    for name in git("ls-files", "-co", "--exclude-standard").splitlines():
+        src = ROOT / name
+        if src.is_file():               # a tracked file deleted in the working tree is left out
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, into / name)
     return into
 
 
@@ -107,7 +121,8 @@ def main() -> int:
     seconds = spec["run_seconds"]
 
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
+        sides = {"parent": export(args.parent, Path(tmp) / "parent"),
+                 "change": copy_worktree(Path(tmp) / "change")}
         for path in sides.values():
             compile_tree(path)
         record = {

@@ -347,23 +347,21 @@ class Space:
         return pt
 
 
-def sample_points(space: Space, n: int, seed: int, window=None) -> list[Point]:
+def sample_points(space: Space, n: int, seed: int) -> list[Point]:
     """Draw n deterministic points from the space (seeded).
 
-    Continuum spaces sample uniformly in `window` (per-axis (lo, hi), default
-    (-10, 10)); finite spaces sample from the point list; membership
-    restrictions are honored by sampling each isolated point / interval,
-    isolated points first.
+    Continuum spaces sample uniformly in (-10, 10) on every axis; finite
+    spaces sample from the point list; membership restrictions are honored by
+    sampling each isolated point / interval, isolated points first, with each
+    interval cut to (-10, 10).
     """
     rng = random.Random(seed)
     if space.is_finite:
         return [rng.choice(space.points) for _ in range(n)]
-    if window is None:
-        window = [(-10.0, 10.0)] * space.dimension
+    lo_w, hi_w = -10.0, 10.0
     if space.membership is not None:
         parts = space.membership.parts
         entries = [p for p in parts if p.is_point] + [p for p in parts if not p.is_point]
-        lo_w, hi_w = window[0]
         out = []
         for _ in range(n):
             entry = rng.choice(entries)
@@ -374,10 +372,7 @@ def sample_points(space: Space, n: int, seed: int, window=None) -> list[Point]:
                 hi = min(float(entry.hi), hi_w) if entry.hi != math.inf else hi_w
                 out.append(Point((rng.uniform(lo, hi),)))
         return out
-    return [
-        Point(tuple(rng.uniform(lo, hi) for lo, hi in window))
-        for _ in range(n)
-    ]
+    return [Point(tuple(rng.uniform(lo_w, hi_w) for _ in range(space.dimension))) for _ in range(n)]
 
 
 @dataclass(frozen=True)

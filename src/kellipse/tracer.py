@@ -1,16 +1,21 @@
 """Level-curve extraction for k-ellipses: 2D marching squares and 3D clouds.
 
-Grid cells are classified by the sign of (field - r) at their corners; every
-crossing edge is refined by bisection until the residual |field - r| at the
-emitted vertex is within the configured tolerance. The field is the metric's
-column norm of the gaps |x[i] - focus[i]|, bit-identical to SumField.values:
-grid nodes look their gaps up in one table per focus and axis; bisection keeps
-one (k, N) block of gaps per axis and, as grid edges are axis-aligned, each
-round rewrites only the moving axis's slice of it.
-In 2D, each cell's segments come from one table indexed by its case, between
-grid edges numbered by integer ids; as an edge borders at most two cells, the
-stitch walks each edge's two segments into polylines. 3D crossings are
-emitted as an unstructured on-surface cloud.
+The field is evaluated only where the level can come near: a Lipschitz test
+on blocks of BLOCK cells, then on the sub-blocks of the kept blocks, leaves a
+sorted list of flat node ids and field - r there; no array has an entry per
+grid node. Crossing edges are the pairs of listed nodes one step apart whose
+signs differ, found by searchsorted, and each is refined by bisection until
+the residual |field - r| at the emitted vertex is within the configured
+tolerance. The field is the metric's column norm of the gaps
+|x[i] - focus[i]|, bit-identical to SumField.values: grid nodes look their
+gaps up in one table per focus and axis; bisection keeps one (k, N) block of
+gaps per axis and, as grid edges are axis-aligned, each round rewrites only
+the moving axis's slice of it.
+In 2D, the crossed cells are the cells beside a crossing edge; each takes its
+case from its four listed corners and its segments from one table indexed by
+that case, between grid edges numbered by integer ids; as an edge borders at
+most two cells, the stitch walks each edge's two segments into polylines. 3D
+crossings are emitted as an unstructured on-surface cloud.
 """
 from __future__ import annotations
 
@@ -37,17 +42,18 @@ __all__ = [
 ]
 
 MAX_RESOLUTION = 4096
-# Tracing peaks at 2 bytes per grid node (sign grid, evaluated-node mask) plus
-# 8 per evaluated node (flat index; their field values come after the mask is
-# freed). sample_3d of tri3d_l2 on a 321^3 grid peaks 89 MB (2.8 bytes per
-# node) above the interpreter. The grid is freed before bisection, which holds
-# the crossing edges, their gaps as one (k, N) block per axis and the norms
-# of a round (29.5 MB there, by tracemalloc). A 3D grid at MAX_RESOLUTION would
-# have 6.9e10 nodes.
+# Tracing holds 16 bytes per listed node (flat id and field - r) plus
+# temporaries of about EVAL_CHUNK entries; no array has an entry per grid node.
+# sample_3d of tri3d_l2 on a 321^3 grid lists 1.28M of its 33.1M nodes (3.9%)
+# and peaks 27.1 MiB above the interpreter by tracemalloc (0.86 bytes per
+# node), while listing nodes and finding the crossing edges; bisection, which
+# holds the crossing edges, their gaps as one (k, N) block per axis and the
+# norms of a round, peaks lower. A 3D grid at MAX_RESOLUTION would have 6.9e10
+# nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 BLOCK = 8                   # cells per axis of a pruning block
-EVAL_CHUNK = 1 << 16        # grid nodes per field evaluation
+EVAL_CHUNK = 1 << 16        # listed nodes per field evaluation and per crossing scan step
 FORMAT_ROWS = 1 << 12       # rows formatted per % operation by _format_rows
 
 
@@ -126,50 +132,89 @@ class CloudResult:
 
 
 def _sign_grid(f: SumField, r: float, axes) -> tuple:
-    """Signs of (field - r) on the grid, evaluating only blocks the level can cross.
+    """field - r at the grid nodes that the level can come near, found in two levels.
 
     The grid is cut into blocks of BLOCK cells per axis that share their face
-    nodes. The field is k-Lipschitz in its own metric, so a block whose centre
-    c has |f(c) - r| > k * ||half-extent|| holds no crossing, and its nodes
-    take the sign of f(c) - r. Returns (neg, index, values): neg is
-    (field - r) < 0 at every node; index is the sorted flat index of the
-    evaluated nodes and values their field - r. Both ends of every
-    sign-changing edge are evaluated nodes.
+    nodes, and each block into 2^d sub-blocks of BLOCK // 2 cells. The field
+    is k-Lipschitz in its own metric, so a block whose centre c has
+    |f(c) - r| > k * ||half-extent|| holds no crossing (Hart 1996, "Sphere
+    Tracing"). Every block is tested, then the sub-blocks of the kept blocks
+    (the octree of Wilhelms & Van Gelder 1992, cut to two levels). Returns
+    (index, values): the sorted flat ids of the nodes of the kept sub-blocks
+    and field - r there. A grid edge or cell whose corner signs differ lies
+    in a kept sub-block, so all its nodes are listed.
+
+    The ids are listed a few sub-block planes along axis 0 at a time (about
+    EVAL_CHUNK candidates, each plane range from the sub-blocks that touch
+    it) and evaluated EVAL_CHUNK at a time, so no array the size of the grid
+    is made.
     """
     shape = tuple(len(a) for a in axes)
-    starts = [np.arange(0, n - 1, BLOCK) for n in shape]
-    ends = [np.minimum(lo + BLOCK, n - 1) for lo, n in zip(starts, shape)]
-    centres = [0.5 * (a[lo] + a[hi]) for a, lo, hi in zip(axes, starts, ends)]
-    halves = [np.maximum(c - a[lo], a[hi] - c) for a, c, lo, hi in zip(axes, centres, starts, ends)]
-
-    def rows(per_axis):
-        return np.column_stack([g.ravel() for g in np.meshgrid(*per_axis, indexing="ij")])
-
-    blocks = tuple(len(lo) for lo in starts)
-    fc = (f.values(rows(centres)) - r).reshape(blocks)
-    radius = f.k * f.space.metric.distance_field(rows(halves), np.zeros(len(axes))).reshape(blocks)
-    evaluated = np.abs(fc) <= radius + PRUNE_SLACK * (1 + abs(r))
-    neg = fc < 0
-    # node i lies in blocks (i - 1) // BLOCK and i // BLOCK, clipped to the grid
-    for axis, n in enumerate(shape):
-        i = np.arange(n)
-        own = np.minimum(i // BLOCK, blocks[axis] - 1)
-        prev = np.maximum((i - 1) // BLOCK, 0)
-        evaluated = evaluated.take(own, axis) | evaluated.take(prev, axis)
-        neg = neg.take(own, axis)
-
-    index = np.flatnonzero(evaluated)
-    del evaluated
-    # a node's gap to a focus on each axis comes from that axis's table
+    d = len(shape)
     foci = [np.asarray(c, dtype=float) for c in f.foci]     # as SumField.values has them
+    kept = _crossable(f, r, axes, foci, BLOCK,
+                      np.indices([len(range(0, n - 1, BLOCK)) for n in shape]).reshape(d, -1).T)
+    sub = BLOCK // 2
+    subs = [len(range(0, n - 1, sub)) for n in shape]
+    kept = (2 * kept[:, None, :] + np.indices((2,) * d).reshape(d, -1).T).reshape(-1, d)
+    kept = _crossable(f, r, axes, foci, sub, kept[(kept < subs).all(axis=1)])
+    kept = kept[np.argsort(kept[:, 0], kind="stable")]
+    # the sub-blocks that touch planes [sub * s, sub * (s + 1)) along axis 0 have
+    # first index s - 1 or s; the last range runs to the last plane
+    starts = np.searchsorted(kept[:, 0], np.arange(subs[0] + 1))
+    strides = [math.prod(shape[a + 1:]) for a in range(d)]
+    per_chunk = max(1, EVAL_CHUNK // (sub + 1) ** d)
+    parts = []
+    s0 = 0
+    while s0 < subs[0]:
+        first = starts[max(s0 - 1, 0)]
+        s1 = s0 + 1
+        while s1 < subs[0] and starts[s1 + 1] - first <= per_chunk:
+            s1 += 1
+        blocks = kept[first:starts[s1]]
+        # the flat ids of each sub-block's nodes; a short last sub-block
+        # repeats its last node per axis, which the dedupe drops
+        ids = np.zeros((len(blocks), 1), dtype=np.intp)
+        for a in range(d):
+            coord = np.minimum(sub * blocks[:, a, None] + np.arange(sub + 1), shape[a] - 1)
+            ids = (ids[:, :, None] + strides[a] * coord[:, None, :]).reshape(len(blocks), (sub + 1) ** (a + 1))
+        ids = ids.ravel()
+        stop = sub * s1 if s1 < subs[0] else shape[0]
+        parts.append(_sorted_unique(ids[(ids >= sub * s0 * strides[0]) & (ids < stop * strides[0])]))
+        s0 = s1
+    index = np.concatenate(parts)
+    del parts
+    # a node's gap to a focus on each axis comes from that axis's table
     tables = [[np.abs(a - c[i]) for i, a in enumerate(axes)] for c in foci]
     values = np.empty(len(index))
     for s in range(0, len(index), EVAL_CHUNK):
         node = np.unravel_index(index[s:s + EVAL_CHUNK], shape)
         gaps = ([t[i] for t, i in zip(table, node)] for table in tables)
         values[s:s + EVAL_CHUNK] = _gap_field(f, len(node[0]), gaps) - r
-    np.put(neg, index, values < 0)
-    return neg, index, values
+    return index, values
+
+
+def _crossable(f: SumField, r: float, axes, foci, size: int, blocks: np.ndarray) -> np.ndarray:
+    """The rows of `blocks` (multi-indices of blocks of `size` cells per axis,
+    clipped to the grid) whose centre value does not rule out a crossing."""
+    centres, halves = [], []
+    for a, b in zip(axes, blocks.T):
+        lo, hi = a[size * b], a[np.minimum(size * b + size, len(a) - 1)]
+        c = 0.5 * (lo + hi)
+        centres.append(c)
+        halves.append(np.maximum(c - lo, hi - c))
+    fc = _gap_field(f, len(blocks), ([np.abs(c - x[i]) for i, c in enumerate(centres)] for x in foci)) - r
+    radius = f.k * f.space.metric.column_norm(halves)
+    return blocks[np.abs(fc) <= radius + PRUNE_SLACK * (1 + abs(r))]
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of `a`, ascending; sorts `a` in place (np.unique
+    would cost each process about 1.7 MB of resident size on first use)."""
+    a.sort()
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _gap_field(f: SumField, n: int, gaps) -> np.ndarray:
@@ -180,11 +225,6 @@ def _gap_field(f: SumField, n: int, gaps) -> np.ndarray:
     for g in gaps:
         total += f.space.metric.column_norm(g)
     return total
-
-
-def _node_values(index, values, nodes, shape) -> np.ndarray:
-    """field - r at evaluated grid nodes, given as a tuple of per-axis indices."""
-    return values[np.searchsorted(index, np.ravel_multi_index(nodes, shape))]
 
 
 def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
@@ -277,13 +317,20 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
     f = e.field
     r = float(e.r)
     xs, ys = cfg.axes()
-    inside, index, values = _sign_grid(f, r, (xs, ys))
-
     n = cfg.resolution
-    # the cells whose corners differ in sign, and their cases (bits as in _SEGMENTS)
-    corner = inside[:-1, :-1]
-    ci, cj = np.nonzero((inside[1:, :-1] != corner) | (inside[1:, 1:] != corner) | (inside[:-1, 1:] != corner))
-    case = inside[ci, cj] + (inside[ci + 1, cj] << 1) + (inside[ci + 1, cj + 1] << 2) + (inside[ci, cj + 1] << 3)
+    shape = (n + 1, n + 1)
+    index, values = _sign_grid(f, r, (xs, ys))
+    # h-edges (i, j) -> (i + 1, j) run along axis 0 and v-edges (i, j) -> (i, j + 1)
+    # along axis 1; each is named here by the flat id of its (i, j) node
+    (h, h0, h1), (v, v0, v1) = (_crossings(index, values, shape, axis) for axis in (0, 1))
+
+    # a cell is named by the flat id of its lower-left corner; the cells whose
+    # corners differ in sign are those beside a crossing edge, in row-major order
+    cell = _sorted_unique(np.concatenate([h - 1, h, v - (n + 1), v]))
+    cell = cell[(cell >= 0) & (cell < n * (n + 1)) & (cell % (n + 1) < n)]
+    ci, cj = np.divmod(cell, n + 1)
+    inside = values[np.searchsorted(index, np.stack([cell, cell + n + 1, cell + n + 2, cell + 1]))] < 0
+    case = inside[0] + (inside[1] << 1) + (inside[2] << 2) + (inside[3] << 3)     # bits as in _SEGMENTS
 
     # resolve saddles by the field sign at cell centers
     saddle = np.flatnonzero((case == 5) | (case == 10))
@@ -295,26 +342,20 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
 
     # edge ids in the order of (kind, i, j): h-edges (i, j) -> (i + 1, j) first,
     # then v-edges (i, j) -> (i, j + 1); a cell's slots are bottom, right, top, left
-    h = ci * (n + 1) + cj
-    v = n * (n + 1) + ci * n + cj
-    slot_ids = np.stack([h, v + n, h + 1, v])
+    v_slot = n * (n + 1) + ci * n + cj
+    slot_ids = np.stack([cell, v_slot + n, cell + 1, v_slot])
     slots = _SEGMENTS[case]                         # (cells, 2, 2)
     seg_cell, seg_slot = np.nonzero(slots[:, :, 0] >= 0)
     end_slots = slots[seg_cell, seg_slot]
     ends = slot_ids[end_slots, seg_cell[:, None]]   # (segments, 2)
 
     # the crossing edges, in id order, are the ones the segments end on
-    ids = np.concatenate([np.flatnonzero(inside[:-1] != inside[1:]),
-                          n * (n + 1) + np.flatnonzero(inside[:, :-1] != inside[:, 1:])])
-    ends = np.searchsorted(ids, ends)
-    horizontal = ids < n * (n + 1)
-    i0, j0 = np.where(horizontal, divmod(ids, n + 1), divmod(ids - n * (n + 1), n))
-    i1, j1 = i0 + horizontal, j0 + ~horizontal      # h-edges step in x, v-edges in y
-    crossings = _bisect_edges(f, r, np.column_stack([xs[i0], ys[j0]]),
-                              np.where(horizontal, 0, 1), np.where(horizontal, xs[i1], ys[j1]),
-                              _node_values(index, values, (i0, j0), inside.shape),
-                              _node_values(index, values, (i1, j1), inside.shape),
-                              cfg.refine_tol)
+    ends = np.searchsorted(np.concatenate([h, n * (n + 1) + v - v // (n + 1)]), ends)
+    i0, j0 = np.divmod(np.concatenate([h, v]), n + 1)
+    horizontal = np.arange(len(i0)) < len(h)
+    crossings = _bisect_edges(f, r, np.column_stack([xs[i0], ys[j0]]), np.where(horizontal, 0, 1),
+                              np.concatenate([xs[h // (n + 1) + 1], ys[v % (n + 1) + 1]]),
+                              np.concatenate([h0, v0]), np.concatenate([h1, v1]), cfg.refine_tol)
     boundary = bool(np.where(horizontal, (j0 == 0) | (j0 == n), (i0 == 0) | (i0 == n)).any())
     # a bottom or left slot is an edge of the cell before, in row-major order
     return TraceResult(_stitch(ends, end_slots % 3 == 0, crossings), boundary, cfg.cell_size)
@@ -378,23 +419,29 @@ def _dedupe(pts: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-def _sign_changes(neg: np.ndarray, axis: int) -> tuple:
-    """np.nonzero of the sign changes along `axis`, by the index of each edge's lower end.
+def _crossings(index: np.ndarray, values: np.ndarray, shape: tuple, axis: int) -> tuple:
+    """The grid edges along `axis` whose ends are both listed in `index` (sorted
+    flat node ids, with field - r in `values`) and differ in sign: (lower-end
+    ids in row-major order, f0, f1 at the two ends).
 
-    The grid is compared a few planes (about EVAL_CHUNK nodes) at a time, so
-    that no temporary the size of the grid is made; each comparison is
-    scanned flat and its hits unravelled, in the same (row-major) order.
+    Each id is paired with id + stride by searchsorted, EVAL_CHUNK ids at a
+    time, skipping the ids on the last plane along `axis`.
     """
-    lo_cut = tuple(slice(None, -1) if a == axis else slice(None) for a in range(neg.ndim))
-    hi_cut = tuple(slice(1, None) if a == axis else slice(None) for a in range(neg.ndim))
-    n = len(neg) - (axis == 0)          # planes that hold the lower end of an edge
-    step = max(1, EVAL_CHUNK // neg[0].size)
+    stride = math.prod(shape[axis + 1:])
+    neg = values < 0
     parts = []
-    for s in range(0, n, step):
-        block = neg[s:min(s + step, n) + (axis == 0)]
-        changed = block[lo_cut] != block[hi_cut]
-        idx = np.unravel_index(np.flatnonzero(changed), changed.shape)
-        parts.append((idx[0] + s,) + idx[1:])
+    for s in range(0, len(index), EVAL_CHUNK):
+        lo = index[s:s + EVAL_CHUNK]
+        hi = lo + stride
+        # the partners lie in [hi[0], hi[-1]], about EVAL_CHUNK ids of index
+        b, e = np.searchsorted(index, [hi[0], hi[-1] + 1])
+        pos = b + np.searchsorted(index[b:e], hi)
+        np.minimum(pos, len(index) - 1, out=pos)
+        at = np.flatnonzero((index[pos] == hi) & (neg[s:s + len(lo)] != neg[pos]))
+        at = at[lo[at] // stride % shape[axis] < shape[axis] - 1]     # not across the last plane
+        parts.append((lo[at], values[s + at], values[pos[at]]))
+    if not parts:
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
@@ -407,26 +454,23 @@ def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
     f = e.field
     r = float(e.r)
     node = cfg.axes()
-    neg, index, values = _sign_grid(f, r, node)
+    shape = tuple(len(a) for a in node)
+    index, values = _sign_grid(f, r, node)
 
-    # the crossing edges of every axis first, so that the grid is freed
-    # before bisection allocates its gaps
-    edges = []
+    # the crossing edges of every axis first, so that the node values are
+    # freed before bisection allocates its gaps
+    crossing = [_crossings(index, values, shape, axis) for axis in range(3)]
+    del index, values
+    clouds = []
     boundary = False
-    for axis in range(3):
-        idx = _sign_changes(neg, axis)
-        if len(idx[0]) == 0:
+    for axis, (lo, f0, f1) in enumerate(crossing):
+        if len(lo) == 0:
             continue
-        lo = np.column_stack([node[a][idx[a]] for a in range(3)])
-        stepped = idx[axis] + 1
-        hi_idx = tuple(stepped if a == axis else idx[a] for a in range(3))
-        f0 = _node_values(index, values, idx, neg.shape)
-        f1 = _node_values(index, values, hi_idx, neg.shape)
-        edges.append((lo, axis, node[axis][stepped], f0, f1))
-        boundary = boundary or any((idx[a] == 0).any() or (idx[a] == neg.shape[a] - 1).any()
+        idx = np.unravel_index(lo, shape)
+        boundary = boundary or any((idx[a] == 0).any() or (idx[a] == shape[a] - 1).any()
                                    for a in range(3) if a != axis)
-    del neg, index, values
-    clouds = [_bisect_edges(f, r, *edge, cfg.refine_tol) for edge in edges]
+        clouds.append(_bisect_edges(f, r, np.column_stack([node[a][idx[a]] for a in range(3)]), axis,
+                                    node[axis][idx[axis] + 1], f0, f1, cfg.refine_tol))
 
     if not clouds:
         return CloudResult(np.zeros((0, 3)), False, cfg.cell_size)

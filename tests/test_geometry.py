@@ -329,6 +329,23 @@ def test_linf_minimum_against_a_linear_program(monkeypatch):
     assert "O" not in kinds      # every float basis proved itself
 
 
+def test_linf_linear_program_is_bounded_before_allocation(monkeypatch):
+    rng = np.random.default_rng(3)
+    foci = [tuple(map(float, p)) for p in rng.uniform(-5, 5, (180, 3))]
+    space = Space.continuum(3, Metric.linf())
+    entries = (180 + 3 + 1) * (2 * 180 * 3 + 180 + 1)
+    assert entries <= geometry.MAX_LP_ENTRIES
+    r, x, lower = _minimum(SumField(space, tuple(foci)))
+    assert abs(r - linf_linear_program(np.array(foci))) <= ROUNDING * r and lower <= r
+
+    def no_tableau(*args, **kwargs):
+        raise AssertionError("np.block ran")
+
+    monkeypatch.setattr(geometry.np, "block", no_tableau)
+    with pytest.raises(ValueError, match="MAX_LP_ENTRIES"):
+        min_radius(SumField(space, tuple(foci) * 2))
+
+
 def test_linf_minimum_pivots_in_fractions_when_the_float_basis_fails(monkeypatch):
     # a float pass that stops at its start basis leaves the bracket open; Bland's
     # rule then runs again in Fractions and still reaches the exact minimum

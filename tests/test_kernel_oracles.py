@@ -222,15 +222,22 @@ def test_unconverged_bisection_names_the_worst_edge_in_the_callers_order():
 @pytest.mark.parametrize("chunk", [1, 50, 1 << 16])
 @pytest.mark.parametrize("shape", [(9, 9, 9), (13, 10, 11), (17, 9)])
 def test_slab_sign_changes_equal_whole_grid_comparison(shape, chunk, monkeypatch):
+    # the sparse scan, EVAL_CHUNK listed ids at a time, against np.nonzero of the grid
     monkeypatch.setattr(tracer, "EVAL_CHUNK", chunk)
     rng = np.random.default_rng(len(shape) * 100 + chunk)
-    neg = rng.random(shape) < 0.3
-    for axis in range(len(shape)):
-        lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(len(shape)))
-        hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(len(shape)))
-        want = np.nonzero(neg[lo] != neg[hi])
-        got = tracer._sign_changes(neg, axis)
-        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    values = rng.random(shape) - 0.3
+    neg = values < 0
+    # every node listed, then a random subset: an edge counts when both ends are listed
+    for listed in (np.ones(shape, dtype=bool), rng.random(shape) < 0.7):
+        index = np.flatnonzero(listed)
+        for axis in range(len(shape)):
+            lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(len(shape)))
+            hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(len(shape)))
+            cross = np.nonzero(listed[lo] & listed[hi] & (neg[lo] != neg[hi]))
+            stepped = tuple(c + (a == axis) for a, c in enumerate(cross))
+            got, f0, f1 = tracer._crossings(index, values.ravel()[index], shape, axis)
+            assert np.array_equal(got, np.ravel_multi_index(cross, shape))
+            assert np.array_equal(f0, values[cross]) and np.array_equal(f1, values[stepped])
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
@@ -244,22 +251,22 @@ def test_grid_gap_tables_equal_field_values_at_nodes(metric, dim):
     foci = tuple(tuple(float(axes[a][i]) for a, i in enumerate(row)) for row in at)
     f = SumField(Space.continuum(dim, metric), foci)
     shape = (n,) * dim
-    # r = f(first focus): the block holding it is kept, so that node is evaluated
-    for r in (float(f.values(np.array(foci[:1]))[0]), 1.3 * float(f.values(np.array(foci[1:2]))[0])):
-        neg, index, values = tracer._sign_grid(f, r, axes)
+    # r = f(first focus): the sub-block holding it is kept, so that node is evaluated
+    on_level = float(f.values(np.array(foci[:1]))[0])
+    for r in (on_level, 1.3 * float(f.values(np.array(foci[1:2]))[0])):
+        index, values = tracer._sign_grid(f, r, axes)
         node = np.unravel_index(index, shape)
         pts = np.column_stack([a[i] for a, i in zip(axes, node)])
-        assert np.array_equal(values, f.values(pts) - r)
-        assert np.array_equal(neg.reshape(-1)[index], values < 0)
-        on_focus = (pts[:, None, :] == np.array(foci)[None, :, :]).all(axis=-1).any(axis=1)
-        assert on_focus.any() and len(index) > 100
+        assert np.array_equal(values, f.values(pts) - r) and len(index) > 100
+        if r == on_level:
+            assert (pts[:, None, :] == np.array(foci)[None, :, :]).all(axis=-1).any()
 
 
 def values_sign_grid(f, r, axes):
     """Every grid node through SumField.values."""
     mesh = np.meshgrid(*axes, indexing="ij")
-    grid = f.values(np.column_stack([g.ravel() for g in mesh])).reshape(mesh[0].shape) - r
-    return grid < 0, np.arange(grid.size), grid.ravel()
+    grid = f.values(np.column_stack([g.ravel() for g in mesh])) - r
+    return np.arange(grid.size), grid
 
 
 def values_bisect(f, r, p0, axis, hi, f0, f1, tol):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -207,10 +209,10 @@ def test_sample_3d_empty_below_minimum():
 
 
 def full_sign_grid(f, r, axes):
-    """Brute-force stand-in for tracer._sign_grid: evaluates every grid node."""
+    """Brute-force stand-in for tracer._sign_grid: lists every grid node."""
     mesh = np.meshgrid(*axes, indexing="ij")
-    grid = f.values(np.column_stack([g.ravel() for g in mesh])).reshape(mesh[0].shape) - r
-    return grid < 0, np.arange(grid.size), grid.ravel()
+    grid = f.values(np.column_stack([g.ravel() for g in mesh])) - r
+    return np.arange(grid.size), grid
 
 
 def seeded_ellipse(dim, metric, seed, k=5):
@@ -272,22 +274,24 @@ EQUIVALENCE_CASES = equivalence_cases()
 def test_pruned_grid_matches_full_grid(case, monkeypatch):
     e, cfg = EQUIVALENCE_CASES[case]()
     f, r, axes = e.field, float(e.r), cfg.axes()
-    neg, index, values = tracer._sign_grid(f, r, axes)
-    full_neg, _, full_values = full_sign_grid(f, r, axes)
-    assert np.array_equal(neg, full_neg)
+    shape = tuple(len(a) for a in axes)
+    index, values = tracer._sign_grid(f, r, axes)
+    _, full_values = full_sign_grid(f, r, axes)
+    assert (np.diff(index) > 0).all() and np.array_equal(values, full_values[index])
+    neg = full_values.reshape(shape) < 0
     crossing_nodes = []
     for axis in range(neg.ndim):
         lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(neg.ndim))
         hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(neg.ndim))
         cross = np.nonzero(neg[lo] != neg[hi])
         stepped = tuple(c + (a == axis) for a, c in enumerate(cross))
-        ends = np.concatenate([np.ravel_multi_index(cross, neg.shape),
-                               np.ravel_multi_index(stepped, neg.shape)])
-        assert np.isin(ends, index).all()
-        assert np.array_equal(values[np.searchsorted(index, ends)], full_values[ends])
-        crossing_nodes.append(ends)
+        lower, upper = np.ravel_multi_index(cross, shape), np.ravel_multi_index(stepped, shape)
+        got, f0, f1 = tracer._crossings(index, values, shape, axis)
+        assert np.array_equal(got, lower)
+        assert np.array_equal(f0, full_values[lower]) and np.array_equal(f1, full_values[upper])
+        crossing_nodes.append(np.concatenate([lower, upper]))
     if case == "near-minimum":
-        blocks = np.unravel_index(np.concatenate(crossing_nodes), neg.shape)
+        blocks = np.unravel_index(np.concatenate(crossing_nodes), shape)
         assert {tuple(b) for b in np.column_stack(blocks) // tracer.BLOCK} == {(7, 7)}
 
     run = trace_2d if neg.ndim == 2 else sample_3d
@@ -310,6 +314,20 @@ def test_grid_node_bound():
     TraceConfig(bbox=((0, 1),) * 2, resolution=tracer.MAX_RESOLUTION)
     for name in ("tri3d_l2", "tri3d_lp4"):
         assert fixture_scene(name).trace.resolution == 256
+
+
+def test_sample_3d_peak_memory_on_shipped_scene():
+    # the grid phase lists only the nodes of kept sub-blocks; one bool per node
+    # of the 257^3 grid would alone take 16.2 MiB, a dense sign grid and an
+    # evaluated-node mask with their expansions 47 MiB
+    scene = fixture_scene("tri3d_l2")
+    tracemalloc.start()
+    try:
+        cloud = sample_3d(scene.ellipse, scene.trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) > 100_000 and peak < 30 * 2**20
 
 
 def test_bisection_budget_exhausted_raises():
