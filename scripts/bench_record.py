@@ -21,9 +21,12 @@ src`), so that every run imports from fresh `.pyc` files.
 The record keeps the final JSON line of every run; per workload and
 end-to-end metric, each side's quartiles and the number of pairs the change
 wins (lower is better for all five); per workload, each side's failed and
-attempted ops summed over its runs; the per-layer figures of one traced run
-of each side (`--trace 1`, seed 7) on the first workload given (cloud3d by
-default); each side's `src/` line count per module and in all, as `wc -l
+attempted ops summed over its runs; the per-layer figures of three traced
+runs of each side (`--trace 1`, seed 7) on the first workload given (cloud3d
+by default), the sides back to back with the parent first in the first and
+third, each run kept and each side's median per metric, so that host noise of
+one run (about 20% on a 2-vCPU machine) does not read as a change of a layer;
+each side's `src/` line count per module and in all, as `wc -l
 src/kellipse/*.py` gives it; and the machine: core count, Python and numpy
 versions.
 """
@@ -45,6 +48,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACE_SEED = 7
+TRACE_RUNS = 3
 
 
 def git(*args) -> str:
@@ -80,6 +84,13 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout.strip().split("\n")[-1])
+
+
+def pair(sides: dict, workload: str, seed: int, seconds: float, trace: int, parent_first: bool) -> dict:
+    """One run of each side, back to back in the order given, as one record."""
+    order = ("parent", "change") if parent_first else ("change", "parent")
+    return {"seed": seed, "first": order[0],
+            **{side: bench(sides[side], workload, seed, seconds, trace) for side in order}}
 
 
 def compile_tree(checkout: Path) -> None:
@@ -139,17 +150,17 @@ def main() -> int:
         for wl in args.workloads:
             runs = []
             for i, seed in enumerate(args.seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                runs.append({"seed": seed, "first": order[0],
-                             **{side: bench(sides[side], wl, seed, seconds, 0) for side in order}})
+                runs.append(pair(sides, wl, seed, seconds, 0, i % 2 == 0))
                 print(wl, seed, {side: runs[-1][side]["metrics"]["wall_s"]["value"] for side in sides},
                       file=sys.stderr)
             record["runs"][wl] = runs
             record["summary"][wl] = summary(runs)
         traced = args.workloads[0]
-        record["per_layer"] = {"workload": traced, "seed": TRACE_SEED,
-                               **{side: bench(path, traced, TRACE_SEED, seconds, 1)
-                                  for side, path in sides.items()}}
+        runs = [pair(sides, traced, TRACE_SEED, seconds, 1, i % 2 == 0) for i in range(TRACE_RUNS)]
+        record["per_layer"] = {
+            "workload": traced, "seed": TRACE_SEED, "runs": runs,
+            "median": {side: {m: statistics.median(run[side]["metrics"][m]["value"] for run in runs)
+                              for m in runs[0][side]["metrics"]} for side in sides}}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -149,9 +149,6 @@ class IntervalUnion:
                     out.append(c)
         return IntervalUnion.of(out)
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.of(list(self.parts) + list(other.parts))
-
     def with_point(self, x) -> "IntervalUnion":
         return IntervalUnion.of(list(self.parts) + [Interval.point(x)])
 

@@ -1,21 +1,22 @@
 """Level-curve extraction for k-ellipses: 2D marching squares and 3D clouds.
 
 The field is evaluated only where the level can come near: a Lipschitz test
-on blocks of BLOCK cells, then on the sub-blocks of the kept blocks, leaves a
-sorted list of flat node ids and field - r there; no array has an entry per
-grid node. Crossing edges are the pairs of listed nodes one step apart whose
-signs differ, found by searchsorted, and each is refined by bisection until
-the residual |field - r| at the emitted vertex is within the configured
+on blocks of BLOCK cells, then on the sub-blocks of the kept blocks, leaves
+one small dense tile of field - r per kept sub-block; no array has an entry
+per grid node. In a tile a node's neighbour along an axis is the next entry,
+so crossing edges are the neighbouring entries whose signs differ, merged
+over the tiles in id order, and each is refined by bisection until the
+residual |field - r| at the emitted vertex is within the configured
 tolerance. The field is the metric's column norm of the gaps
 |x[i] - focus[i]|, bit-identical to SumField.values: grid nodes look their
 gaps up in one table per focus and axis; bisection keeps one (k, N) block of
 gaps per axis and, as grid edges are axis-aligned, each round rewrites only
 the moving axis's slice of it.
-In 2D, the crossed cells are the cells beside a crossing edge; each takes its
-case from its four listed corners and its segments from one table indexed by
-that case, between grid edges numbered by integer ids; as an edge borders at
-most two cells, the stitch walks each edge's two segments into polylines. 3D
-crossings are emitted as an unstructured on-surface cloud.
+In 2D, each cell lies in one tile and takes its case from that tile's four
+corners, and its segments from one table indexed by that case, between grid
+edges numbered by integer ids; as an edge borders at most two cells, the
+stitch walks each edge's two segments into polylines. 3D crossings are
+emitted as an unstructured on-surface cloud.
 """
 from __future__ import annotations
 
@@ -42,18 +43,17 @@ __all__ = [
 ]
 
 MAX_RESOLUTION = 4096
-# Tracing holds 16 bytes per listed node (flat id and field - r) plus
-# temporaries of about EVAL_CHUNK entries; no array has an entry per grid node.
-# sample_3d of tri3d_l2 on a 321^3 grid lists 1.28M of its 33.1M nodes (3.9%)
-# and peaks 27.1 MiB above the interpreter by tracemalloc (0.86 bytes per
-# node), while listing nodes and finding the crossing edges; bisection, which
-# holds the crossing edges, their gaps as one (k, N) block per axis and the
-# norms of a round, peaks lower. A 3D grid at MAX_RESOLUTION would have 6.9e10
-# nodes.
+# Tracing holds the tiles of about EVAL_CHUNK nodes and their temporaries, and
+# the crossing edges; no array has an entry per grid node. sample_3d of
+# tri3d_l2 on a 321^3 grid evaluates 2.12M tile entries for its 33.1M nodes
+# (a face node once per tile) and peaks 26.6 MiB above the interpreter by
+# tracemalloc, while bisecting the crossing edges with their gaps as one
+# (k, N) block per axis and the norms of a round; finding the edges peaks at
+# 14.4 MiB. A 3D grid at MAX_RESOLUTION would have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 BLOCK = 8                   # cells per axis of a pruning block
-EVAL_CHUNK = 1 << 16        # listed nodes per field evaluation and per crossing scan step
+EVAL_CHUNK = 1 << 16        # tile nodes per field evaluation and edge scan
 FORMAT_ROWS = 1 << 12       # rows formatted per % operation by _format_rows
 
 
@@ -131,23 +131,22 @@ class CloudResult:
         return len(self.points)
 
 
-def _sign_grid(f: SumField, r: float, axes) -> tuple:
-    """field - r at the grid nodes that the level can come near, found in two levels.
+def _tiles(f: SumField, r: float, axes):
+    """field - r on the grid nodes that the level can come near, one dense tile per kept sub-block.
 
     The grid is cut into blocks of BLOCK cells per axis that share their face
-    nodes, and each block into 2^d sub-blocks of BLOCK // 2 cells. The field
-    is k-Lipschitz in its own metric, so a block whose centre c has
+    nodes, and each block into 2^d sub-blocks of S = BLOCK // 2 cells. The
+    field is k-Lipschitz in its own metric, so a block whose centre c has
     |f(c) - r| > k * ||half-extent|| holds no crossing (Hart 1996, "Sphere
     Tracing"). Every block is tested, then the sub-blocks of the kept blocks
-    (the octree of Wilhelms & Van Gelder 1992, cut to two levels). Returns
-    (index, values): the sorted flat ids of the nodes of the kept sub-blocks
-    and field - r there. A grid edge or cell whose corner signs differ lies
-    in a kept sub-block, so all its nodes are listed.
+    (the octree of Wilhelms & Van Gelder 1992, cut to two levels). A grid
+    edge or cell whose corner signs differ lies in a kept sub-block.
 
-    The ids are listed a few sub-block planes along axis 0 at a time (about
-    EVAL_CHUNK candidates, each plane range from the sub-blocks that touch
-    it) and evaluated EVAL_CHUNK at a time, so no array the size of the grid
-    is made.
+    Yields (nodes, values) for about EVAL_CHUNK nodes at a time: nodes[a] is
+    (m, S + 1), the grid indices along axis a of m kept sub-blocks, and
+    values (m, S + 1, ..., S + 1) is field - r at their nodes. A short last
+    sub-block repeats its last node; a face node of two kept sub-blocks is
+    evaluated in each.
     """
     shape = tuple(len(a) for a in axes)
     d = len(shape)
@@ -158,40 +157,18 @@ def _sign_grid(f: SumField, r: float, axes) -> tuple:
     subs = [len(range(0, n - 1, sub)) for n in shape]
     kept = (2 * kept[:, None, :] + np.indices((2,) * d).reshape(d, -1).T).reshape(-1, d)
     kept = _crossable(f, r, axes, foci, sub, kept[(kept < subs).all(axis=1)])
-    kept = kept[np.argsort(kept[:, 0], kind="stable")]
-    # the sub-blocks that touch planes [sub * s, sub * (s + 1)) along axis 0 have
-    # first index s - 1 or s; the last range runs to the last plane
-    starts = np.searchsorted(kept[:, 0], np.arange(subs[0] + 1))
-    strides = [math.prod(shape[a + 1:]) for a in range(d)]
-    per_chunk = max(1, EVAL_CHUNK // (sub + 1) ** d)
-    parts = []
-    s0 = 0
-    while s0 < subs[0]:
-        first = starts[max(s0 - 1, 0)]
-        s1 = s0 + 1
-        while s1 < subs[0] and starts[s1 + 1] - first <= per_chunk:
-            s1 += 1
-        blocks = kept[first:starts[s1]]
-        # the flat ids of each sub-block's nodes; a short last sub-block
-        # repeats its last node per axis, which the dedupe drops
-        ids = np.zeros((len(blocks), 1), dtype=np.intp)
-        for a in range(d):
-            coord = np.minimum(sub * blocks[:, a, None] + np.arange(sub + 1), shape[a] - 1)
-            ids = (ids[:, :, None] + strides[a] * coord[:, None, :]).reshape(len(blocks), (sub + 1) ** (a + 1))
-        ids = ids.ravel()
-        stop = sub * s1 if s1 < subs[0] else shape[0]
-        parts.append(_sorted_unique(ids[(ids >= sub * s0 * strides[0]) & (ids < stop * strides[0])]))
-        s0 = s1
-    index = np.concatenate(parts)
-    del parts
     # a node's gap to a focus on each axis comes from that axis's table
     tables = [[np.abs(a - c[i]) for i, a in enumerate(axes)] for c in foci]
-    values = np.empty(len(index))
-    for s in range(0, len(index), EVAL_CHUNK):
-        node = np.unravel_index(index[s:s + EVAL_CHUNK], shape)
-        gaps = ([t[i] for t, i in zip(table, node)] for table in tables)
-        values[s:s + EVAL_CHUNK] = _gap_field(f, len(node[0]), gaps) - r
-    return index, values
+    per_chunk = max(1, EVAL_CHUNK // (sub + 1) ** d)
+    for s in range(0, len(kept), per_chunk):
+        blocks = kept[s:s + per_chunk]
+        nodes = [np.minimum(sub * b[:, None] + np.arange(sub + 1), n - 1) for b, n in zip(blocks.T, shape)]
+        tile = (len(blocks),) + (sub + 1,) * d
+        # a gap on axis a varies along tile axis a + 1 only: a view of (m, S + 1) table entries
+        along = [(len(blocks),) + tuple(sub + 1 if b == a else 1 for b in range(d)) for a in range(d)]
+        gaps = ([np.broadcast_to(t[i].reshape(shape_a), tile) for t, i, shape_a in zip(table, nodes, along)]
+                for table in tables)
+        yield nodes, _gap_field(f, tile, gaps) - r
 
 
 def _crossable(f: SumField, r: float, axes, foci, size: int, blocks: np.ndarray) -> np.ndarray:
@@ -208,20 +185,11 @@ def _crossable(f: SumField, r: float, axes, foci, size: int, blocks: np.ndarray)
     return blocks[np.abs(fc) <= radius + PRUNE_SLACK * (1 + abs(r))]
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of `a`, ascending; sorts `a` in place (np.unique
-    would cost each process about 1.7 MB of resident size on first use)."""
-    a.sort()
-    keep = np.ones(len(a), dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
-
-
-def _gap_field(f: SumField, n: int, gaps) -> np.ndarray:
-    """SumField.values at n points from each focus's gap columns |x[i] - focus[i]|:
-    the same norms summed in the same order. `gaps` may be a generator, so
-    that one focus's columns are alive at a time."""
-    total = np.zeros(n)
+def _gap_field(f: SumField, shape, gaps) -> np.ndarray:
+    """SumField.values at an array of points of `shape` from each focus's gap
+    columns |x[i] - focus[i]|: the same norms summed in the same order. `gaps`
+    may be a generator, so that one focus's columns are alive at a time."""
+    total = np.zeros(shape)
     for g in gaps:
         total += f.space.metric.column_norm(g)
     return total
@@ -319,18 +287,28 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
     xs, ys = cfg.axes()
     n = cfg.resolution
     shape = (n + 1, n + 1)
-    index, values = _sign_grid(f, r, (xs, ys))
     # h-edges (i, j) -> (i + 1, j) run along axis 0 and v-edges (i, j) -> (i, j + 1)
-    # along axis 1; each is named here by the flat id of its (i, j) node
-    (h, h0, h1), (v, v0, v1) = (_crossings(index, values, shape, axis) for axis in (0, 1))
-
-    # a cell is named by the flat id of its lower-left corner; the cells whose
-    # corners differ in sign are those beside a crossing edge, in row-major order
-    cell = _sorted_unique(np.concatenate([h - 1, h, v - (n + 1), v]))
-    cell = cell[(cell >= 0) & (cell < n * (n + 1)) & (cell % (n + 1) < n)]
+    # along axis 1; each is named here by the flat id of its (i, j) node. A cell
+    # is named by the flat id of its lower-left corner, and lies in one tile;
+    # its case comes from its corners ccw from there (bits as in _SEGMENTS)
+    chunks = []
+    for nodes, values in _tiles(f, r, (xs, ys)):
+        inside = values < 0
+        case = (inside[:, :-1, :-1] + (inside[:, 1:, :-1] << 1)
+                + (inside[:, 1:, 1:] << 2) + (inside[:, :-1, 1:] << 3))
+        # the cells whose corners differ in sign, but none on a repeated node
+        t, i, j = np.nonzero((case % 15 != 0) & (np.diff(nodes[0]) > 0)[:, :, None]
+                             & (np.diff(nodes[1]) > 0)[:, None, :])
+        chunks.append((_edges(nodes, values, shape, 0), _edges(nodes, values, shape, 1),
+                       nodes[0][t, i] * (n + 1) + nodes[1][t, j], case[t, i, j]))
+    if not chunks:
+        return TraceResult([], False, cfg.cell_size)
+    h_parts, v_parts, cells, cases = zip(*chunks)
+    (h, h0, h1), (v, v0, v1) = _merge(h_parts), _merge(v_parts)
+    cell, case = np.concatenate(cells), np.concatenate(cases)
+    order = np.argsort(cell)                        # row-major
+    cell, case = cell[order], case[order]
     ci, cj = np.divmod(cell, n + 1)
-    inside = values[np.searchsorted(index, np.stack([cell, cell + n + 1, cell + n + 2, cell + 1]))] < 0
-    case = inside[0] + (inside[1] << 1) + (inside[2] << 2) + (inside[3] << 3)     # bits as in _SEGMENTS
 
     # resolve saddles by the field sign at cell centers
     saddle = np.flatnonzero((case == 5) | (case == 10))
@@ -419,30 +397,29 @@ def _dedupe(pts: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-def _crossings(index: np.ndarray, values: np.ndarray, shape: tuple, axis: int) -> tuple:
-    """The grid edges along `axis` whose ends are both listed in `index` (sorted
-    flat node ids, with field - r in `values`) and differ in sign: (lower-end
-    ids in row-major order, f0, f1 at the two ends).
+def _edges(nodes: list, values: np.ndarray, shape: tuple, axis: int) -> tuple:
+    """The grid edges along `axis` in a chunk of tiles from _tiles whose ends
+    differ in sign: (lower-end flat ids, f0, f1 at the two ends). An edge
+    on a face of two tiles comes once from each; an edge between a repeated
+    node and itself has no sign change."""
+    lo = values[(slice(None),) * (axis + 1) + (slice(None, -1),)]
+    hi = values[(slice(None),) * (axis + 1) + (slice(1, None),)]
+    at = np.nonzero((lo < 0) != (hi < 0))
+    ids = np.ravel_multi_index([nodes[a][at[0], at[a + 1]] for a in range(len(shape))], shape)
+    return ids, lo[at], hi[at]
 
-    Each id is paired with id + stride by searchsorted, EVAL_CHUNK ids at a
-    time, skipping the ids on the last plane along `axis`.
-    """
-    stride = math.prod(shape[axis + 1:])
-    neg = values < 0
-    parts = []
-    for s in range(0, len(index), EVAL_CHUNK):
-        lo = index[s:s + EVAL_CHUNK]
-        hi = lo + stride
-        # the partners lie in [hi[0], hi[-1]], about EVAL_CHUNK ids of index
-        b, e = np.searchsorted(index, [hi[0], hi[-1] + 1])
-        pos = b + np.searchsorted(index[b:e], hi)
-        np.minimum(pos, len(index) - 1, out=pos)
-        at = np.flatnonzero((index[pos] == hi) & (neg[s:s + len(lo)] != neg[pos]))
-        at = at[lo[at] // stride % shape[axis] < shape[axis] - 1]     # not across the last plane
-        parts.append((lo[at], values[s + at], values[pos[at]]))
-    if not parts:
-        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
-    return tuple(np.concatenate(c) for c in zip(*parts))
+
+def _merge(parts: list) -> tuple:
+    """The (ids, f0, f1) of `parts` (at least one) as one set of edges in id
+    order, each id once; the copies of an id hold the same values."""
+    ids, f0, f1 = (np.concatenate(c) for c in zip(*parts))
+    order = np.argsort(ids)
+    ids = ids[order]
+    # np.unique would cost each process about 1.7 MB of resident size on first use
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    order = order[first]
+    return ids[first], f0[order], f1[order]
 
 
 def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
@@ -455,12 +432,13 @@ def sample_3d(e: KEllipse, cfg: TraceConfig) -> CloudResult:
     r = float(e.r)
     node = cfg.axes()
     shape = tuple(len(a) for a in node)
-    index, values = _sign_grid(f, r, node)
-
-    # the crossing edges of every axis first, so that the node values are
-    # freed before bisection allocates its gaps
-    crossing = [_crossings(index, values, shape, axis) for axis in range(3)]
-    del index, values
+    # the crossing edges of every axis first, each chunk of node values freed
+    # before the next is made and all of them before bisection allocates its gaps
+    parts = [[_edges(nodes, values, shape, axis) for axis in range(3)] for nodes, values in _tiles(f, r, node)]
+    if not parts:
+        return CloudResult(np.zeros((0, 3)), False, cfg.cell_size)
+    crossing = [_merge(axis_parts) for axis_parts in zip(*parts)]
+    del parts
     clouds = []
     boundary = False
     for axis, (lo, f0, f1) in enumerate(crossing):

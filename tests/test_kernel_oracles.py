@@ -2,8 +2,8 @@
 as oracles: the column-by-column norm against the last-axis reduction, the
 one-coordinate bisection on gap columns against full-vector bisection
 through SumField.values, the grid's per-axis gap tables against
-SumField.values at the node coordinates, and the flat sign-change scan
-against a whole-grid comparison."""
+SumField.values at the node coordinates, and the tile edge scan against a
+whole-grid comparison."""
 import itertools
 
 import numpy as np
@@ -219,25 +219,45 @@ def test_unconverged_bisection_names_the_worst_edge_in_the_callers_order():
     assert named[2] == named[1][::-1] != named[1]
 
 
+def tile_index(nodes):
+    """Index arrays that pick a tile chunk's (m, S + 1, ..., S + 1) nodes out of the grid."""
+    d = len(nodes)
+    return tuple(nd.reshape((len(nd),) + tuple(-1 if b == a else 1 for b in range(d)))
+                 for a, nd in enumerate(nodes))
+
+
 @pytest.mark.parametrize("chunk", [1, 50, 1 << 16])
-@pytest.mark.parametrize("shape", [(9, 9, 9), (13, 10, 11), (17, 9)])
+@pytest.mark.parametrize("shape", [(9, 9, 9), (13, 10, 11), (17, 11)])
 def test_slab_sign_changes_equal_whole_grid_comparison(shape, chunk, monkeypatch):
-    # the sparse scan, EVAL_CHUNK listed ids at a time, against np.nonzero of the grid
+    # the tile scan, EVAL_CHUNK nodes at a time, on random values against
+    # np.nonzero of the whole grid; 10, 11 and 13 nodes make a short last sub-block
     monkeypatch.setattr(tracer, "EVAL_CHUNK", chunk)
     rng = np.random.default_rng(len(shape) * 100 + chunk)
     values = rng.random(shape) - 0.3
     neg = values < 0
-    # every node listed, then a random subset: an edge counts when both ends are listed
-    for listed in (np.ones(shape, dtype=bool), rng.random(shape) < 0.7):
-        index = np.flatnonzero(listed)
+    axes = [np.linspace(0, 1, n) for n in shape]
+    f = SumField(Space.continuum(len(shape), Metric.l2()), ((0.5,) * len(shape),))
+    sub = tracer.BLOCK // 2
+    # every tile, then a random subset: an edge counts when it lies in a kept tile
+    for share in (1, 0.7):
+        def crossable(f, r, axes, foci, size, blocks):
+            return blocks[rng.random(len(blocks)) < share] if size == sub else blocks
+        monkeypatch.setattr(tracer, "_crossable", crossable)
+        chunks = [(nodes, values[tile_index(nodes)]) for nodes, _ in tracer._tiles(f, 1.0, axes)]
+        assert max(v.size for _, v in chunks) <= max(chunk, (sub + 1) ** len(shape))
         for axis in range(len(shape)):
             lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(len(shape)))
             hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(len(shape)))
-            cross = np.nonzero(listed[lo] & listed[hi] & (neg[lo] != neg[hi]))
+            kept = np.zeros(shape, dtype=bool)          # the lower ends of the kept tiles' edges
+            for nodes, _ in chunks:
+                for t in range(len(nodes[0])):
+                    kept[np.ix_(*[nd[t, :-1] if a == axis else nd[t] for a, nd in enumerate(nodes)])] = True
+            cross = np.nonzero(kept[lo] & (neg[lo] != neg[hi]))
             stepped = tuple(c + (a == axis) for a, c in enumerate(cross))
-            got, f0, f1 = tracer._crossings(index, values.ravel()[index], shape, axis)
+            got, f0, f1 = tracer._merge([tracer._edges(nodes, v, shape, axis) for nodes, v in chunks])
             assert np.array_equal(got, np.ravel_multi_index(cross, shape))
             assert np.array_equal(f0, values[cross]) and np.array_equal(f1, values[stepped])
+            assert kept[lo].all() or share < 1
 
 
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
@@ -250,23 +270,29 @@ def test_grid_gap_tables_equal_field_values_at_nodes(metric, dim):
     at = rng.integers(n, size=(4, dim))
     foci = tuple(tuple(float(axes[a][i]) for a, i in enumerate(row)) for row in at)
     f = SumField(Space.continuum(dim, metric), foci)
-    shape = (n,) * dim
     # r = f(first focus): the sub-block holding it is kept, so that node is evaluated
     on_level = float(f.values(np.array(foci[:1]))[0])
     for r in (on_level, 1.3 * float(f.values(np.array(foci[1:2]))[0])):
-        index, values = tracer._sign_grid(f, r, axes)
-        node = np.unravel_index(index, shape)
-        pts = np.column_stack([a[i] for a, i in zip(axes, node)])
-        assert np.array_equal(values, f.values(pts) - r) and len(index) > 100
+        pts = []
+        for nodes, values in tracer._tiles(f, r, axes):
+            tile = np.stack(np.broadcast_arrays(*[a[i] for a, i in zip(axes, tile_index(nodes))]), axis=-1)
+            assert np.array_equal(values, f.values(tile.reshape(-1, dim)).reshape(values.shape) - r)
+            pts.append(tile.reshape(-1, dim))
+        pts = np.concatenate(pts)
+        assert len(pts) > 100
         if r == on_level:
             assert (pts[:, None, :] == np.array(foci)[None, :, :]).all(axis=-1).any()
 
 
-def values_sign_grid(f, r, axes):
-    """Every grid node through SumField.values."""
+def values_tiles(f, r, axes):
+    """Every sub-block's tile, through SumField.values."""
+    shape = tuple(len(a) for a in axes)
     mesh = np.meshgrid(*axes, indexing="ij")
-    grid = f.values(np.column_stack([g.ravel() for g in mesh])) - r
-    return np.arange(grid.size), grid
+    grid = (f.values(np.column_stack([g.ravel() for g in mesh])) - r).reshape(shape)
+    sub = tracer.BLOCK // 2
+    blocks = np.indices([len(range(0, n - 1, sub)) for n in shape]).reshape(len(shape), -1).T
+    nodes = [np.minimum(sub * b[:, None] + np.arange(sub + 1), n - 1) for b, n in zip(blocks.T, shape)]
+    yield nodes, grid[tile_index(nodes)]
 
 
 def values_bisect(f, r, p0, axis, hi, f0, f1, tol):
@@ -282,7 +308,7 @@ def test_sample_3d_equals_field_values_kernels(monkeypatch):
     scene = fixture_scene("tri3d_lp4")
     cfg = tracer.TraceConfig(bbox=scene.trace.bbox, resolution=100, refine_tol=scene.trace.refine_tol)
     got = sample_3d(scene.ellipse, cfg)
-    monkeypatch.setattr(tracer, "_sign_grid", values_sign_grid)
+    monkeypatch.setattr(tracer, "_tiles", values_tiles)
     monkeypatch.setattr(tracer, "_bisect_edges", values_bisect)
     want = sample_3d(scene.ellipse, cfg)
     assert len(want) > 1000 and np.array_equal(got.points, want.points)

@@ -208,11 +208,26 @@ def test_sample_3d_empty_below_minimum():
     assert len(cloud) == 0
 
 
-def full_sign_grid(f, r, axes):
-    """Brute-force stand-in for tracer._sign_grid: lists every grid node."""
+def full_grid(f, r, axes):
+    """field - r at every grid node, through SumField.values."""
     mesh = np.meshgrid(*axes, indexing="ij")
-    grid = f.values(np.column_stack([g.ravel() for g in mesh])) - r
-    return np.arange(grid.size), grid
+    return (f.values(np.column_stack([g.ravel() for g in mesh])) - r).reshape(mesh[0].shape)
+
+
+def tile_index(nodes):
+    """Index arrays that pick a tile chunk's (m, S + 1, ..., S + 1) nodes out of the grid."""
+    d = len(nodes)
+    return tuple(nd.reshape((len(nd),) + tuple(-1 if b == a else 1 for b in range(d)))
+                 for a, nd in enumerate(nodes))
+
+
+def full_tiles(f, r, axes):
+    """Brute-force stand-in for tracer._tiles: keeps every sub-block, in one chunk."""
+    grid = full_grid(f, r, axes)
+    sub = tracer.BLOCK // 2
+    blocks = np.indices([len(range(0, n - 1, sub)) for n in grid.shape]).reshape(grid.ndim, -1).T
+    nodes = [np.minimum(sub * b[:, None] + np.arange(sub + 1), n - 1) for b, n in zip(blocks.T, grid.shape)]
+    yield nodes, grid[tile_index(nodes)]
 
 
 def seeded_ellipse(dim, metric, seed, k=5):
@@ -275,10 +290,18 @@ def test_pruned_grid_matches_full_grid(case, monkeypatch):
     e, cfg = EQUIVALENCE_CASES[case]()
     f, r, axes = e.field, float(e.r), cfg.axes()
     shape = tuple(len(a) for a in axes)
-    index, values = tracer._sign_grid(f, r, axes)
-    _, full_values = full_sign_grid(f, r, axes)
-    assert (np.diff(index) > 0).all() and np.array_equal(values, full_values[index])
-    neg = full_values.reshape(shape) < 0
+    chunks = list(tracer._tiles(f, r, axes))
+    full = full_grid(f, r, axes)
+    sub = tracer.BLOCK // 2
+    # each tile is a distinct sub-block, its short axes repeating the last node,
+    # and holds the brute-force grid's values at its nodes
+    firsts = np.concatenate([np.column_stack([nd[:, 0] for nd in nodes]) for nodes, _ in chunks])
+    assert (firsts % sub == 0).all() and len({tuple(b) for b in firsts}) == len(firsts)
+    for nodes, values in chunks:
+        for nd, n in zip(nodes, shape):
+            assert np.array_equal(nd, np.minimum(nd[:, :1] + np.arange(sub + 1), n - 1))
+        assert np.array_equal(values, full[tile_index(nodes)])
+    neg = full < 0
     crossing_nodes = []
     for axis in range(neg.ndim):
         lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(neg.ndim))
@@ -286,9 +309,9 @@ def test_pruned_grid_matches_full_grid(case, monkeypatch):
         cross = np.nonzero(neg[lo] != neg[hi])
         stepped = tuple(c + (a == axis) for a, c in enumerate(cross))
         lower, upper = np.ravel_multi_index(cross, shape), np.ravel_multi_index(stepped, shape)
-        got, f0, f1 = tracer._crossings(index, values, shape, axis)
+        got, f0, f1 = tracer._merge([tracer._edges(nodes, values, shape, axis) for nodes, values in chunks])
         assert np.array_equal(got, lower)
-        assert np.array_equal(f0, full_values[lower]) and np.array_equal(f1, full_values[upper])
+        assert np.array_equal(f0, full.ravel()[lower]) and np.array_equal(f1, full.ravel()[upper])
         crossing_nodes.append(np.concatenate([lower, upper]))
     if case == "near-minimum":
         blocks = np.unravel_index(np.concatenate(crossing_nodes), shape)
@@ -296,7 +319,7 @@ def test_pruned_grid_matches_full_grid(case, monkeypatch):
 
     run = trace_2d if neg.ndim == 2 else sample_3d
     got = run(e, cfg)
-    monkeypatch.setattr(tracer, "_sign_grid", full_sign_grid)
+    monkeypatch.setattr(tracer, "_tiles", full_tiles)
     want = run(e, cfg)
     assert got.boundary_warning == want.boundary_warning
     if neg.ndim == 2:
@@ -306,6 +329,23 @@ def test_pruned_grid_matches_full_grid(case, monkeypatch):
     else:
         assert len(want) > 0 and np.array_equal(got.points, want.points)
     assert got.boundary_warning == (case == "cut-by-bbox")
+
+
+@pytest.mark.parametrize("resolution", [21, 22, 23])
+def test_trace_2d_cut_by_a_short_last_sub_block(resolution):
+    # the bbox cuts the circle on its last node plane along x, which the
+    # short last sub-block repeats: the cells on the repeated node have no
+    # extent, and each crossing edge of the grid gives one vertex
+    e = KEllipse(Space.continuum(2, Metric.l2()), ((0, 0),), 2)
+    cfg = TraceConfig(bbox=((-1, 1.5), (-3, 3)), resolution=resolution)
+    assert resolution % (tracer.BLOCK // 2)
+    res = trace_2d(e, cfg)
+    mesh = np.meshgrid(*cfg.axes(), indexing="ij")
+    neg = (e.field.values(np.column_stack([g.ravel() for g in mesh])) < 2).reshape(mesh[0].shape)
+    crossing_edges = (neg[1:] != neg[:-1]).sum() + (neg[:, 1:] != neg[:, :-1]).sum()
+    assert res.boundary_warning and [p.closed for p in res] == [False, False]
+    assert len(res.all_vertices()) == crossing_edges
+    assert residuals(e, res.all_vertices()).max() <= cfg.refine_tol
 
 
 def test_grid_node_bound():
