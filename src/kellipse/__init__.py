@@ -6,9 +6,9 @@ radius. The package computes these level sets (exactly on the line, traced in
 contraction-style conditions that make a self-map fix a k-ellipse, and
 analyzes piecewise-affine maps such as the SReLU activation exactly.
 """
-from .geometry import (KEllipse, LevelSolution1D, PointClass, SolutionKind,
-                       SolverError, SumField, classify, members_finite,
-                       min_radius, nonempty, solve_1d, weiszfeld)
+from .geometry import (KEllipse, LevelSolution1D, SolutionKind, SolverError,
+                       SumField, members_finite, min_radius, nonempty,
+                       solve_1d, weiszfeld)
 from .intervals import Interval, IntervalUnion
 from .metric import AxiomReport, Metric, Point, Space, as_point, sample_points, verify_metric_axioms
 from .piecewise import (FixedSet1D, PiecewiseAffine1D, fixed_kellipse_radii,

@@ -19,15 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import Interval, IntervalUnion
-from .metric import (_FRACTION, TAU_OPT, Metric, Point, Space, as_exact, as_point, as_ratio,
+from .metric import (_FRACTION, TAU_OPT, Metric, Point, Space, _coords, as_exact, as_point, as_ratio,
                      exact_eq, float_below, is_exact)
 
 __all__ = [
     "SumField",
     "KEllipse",
-    "PointClass",
     "SolverError",
-    "classify",
     "min_radius",
     "weiszfeld",
     "SolutionKind",
@@ -74,17 +72,19 @@ class SumField:
         return len(self.foci)
 
     def value(self, x):
+        """The field at one point: the one row of `values`, as a Python number
+        (an int or Fraction when exact, a float otherwise)."""
         pt = as_point(x)
         if pt.dim != self.space.dimension:
             raise ValueError(f"point {pt} does not match space dimension {self.space.dimension}")
-        d = self.space.metric.distance
-        return sum(d(pt, f) for f in self.foci)
+        return self.values(_coords((pt,), pt.dim)).item(0)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized field over the rows of `pts` (N, d) array.
 
         Float output, or object output for an object array of int/Fraction
-        rows: each sum then runs 0 + d1 + d2 ... in focus order, as `value`.
+        rows: each sum then runs 0 + d1 + d2 ... in focus order, in Python
+        arithmetic.
         """
         exact = isinstance(pts, np.ndarray) and pts.dtype.kind == "O"
         total = np.zeros(len(pts), dtype=object if exact else float)
@@ -117,22 +117,6 @@ class KEllipse:
         return SumField(self.space, self.foci)
 
 
-class PointClass(Enum):
-    INTERIOR = "interior"
-    ON = "on"
-    EXTERIOR = "exterior"
-
-
-def classify(e: KEllipse, x, tol) -> PointClass:
-    """Classify x against the level set; tol=0 compares exactly."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    v = e.field.value(x)
-    if abs(v - e.r) <= tol:
-        return PointClass.ON
-    return PointClass.INTERIOR if v < e.r else PointClass.EXTERIOR
-
-
 # ---------------------------------------------------------------------------
 # minimum radius (geometric median)
 # ---------------------------------------------------------------------------
@@ -155,8 +139,8 @@ def min_radius(field: SumField):
 def _minimum(field: SumField) -> tuple:
     """(r*, argmin, lower): lower <= r* bounds the minimum, and equals r* for exact foci."""
     if field.space.is_finite:
-        best = min(field.space.points, key=lambda p: (field.value(p), p))
-        value = field.value(best)
+        pts = field.space.points
+        value, best = min(zip(field.values(_coords(pts, field.space.dimension)).tolist(), pts))
         return value, best, value
     if field.space.dimension == 1:
         lo, hi = line_field(f[0] for f in field.foci).median
@@ -234,7 +218,7 @@ def _linf_median(foci) -> tuple:
         u = (z[:k * d] - z[k * d:2 * k * d]).reshape(k, d)
         # y = cb B^-1 prices p_0j at y_0 + x_j and s_0 at y_0
         x = cb @ _FRACTION(t[:-1, :d]) - cb @ _FRACTION(t[:-1, 2 * k * d])
-        r_star = np.abs(x - a).max(axis=1).sum()
+        r_star = Metric.linf().rowwise(x, a).sum()
         if not u.sum(axis=0).any() and (np.abs(u).sum(axis=1) <= 1).all() and (u * a).sum() == r_star:
             return list(x), r_star
     raise SolverError(f"Bland's rule in Fractions stopped after {MAX_ITER} pivots",
@@ -597,7 +581,9 @@ def members_finite(e: KEllipse) -> list[Point]:
     points; a segment of it raises ValueError.
     """
     if e.space.is_finite:
-        return [p for p in e.space.points if exact_eq(e.field.value(p), e.r)]
+        pts = e.space.points
+        values = e.field.values(_coords(pts, e.space.dimension)).tolist()
+        return [p for p, v in zip(pts, values) if exact_eq(v, e.r)]
     if e.space.dimension == 1:
         level = _level_set_1d(e)
         if not all(p.is_point for p in level.parts):

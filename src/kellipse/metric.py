@@ -1,10 +1,13 @@
 """Points, Minkowski metrics, metric spaces (continuum, finite, or mixed), and
 the numeric policy: every float tolerance and the exact-number helpers.
 
-Coordinates may be int, float, or Fraction. Exact types are preserved through
-distance computations wherever the metric allows (L1, Linf, and any metric in
-dimension 1), so that finite-space and 1D analyses stay rational end to end:
-the array forms keep int/Fraction coordinates given as an object array.
+Coordinates may be int, float, or Fraction. Every distance the package
+computes comes from one norm, `Metric.column_norm`, on arrays; `_coords` is
+the one rule for a point array's dtype: object (int/Fraction kept) unless
+every coordinate is a float. Exact types are preserved wherever the metric
+allows (L1, Linf, and any metric in dimension 1), so that finite-space and 1D
+analyses stay rational end to end. `Metric.distance` is the one-row case of
+`Metric.rowwise`.
 """
 from __future__ import annotations
 
@@ -174,27 +177,13 @@ class Metric:
         return {"l1": "L1", "l2": "L2", "linf": "Linf"}[self.kind]
 
     def distance(self, a: Sequence, b: Sequence):
-        """Distance between two points; exact for L1/Linf and in dimension 1.
-
-        Lp uses the max-factored form m * (sum((|d|/m)^p))^(1/p) so large
-        exponents do not overflow.
-        """
+        """Distance between two points: the one row of `rowwise`, as a Python
+        number, an int or Fraction when exact (L1/Linf and dimension 1 on exact
+        coordinates), a float otherwise."""
         if len(a) != len(b):
             raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-        diffs = [abs(x - y) for x, y in zip(a, b)]
-        if len(diffs) == 1:
-            return diffs[0]       # every Minkowski metric coincides on the line
-        if self.kind == "l1":
-            return sum(diffs)
-        if self.kind == "linf":
-            return max(diffs)
-        if self.kind == "l2":
-            return math.sqrt(sum(float(d) * float(d) for d in diffs))
-        m = float(max(diffs))
-        if m == 0.0:
-            return 0.0
-        s = sum((float(d) / m) ** self.p for d in diffs)
-        return m * s ** (1.0 / self.p)
+        ab = _coords((a, b), len(a))
+        return self.rowwise(ab[:1], ab[1:]).item(0)
 
     def distance_field(self, pts: np.ndarray, focus: Sequence) -> np.ndarray:
         """Vectorized distances from every row of `pts` (N, d) to one focus."""
@@ -208,10 +197,7 @@ class Metric:
         """Distance matrix (n, m) between the rows of `a` (n, d) and `b` (m, d).
 
         Float entries, or int/Fraction ones in an object array (exact on the
-        line and under L1 and Linf), each the value `distance` gives, except
-        under Lp: numpy's power may differ from Python's by 1-3 ulps on about
-        5% of points, enough to move a point across the tolerance bands of the
-        plan's Halton classification and of OnEllipse, which use these norms.
+        line and under L1 and Linf), each the value `distance` gives.
         """
         a, b = _arrays(a, b)
         return self.rowwise(a[:, None, :], b[None, :, :])
@@ -234,7 +220,9 @@ class Metric:
         short axis. A single gap is its own norm under every metric. Object
         gaps stay exact under L1 and Linf: each sum and maximum runs in Python
         arithmetic, and a maximum keeps the first of equal gaps, as max() does.
-        Under L2 and Lp each object gap becomes its float first, as in `distance`.
+        Under L2 and Lp each object gap becomes its float first. Lp uses the
+        max-factored form m * (sum((g/m)^p))^(1/p), so large exponents do not
+        overflow.
         """
         if len(g) == 1:
             return g[0]
@@ -258,6 +246,13 @@ class Metric:
         s = _fold(np.add, terms)
         s **= 1.0 / self.p
         return np.multiply(m, s, out=s)
+
+
+def _coords(points, dim: int, exact: bool | None = None) -> np.ndarray:
+    """(n, dim) coordinates: object ones (int/Fraction kept) when exact, else
+    float; exact=None means exact unless every coordinate is a float."""
+    exact = not all(isinstance(c, float) for p in points for c in p) if exact is None else exact
+    return np.array(points, dtype=object if exact else float).reshape(len(points), dim)
 
 
 def _arrays(a, b) -> tuple:
@@ -352,8 +347,9 @@ def sample_points(space: Space, n: int, seed: int) -> list[Point]:
 
     Continuum spaces sample uniformly in (-10, 10) on every axis; finite
     spaces sample from the point list; membership restrictions are honored by
-    sampling each isolated point / interval, isolated points first, with each
-    interval cut to (-10, 10).
+    sampling each isolated point / interval, isolated points first. An
+    interval that meets (-10, 10) is cut to it; one beyond it is sampled
+    itself, over at most the window's width from its finite end.
     """
     rng = random.Random(seed)
     if space.is_finite:
@@ -367,10 +363,15 @@ def sample_points(space: Space, n: int, seed: int) -> list[Point]:
             entry = rng.choice(entries)
             if entry.is_point:
                 out.append(Point((entry.lo,)))
-            else:
-                lo = max(float(entry.lo), lo_w) if entry.lo != -math.inf else lo_w
-                hi = min(float(entry.hi), hi_w) if entry.hi != math.inf else hi_w
-                out.append(Point((rng.uniform(lo, hi),)))
+                continue
+            lo, hi = float(entry.lo), float(entry.hi)
+            if lo < hi_w and hi > lo_w:
+                lo, hi = max(lo, lo_w), min(hi, hi_w)
+            elif hi == math.inf:
+                hi = lo + (hi_w - lo_w)
+            elif lo == -math.inf:
+                lo = hi - (hi_w - lo_w)
+            out.append(Point((rng.uniform(lo, hi),)))
         return out
     return [Point(tuple(rng.uniform(lo_w, hi_w) for _ in range(space.dimension))) for _ in range(n)]
 
@@ -397,27 +398,32 @@ class AxiomReport:
 def verify_metric_axioms(space: Space, sample_count: int, seed: int = 0) -> AxiomReport:
     """Check the metric axioms on seeded sample triples.
 
-    Violations are report content, not errors: the report lists each
-    offending triple with the violated axiom and the violation amount. A
-    triangle excess counts when it is above TAU_TRI.
+    Each distance column (d(a, b), d(b, a), d(a, a), d(a, c), d(b, c)) is one
+    `rowwise` call over the triples. Violations are report content, not
+    errors: the report lists each offending triple with the violated axiom
+    and the violation amount, triple by triple in sample order. A triangle
+    excess counts when it is above TAU_TRI.
     """
     if sample_count < 3:
         raise ValueError("sample_count must be >= 3")
-    d = space.metric.distance
-    violations: list[AxiomViolation] = []
+    metric = space.metric
     samples = sample_points(space, 3 * sample_count, seed)
-    for i in range(sample_count):
+    S = _coords(samples, space.dimension)
+    A, B, C = S[0::3], S[1::3], S[2::3]
+    dab = metric.rowwise(A, B)
+    columns = (dab, metric.rowwise(B, A), metric.rowwise(A, A), Metric.linf().rowwise(A, B),
+               metric.rowwise(A, C) - (dab + metric.rowwise(B, C)))
+    violations: list[AxiomViolation] = []
+    for i, (ab, ba, aa, apart, gap) in enumerate(zip(*(c.tolist() for c in columns))):
         a, b, c = samples[3 * i: 3 * i + 3]
-        dab, dba = d(a, b), d(b, a)
-        if dab < 0:
-            violations.append(AxiomViolation("nonnegativity", (a, b), float(-dab)))
-        if dab != dba:
-            violations.append(AxiomViolation("symmetry", (a, b), float(abs(dab - dba))))
-        if d(a, a) != 0:
-            violations.append(AxiomViolation("identity", (a,), float(d(a, a))))
-        if dab <= TAU_EQ and max(abs(x - y) for x, y in zip(a, b)) > TAU_EQ:
-            violations.append(AxiomViolation("identity", (a, b), float(dab)))
-        gap = d(a, c) - (dab + d(b, c))
+        if ab < 0:
+            violations.append(AxiomViolation("nonnegativity", (a, b), float(-ab)))
+        if ab != ba:
+            violations.append(AxiomViolation("symmetry", (a, b), float(abs(ab - ba))))
+        if aa != 0:
+            violations.append(AxiomViolation("identity", (a,), float(aa)))
+        if ab <= TAU_EQ and apart > TAU_EQ:
+            violations.append(AxiomViolation("identity", (a, b), float(ab)))
         if gap > TAU_TRI:
             violations.append(AxiomViolation("triangle", (a, b, c), float(gap)))
-    return AxiomReport(space.metric, sample_count, seed, tuple(violations))
+    return AxiomReport(metric, sample_count, seed, tuple(violations))

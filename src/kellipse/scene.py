@@ -302,12 +302,10 @@ def fixture_names() -> list[str]:
 
 def fixture_scene(name: str) -> Scene:
     """Load a shipped scene by name (without the .json suffix)."""
-    pkg = resources.files("kellipse") / "scenes" / f"{name}.json"
-    try:
-        data = json.loads(pkg.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise SceneError(f"no shipped scene named {name!r}") from exc
-    return parse_scene(data, name=name)
+    path = fixture_path(name)
+    if not path.is_file():
+        raise SceneError(f"no shipped scene named {name!r}")
+    return load_scene(path)
 
 
 def fixture_path(name: str) -> Path:

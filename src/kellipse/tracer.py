@@ -93,12 +93,6 @@ class Polyline:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def arc_length(self) -> float:
-        v = self.vertices
-        if self.closed:
-            v = np.vstack([v, v[:1]])
-        return float(np.linalg.norm(np.diff(v, axis=0), axis=1).sum())
-
 
 @dataclass
 class TraceResult:

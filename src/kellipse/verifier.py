@@ -2,13 +2,15 @@
 
 A self-map is an ordered rule table (region mask, action), applied to a list
 of points at once; a sample plan pairs on-level-set points with ambient
-points. Every condition is computed by one kernel of numpy reductions over
+points, classifying its candidates with one `SumField.values` call per
+block. Every condition is computed by one kernel of numpy reductions over
 the plan's distance vectors and pairwise distance matrices (in blocks of at
-most PAIR_BLOCK entries), on one of two dtypes. When the plan is exact, the
-metric keeps rationals (the line, L1, Linf) and the foci, the radius, the
-plan points and their images all have int/Fraction coordinates, the kernel
-runs on object arrays in rational arithmetic with zero slack, and the report
-is "exact": every margin is an int or a Fraction. Every other input runs on
+most PAIR_BLOCK entries), on one of two dtypes, with every distance from the
+metric's one norm, `Metric.column_norm`. When the plan is exact, the metric
+keeps rationals (the line, L1, Linf) and the foci, the radius, the plan
+points and their images all have int/Fraction coordinates, the kernel runs
+on object arrays in rational arithmetic with zero slack, and the report is
+"exact": every margin is an int or a Fraction. Every other input runs on
 float arrays with the slack `metric.TAU_COND`. Pair conditions fit the
 minimal feasible constant and report the witness pair (the first in plan
 order on ties); every verdict is qualified by whether the plan was
@@ -33,8 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import KEllipse, SolutionKind, SumField, solve_1d
-from .metric import (_FRACTION, STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, as_point,
-                     exact_div, exact_eq, exact_points, is_exact)
+from .metric import (_FRACTION, STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, _coords,
+                     as_point, exact_div, exact_eq, exact_points, is_exact)
 
 __all__ = [
     "ConfigurationError",
@@ -51,7 +53,6 @@ __all__ = [
     "SamplePlan",
     "exhaustive_plan",
     "default_plan",
-    "RadiusGap",
     "CONDITION_IDS",
     "ConditionReport",
     "check_condition",
@@ -227,12 +228,11 @@ def exhaustive_plan(e: KEllipse) -> SamplePlan:
     """Partition a finite space into on-set and off-set points, exactly."""
     if not e.space.is_finite:
         raise ValueError("exhaustive plans require a finite space")
+    pts = e.space.points
     on, off = [], []
-    for p in e.space.points:
-        v = e.field.value(p)
-        target = on if exact_eq(v, e.r) else off
-        target.append(p)
-    exact = e.space.keeps_rationals and exact_points(e.r, e.space.points)
+    for p, v in zip(pts, e.field.values(_coords(pts, e.space.dimension)).tolist()):
+        (on if exact_eq(v, e.r) else off).append(p)
+    exact = e.space.keeps_rationals and exact_points(e.r, pts)
     return SamplePlan(e.space, tuple(on), tuple(off), seed=0, exhaustive=True, exact=exact)
 
 
@@ -283,28 +283,30 @@ def _plan_1d(e: KEllipse, seed: int, off_count: int, window) -> SamplePlan:
         window = (min(foci_vals) - span, max(foci_vals) + span)
     lo_w, hi_w = window
     rng = random.Random(seed)
-    off: list[Point] = []
     seen = {p[0] for p in on}
-    if e.space.membership is not None:
-        for iso in (p.lo for p in e.space.membership.parts if p.is_point):
-            if iso not in seen and not exact_eq(e.field.value(Point((iso,))), e.r):
-                off.append(Point((iso,)))
-                seen.add(iso)
-    attempts = 0
-    while len(off) < off_count and attempts < 50 * off_count:
-        attempts += 1
-        x = Fraction(rng.randint(int(lo_w * 64), int(hi_w * 64)), 64)
-        if x in seen:
-            continue
-        p = Point((x,))
-        if not e.space.contains(p):
-            continue
-        if exact_eq(e.field.value(p), e.r):
-            continue
-        off.append(p)
-        seen.add(x)
+    isolated = [] if e.space.membership is None else [
+        p.lo for p in e.space.membership.parts if p.is_point and p.lo not in seen]
+    off = _off_level(e, isolated)
+    seen.update(p[0] for p in off)
+    # dyadic candidates in blocks of the missing count, drawn and kept in the
+    # order one draw at a time would keep them
+    attempts, budget = 0, 50 * off_count
+    while len(off) < off_count and attempts < budget:
+        draws = [Fraction(rng.randint(int(lo_w * 64), int(hi_w * 64)), 64)
+                 for _ in range(min(off_count - len(off), budget - attempts))]
+        attempts += len(draws)
+        for p in _off_level(e, [x for x in draws if x not in seen and e.space.contains(Point((x,)))]):
+            if p[0] not in seen:
+                off.append(p)
+                seen.add(p[0])
     exact = exact_points(e.r, e.foci)
     return SamplePlan(e.space, tuple(on), tuple(off), seed=seed, exhaustive=False, exact=exact)
+
+
+def _off_level(e: KEllipse, xs: list) -> list:
+    """The points (x,) for x in xs, in order, at which the line field is not r."""
+    values = e.field.values(_coords([(x,) for x in xs], 1)).tolist()
+    return [Point((x,)) for x, v in zip(xs, values) if not exact_eq(v, e.r)]
 
 
 def _plan_nd(e: KEllipse, seed: int, off_count: int, trace_config) -> SamplePlan:
@@ -334,18 +336,6 @@ def _plan_nd(e: KEllipse, seed: int, off_count: int, trace_config) -> SamplePlan
 # conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadiusGap:
-    """Auxiliary gap function: s -> s - r for s > 0, and 0 at s = 0."""
-
-    r: object
-
-    def __call__(self, s):
-        if s < 0:
-            raise ValueError("gap function domain is s >= 0")
-        return s - self.r if s > 0 else 0
-
-
 POINTWISE_IDS = ("Ek1", "Ek2", "E'k1", "E'k2", "E'''k1")
 PAIR_FIT = {"Ek3": Fraction(1, 2), "E'k3": Fraction(1, 2), "E'''k4": 1, "Bk3": 1}
 CONDITION_IDS = POINTWISE_IDS + tuple(PAIR_FIT) + ("E''k2", "E'''k2", "E'''k3", "Ik")
@@ -369,24 +359,10 @@ class ConditionReport:
         return self.verdict == PASS
 
 
-def pointwise_margin(condition_id: str, m: SelfMap, e: KEllipse, x: Point, tx: Point | None = None):
-    """Slack of a pointwise condition at one on-set point (negative = violated)."""
-    d = e.space.metric.distance
-    f = e.field
-    tx = m(x) if tx is None else tx
-    if condition_id == "Ek1":
-        return (f.value(x) - f.value(tx)) - d(x, tx)
-    if condition_id == "Ek2":
-        return f.value(tx) - e.r
-    if condition_id == "E'k1":
-        return (f.value(x) + f.value(tx) - 2 * e.r) - d(x, tx)
-    if condition_id == "E'k2":
-        return e.r - f.value(tx)
-    if condition_id == "E'''k1":
-        return -abs(f.value(tx) - e.r)
-    raise ValueError(f"{condition_id!r} is not a pointwise condition")
-
-
+# The condition kernel computes every pair at once, so no package code calls
+# pair_ratio. It stays only because bench/tracing.py wraps it by name, which
+# tests/test_bench_hooks.py guards; it goes when the benchmark counts pairs
+# another way. The tests' scalar form is in tests/oracles.py.
 def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
                tx: Point | None = None, ty: Point | None = None, tau=0):
     """Ratio bound-side for a constant-fitting pair condition.
@@ -411,13 +387,6 @@ def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
     if den <= tau:
         return None if num <= tau else math.inf
     return exact_div(num, den)
-
-
-def ik_margin(m: SelfMap, f: SumField, k: int, x: Point, tx: Point | None = None):
-    """Slack of the identity-forcing bound at x (negative = violated)."""
-    d = f.space.metric.distance
-    tx = m(x) if tx is None else tx
-    return exact_div(f.value(x) - f.value(tx), k + 1) - d(x, tx)
 
 
 def _runs_exact(plan: SamplePlan, f: SumField, points, images, r) -> bool:
@@ -475,13 +444,6 @@ def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
 # ---------------------------------------------------------------------------
 
 PAIR_BLOCK = 1 << 18   # most entries in one temporary of a blocked pair reduction
-
-
-def _coords(points, dim: int, exact: bool | None = None) -> np.ndarray:
-    """(n, dim) coordinates: object ones (int/Fraction kept) when exact, else
-    float; exact=None means exact unless every coordinate is a float."""
-    exact = not all(isinstance(c, float) for p in points for c in p) if exact is None else exact
-    return np.array(points, dtype=object if exact else float).reshape(len(points), dim)
 
 
 def _divide(num, den, fill, tau, exact: bool) -> np.ndarray:
@@ -613,7 +575,7 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, images) -> Co
 
     if condition_id == "E'''k3":
         step = metric.rowwise(X, TX)
-        penalty = np.where(step > 0, step - r, 0)    # RadiusGap(r) of each step
+        penalty = np.where(step > 0, step - r, 0)    # the radius gap s -> s - r, 0 at s = 0
 
         def margins(i0, i1):
             return ((metric.pairwise(X[i0:i1], X) - penalty[i0:i1, None])
@@ -651,10 +613,6 @@ class TheoremVerdict:
     @property
     def qualifier(self) -> str:
         return "exact (exhaustive plan)" if self.exhaustive else "certified on samples"
-
-    @property
-    def all_passed(self) -> bool:
-        return self.existence_certified and self.uniqueness_certified
 
 
 def certify(theorem: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> TheoremVerdict:

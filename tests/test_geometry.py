@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import kellipse as ke
-from kellipse import (KEllipse, Metric, PointClass, Space, SumField, classify,
+from kellipse import (KEllipse, Metric, Space, SumField,
                       members_finite, min_radius, solve_1d, weiszfeld)
 from kellipse import geometry
 from kellipse.geometry import SolutionKind, SolverError, _line_field, _lower, _minimum
 from kellipse.metric import TAU_OPT, is_exact
+from oracles import PointClass, classify, scalar_distance, scalar_value
 
 
 def brute_min_1d(foci, lo, hi, step=1e-3):
@@ -117,9 +118,8 @@ def test_min_radius_global_lower_bound(plane_l2):
     f = SumField(plane_l2, ((0, 0), (3, 1), (-2, 2), (1, -4)))
     r_star, _ = min_radius(f)
     rng = random.Random(12)
-    for _ in range(1000):
-        x = (rng.uniform(-6, 6), rng.uniform(-6, 6))
-        assert r_star <= f.value(x) + 1e-9
+    x = np.array([rng.uniform(-6, 6) for _ in range(2000)]).reshape(1000, 2)
+    assert (r_star <= f.values(x) + 1e-9).all()
 
 
 @pytest.mark.parametrize("metric", [Metric.l1(), Metric.linf(), Metric.lp(4)],
@@ -243,7 +243,7 @@ def test_closed_form_minima_are_exact(metric, dim):
         else:
             nodes = ((Fraction(s + t, 2), Fraction(s - t, 2))
                      for s in {a + b for a, b in foci} for t in {a - b for a, b in foci})
-        assert r == min(field.value(nd) for nd in nodes) == field.value(arg)
+        assert r == min(scalar_value(field, nd) for nd in nodes) == field.value(arg)
         assert _minimum(field)[2] == r
 
 
@@ -259,7 +259,7 @@ def test_nonempty_at_the_exact_minimum_of_float_foci():
             exact = [tuple(map(Fraction, f)) for f in foci]
             us, vs = ({a + b for a, b in exact}, {a - b for a, b in exact}) if metric.kind == "linf" \
                 else ({a for a, _ in exact}, {b for _, b in exact})
-            r_star = min(sum(metric.distance(nodes(s, t), f) for f in exact) for s in us for t in vs)
+            r_star = min(sum(scalar_distance(metric, nodes(s, t), f) for f in exact) for s in us for t in vs)
             _, _, lower = _minimum(SumField(sp, foci))
             assert lower <= r_star and ke.nonempty(KEllipse(sp, foci, r_star))
 
@@ -662,8 +662,7 @@ def test_convexity_midpoint_property():
     for metric in (Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(4)):
         sp = Space.continuum(2, metric)
         f = SumField(sp, ((1, 0), (0, 0), (0, 1)))
-        for _ in range(1000):
-            a = np.array([rng.uniform(-8, 8), rng.uniform(-8, 8)])
-            b = np.array([rng.uniform(-8, 8), rng.uniform(-8, 8)])
-            mid = tuple(0.5 * (a + b))
-            assert f.value(mid) <= 0.5 * (f.value(tuple(a)) + f.value(tuple(b))) + 1e-9
+        # 1000 pairs (a, b), drawn a then b; the field by rows
+        ab = np.array([rng.uniform(-8, 8) for _ in range(4000)]).reshape(1000, 2, 2)
+        a, b = ab[:, 0], ab[:, 1]
+        assert (f.values(0.5 * (a + b)) <= 0.5 * (f.values(a) + f.values(b)) + 1e-9).all()

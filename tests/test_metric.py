@@ -27,11 +27,11 @@ def test_distance_examples(metric, a, b, expected):
 def test_distance_symmetric_and_zero_on_diagonal():
     rng = random.Random(1)
     for metric in ALL_KINDS:
-        for _ in range(200):
-            a = tuple(rng.uniform(-10, 10) for _ in range(3))
-            b = tuple(rng.uniform(-10, 10) for _ in range(3))
-            assert metric.distance(a, b) == metric.distance(b, a)
-            assert metric.distance(a, a) == 0
+        # 200 pairs (a, b), drawn a then b; distances by rows
+        ab = np.array([rng.uniform(-10, 10) for _ in range(1200)]).reshape(200, 2, 3)
+        a, b = ab[:, 0], ab[:, 1]
+        assert (metric.rowwise(a, b) == metric.rowwise(b, a)).all()
+        assert (metric.rowwise(a, a) == 0).all()
 
 
 def test_dimension_mismatch_rejected():
@@ -63,35 +63,33 @@ def test_exact_arithmetic_preserved_in_1d_and_l1():
 @pytest.mark.parametrize("metric", ALL_KINDS, ids=lambda m: m.label)
 def test_triangle_inequality_1000_triples(metric, dim):
     rng = random.Random(97 * dim + hash(metric.kind) % 100)
-    for _ in range(1000):
-        a, b, c = (tuple(rng.uniform(-10, 10) for _ in range(dim)) for _ in range(3))
-        assert metric.distance(a, c) <= metric.distance(a, b) + metric.distance(b, c) + 1e-9
+    abc = np.array([rng.uniform(-10, 10) for _ in range(3000 * dim)]).reshape(1000, 3, dim)
+    a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
+    assert (metric.rowwise(a, c) <= metric.rowwise(a, b) + metric.rowwise(b, c) + 1e-9).all()
 
 
 def test_lp_limits_agree_with_l1_l2():
     rng = random.Random(5)
     lp1, lp2 = Metric.lp(1), Metric.lp(2)
-    for _ in range(1000):
-        a = tuple(rng.uniform(-10, 10) for _ in range(3))
-        b = tuple(rng.uniform(-10, 10) for _ in range(3))
-        assert abs(lp1.distance(a, b) - Metric.l1().distance(a, b)) <= 1e-12
-        assert abs(lp2.distance(a, b) - Metric.l2().distance(a, b)) <= 1e-12
+    ab = np.array([rng.uniform(-10, 10) for _ in range(6000)]).reshape(1000, 2, 3)
+    a, b = ab[:, 0], ab[:, 1]
+    assert (np.abs(lp1.rowwise(a, b) - Metric.l1().rowwise(a, b)) <= 1e-12).all()
+    assert (np.abs(lp2.rowwise(a, b) - Metric.l2().rowwise(a, b)) <= 1e-12).all()
 
 
 def test_lp_monotone_in_p():
     rng = random.Random(6)
     ps = [1, 1.5, 2, 3, 4, 8, 16, 64]
-    for _ in range(1000):
-        a = tuple(rng.uniform(-5, 5) for _ in range(3))
-        b = tuple(rng.uniform(-5, 5) for _ in range(3))
-        linf = Metric.linf().distance(a, b)
-        l1 = Metric.l1().distance(a, b)
-        prev = l1
-        for p in ps:
-            d = Metric.lp(p).distance(a, b)
-            assert linf - 1e-12 <= d <= l1 + 1e-12
-            assert d <= prev + 1e-12      # non-increasing in p
-            prev = d
+    ab = np.array([rng.uniform(-5, 5) for _ in range(6000)]).reshape(1000, 2, 3)
+    a, b = ab[:, 0], ab[:, 1]
+    linf = Metric.linf().rowwise(a, b)
+    l1 = Metric.l1().rowwise(a, b)
+    prev = l1
+    for p in ps:
+        d = Metric.lp(p).rowwise(a, b)
+        assert ((linf - 1e-12 <= d) & (d <= l1 + 1e-12)).all()
+        assert (d <= prev + 1e-12).all()      # non-increasing in p
+        prev = d
 
 
 def test_point_validation():
@@ -131,6 +129,22 @@ def test_membership_restriction():
         Space.continuum(2, Metric.l1(), mem)   # 1D only
 
 
+@pytest.mark.parametrize("parts", [
+    (ke.Interval.point(-2), ke.Interval(20, 30)),
+    (ke.Interval(-15, -12, lo_open=True, hi_open=True),),
+    (ke.Interval(Fraction(41, 4), math.inf, lo_open=True),),
+    (ke.Interval(-math.inf, -10), ke.Interval.point(10)),
+    (ke.Interval.point(-2), ke.Interval.point(-1), ke.Interval(0, math.inf)),
+    (ke.Interval(-12, -9, hi_open=True), ke.Interval(9.5, 10.5, lo_open=True)),
+], ids=["beyond", "open-beyond", "ray-beyond", "ray-to-window-end", "halfline", "across-ends"])
+def test_sample_points_are_members_of_a_mixed_space(parts):
+    # an interval outside (-10, 10) is sampled in itself, not in the window
+    sp = Space.continuum(1, Metric.l1(), ke.IntervalUnion.of(parts))
+    for seed in (0, 3, 7):
+        pts = ke.sample_points(sp, 300, seed=seed)
+        assert all(sp.contains(p) for p in pts), [p for p in pts if not sp.contains(p)][:3]
+
+
 def test_verify_metric_axioms_clean_for_norm_metrics():
     for metric in (Metric.l1(), Metric.l2()):
         sp = Space.continuum(2, metric)
@@ -156,11 +170,12 @@ def test_sample_points_deterministic():
 
 
 class _Asymmetric(Metric):
-    """Deliberately broken metric used to exercise violation reporting."""
+    """Deliberately broken metric used to exercise violation reporting: on
+    the line, d(a, b) is 1.5 times too long when a > b."""
 
-    def distance(self, a, b):
-        d = super().distance(a, b)
-        return d * 1.5 if a > b else d
+    def rowwise(self, a, b):
+        d = super().rowwise(a, b)
+        return np.where(a[..., 0] > b[..., 0], d * 1.5, d)
 
 
 def test_axiom_violations_are_reported_not_raised():

@@ -1,17 +1,19 @@
 """The condition kernel of the verifier against plain scalar loops.
 
-The reference below walks the plan pair by pair with the public scalar
-helpers (pointwise_margin, pair_ratio, ik_margin) and the first-occurrence
-tie rule, under the float slack TAU_COND, or under zero slack on exact
-inputs. check_condition must give the same verdict and witness points, and
-the same constants and margins: on float plans bit for bit under L1, L2 and
-Linf, within 1e-12 relative under Lp; on exact plans equal in value and type.
+The reference below walks the plan pair by pair with the scalar oracles of
+tests/oracles.py (scalar_distance, pointwise_margin, pair_ratio, ik_margin)
+and the first-occurrence tie rule, under the float slack TAU_COND, or under
+zero slack on exact inputs. check_condition must give the same verdict and
+witness points, and the same constants and margins: on float plans bit for
+bit under L1, L2 and Linf, within 1e-12 relative under Lp; on exact plans
+equal in value and type.
 """
 import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -24,8 +26,8 @@ from kellipse import (Affine1D, ConstantPoint, Identity, InFiniteSet, InHalfspac
                       make_fixing_map, min_radius)
 from kellipse.cli import main
 from kellipse.metric import STRICT_MARGIN, TAU_COND, TAU_IDENT
-from kellipse.verifier import (CONDITION_IDS, FAIL, PAIR_FIT, PASS, POINTWISE_IDS, VACUOUS,
-                               RadiusGap, ik_margin, pair_ratio, pointwise_margin)
+from kellipse.verifier import CONDITION_IDS, FAIL, PAIR_FIT, PASS, POINTWISE_IDS, VACUOUS
+from oracles import RadiusGap, ik_margin, pair_ratio, pointwise_margin, scalar_distance, scalar_value
 
 METRICS = (Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(3))
 
@@ -49,7 +51,8 @@ def scalar_reference(cid, m, e, plan, slack=TAU_COND):
     margin of the constant fits is 0 as well.
     """
     on, off = plan.on_ellipse, plan.off_ellipse
-    d = e.space.metric.distance
+
+    d = partial(scalar_distance, e.space.metric)
     if cid == "Ik":
         k = len(e.foci)
         margin, witness = _first_min((ik_margin(m, e.field, k, x), (x,)) for x in plan.all_points)
@@ -74,7 +77,7 @@ def scalar_reference(cid, m, e, plan, slack=TAU_COND):
         fitted, witness = 0, ()
         for x in on:
             tx = m(x)
-            deficit = e.r - e.field.value(tx)
+            deficit = e.r - scalar_value(e.field, tx)
             need = 0
             if deficit > 0:
                 step = d(x, tx)
@@ -194,7 +197,7 @@ def exact_case(rng, dim, metric, kind, line=False):
     else:
         space = Space.finite([_rational_point(rng, dim) for _ in range(rng.randint(4, 14))], metric)
         field = SumField(space, tuple(rng.sample(space.points, rng.randint(1, min(3, len(space.points))))))
-        values = [field.value(p) for p in space.points]
+        values = [scalar_value(field, p) for p in space.points]
         e = KEllipse(space, field.foci, max(values, key=values.count))
         plan = exhaustive_plan(e)
     on = plan.on_ellipse
@@ -311,10 +314,32 @@ def test_pairwise_matches_scalar_distance():
             assert mat.shape == (6, 5)
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
-                    assert _same_number(float(mat[i, j]), metric.distance(x, y), metric)
+                    assert float(mat[i, j]) == metric.distance(x, y)
             rows = metric.rowwise(np.array(a[:5]), np.array(b))
             for x, y, v in zip(a, b, rows):
-                assert _same_number(float(v), metric.distance(x, y), metric)
+                assert float(v) == metric.distance(x, y)
+            # int/Fraction points: equal in value and type
+            qa = [_rational_point(rng, dim) for _ in range(6)]
+            qb = [_rational_point(rng, dim) for _ in range(4)] + [qa[0]]
+            mat = metric.pairwise(np.array(qa, dtype=object), np.array(qb, dtype=object)).tolist()
+            assert [[(type(v), v) for v in row] for row in mat] == \
+                [[(type(d), d) for d in (metric.distance(x, y) for y in qb)] for x in qa]
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("metric", METRICS, ids=lambda mt: mt.label)
+def test_scalar_distance_oracle_tracks_the_array_norm(metric, dim):
+    # Python's pow and numpy's power may round Lp powers differently; every
+    # other norm takes the same float operations in the same order
+    rng = random.Random(f"oracle:{dim}:{metric.label}")
+    a = [_point(rng, dim) for _ in range(2000)] + [Point((1.5,) * dim)]
+    b = [_point(rng, dim) for _ in range(2000)] + [Point((1.5,) * dim)]
+    got = metric.rowwise(np.array(a), np.array(b))
+    expect = np.array([scalar_distance(metric, x, y) for x, y in zip(a, b)])
+    if metric.kind == "lp":
+        np.testing.assert_array_max_ulp(got, expect, maxulp=8)
+    else:
+        assert got.tolist() == expect.tolist()
 
 
 # ---------------------------------------------------------------------------

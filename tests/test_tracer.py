@@ -8,6 +8,7 @@ from kellipse import (KEllipse, Metric, SolverError, Space, TraceConfig,
                       export_csv, export_svg, fixture_scene, min_radius,
                       parse_csv_points, sample_3d, trace_2d, tracer)
 from kellipse.metric import TAU_EQ
+from oracles import arc_length
 
 
 def l1_tri_ellipse(r=4):
@@ -179,7 +180,7 @@ def test_trace_arc_length_converges(metric, foci):
     lengths = {}
     for resolution in (256, 512):
         res = trace_2d(e, TraceConfig(bbox=bbox, resolution=resolution))
-        lengths[resolution] = sum(pl.arc_length() for pl in res)
+        lengths[resolution] = sum(arc_length(pl) for pl in res)
     assert abs(lengths[512] - lengths[256]) / lengths[256] < 0.02
 
 
@@ -357,9 +358,9 @@ def test_grid_node_bound():
 
 
 def test_sample_3d_peak_memory_on_shipped_scene():
-    # the grid phase lists only the nodes of kept sub-blocks; one bool per node
-    # of the 257^3 grid would alone take 16.2 MiB, a dense sign grid and an
-    # evaluated-node mask with their expansions 47 MiB
+    # bisection sets the peak, about 17.0 MiB; the grid phase holds only the
+    # tiles of kept sub-blocks and peaks at 9.5 MiB, where one bool per node
+    # of the 257^3 grid would alone take 16.2 MiB
     scene = fixture_scene("tri3d_l2")
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 import kellipse as ke
 from kellipse import (Affine1D, ConfigurationError, ConstantPoint, Identity,
                       InFiniteSet, InHalfspace, Interval, KEllipse, Metric,
-                      OnEllipse, Otherwise, PointClass, Rational1D, SelfMap,
-                      Space, certify, check_condition, check_identity_condition,
-                      classify, default_plan, exhaustive_plan,
-                      fixed_points_on, make_fixing_map, selfmap_from_piecewise)
-from kellipse.verifier import (FAIL, PASS, VACUOUS, _radical_inverse, ik_margin, pair_ratio,
-                               pointwise_margin)
+                      OnEllipse, Otherwise, Rational1D, SelfMap, Space, certify,
+                      check_condition, check_identity_condition, default_plan,
+                      exhaustive_plan, fixed_points_on, make_fixing_map,
+                      selfmap_from_piecewise)
+from kellipse.verifier import FAIL, PASS, VACUOUS, _radical_inverse
+from oracles import PointClass, classify, ik_margin, pair_ratio, pointwise_margin, scalar_distance
 
 
 def line_map(on_points, on_value, else_value):
@@ -242,7 +243,8 @@ def test_ik_passing_points_are_fixed_500_random_maps():
         field = ke.SumField(line, foci)
         k = len(foci)
         pts = [ke.Point((Fraction(rng.randint(-160, 160), 16),)) for _ in range(24)]
-        d = line.metric.distance
+
+        d = partial(scalar_distance, line.metric)
         for x in pts:
             if ik_margin(m, field, k, x) >= 0:
                 assert d(x, m(x)) <= 1e-9
@@ -454,17 +456,11 @@ def halton_exact(i, base):
 
 
 def assert_values_like_value(field, P, pts):
-    """SumField.values over P equals SumField.value point by point, in value and
-    type, bit for bit except under Lp: there numpy's vector power and the C
-    library's pow may each be an ulp off, and on hosts with a vector power
-    they differ, so a sum of five distances of two powers each may be some
-    ulps apart."""
+    """SumField.values over P equals SumField.value point by point, bit for bit
+    in value and type under every metric, Lp included: both take one norm."""
     got, expect = field.values(P).tolist(), [field.value(p) for p in pts]
     assert [type(v) for v in got] == [type(v) for v in expect]
-    if field.space.metric.kind == "lp":
-        np.testing.assert_array_max_ulp(np.array(got, float), np.array(expect, float), maxulp=8)
-    else:
-        assert got == expect
+    assert got == expect
 
 
 @pytest.mark.parametrize("dim", [2, 3])
