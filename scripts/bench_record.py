@@ -21,11 +21,11 @@ src`), so that every run imports from fresh `.pyc` files.
 The record keeps the final JSON line of every run; per workload and
 end-to-end metric, each side's quartiles and the number of pairs the change
 wins (lower is better for all five); per workload, each side's failed and
-attempted ops summed over its runs; the per-layer figures of three traced
-runs of each side (`--trace 1`, seed 7) on the first workload given (cloud3d
-by default), the sides back to back with the parent first in the first and
-third, each run kept and each side's median per metric, so that host noise of
-one run (about 20% on a 2-vCPU machine) does not read as a change of a layer;
+attempted ops summed over its runs; per workload, keyed by its name, the
+per-layer figures of three traced runs of each side (`--trace 1`, seed 7),
+the sides back to back with the parent first in the first and third, each
+run kept and each side's median per metric, so that host noise of one run
+(about 20% on a 2-vCPU machine) does not read as a change of a layer;
 each side's `src/` line count per module and in all, as `wc -l
 src/kellipse/*.py` gives it; and the machine: core count, Python and numpy
 versions.
@@ -155,12 +155,13 @@ def main() -> int:
                       file=sys.stderr)
             record["runs"][wl] = runs
             record["summary"][wl] = summary(runs)
-        traced = args.workloads[0]
-        runs = [pair(sides, traced, TRACE_SEED, seconds, 1, i % 2 == 0) for i in range(TRACE_RUNS)]
-        record["per_layer"] = {
-            "workload": traced, "seed": TRACE_SEED, "runs": runs,
-            "median": {side: {m: statistics.median(run[side]["metrics"][m]["value"] for run in runs)
-                              for m in runs[0][side]["metrics"]} for side in sides}}
+        record["per_layer"] = {}
+        for wl in args.workloads:
+            runs = [pair(sides, wl, TRACE_SEED, seconds, 1, i % 2 == 0) for i in range(TRACE_RUNS)]
+            record["per_layer"][wl] = {
+                "seed": TRACE_SEED, "runs": runs,
+                "median": {side: {m: statistics.median(run[side]["metrics"][m]["value"] for run in runs)
+                                  for m in runs[0][side]["metrics"]} for side in sides}}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

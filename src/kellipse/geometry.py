@@ -20,7 +20,7 @@ import numpy as np
 
 from .intervals import Interval, IntervalUnion
 from .metric import (_FRACTION, TAU_OPT, Metric, Point, Space, _coords, as_exact, as_point, as_ratio,
-                     exact_eq, float_below, is_exact)
+                     exact_eq, float_below, is_exact, scaled_ints)
 
 __all__ = [
     "SumField",
@@ -539,13 +539,12 @@ def _line_field(types: tuple, ratios: tuple) -> LineField:
     k = len(fs)
     if k == 0:
         raise ValueError("a 1D field needs at least one focus")
-    D = math.lcm(*(d for _, d in ratios))
     prefix = (0, *itertools.accumulate(fs))
     intercepts = tuple(prefix[-1] - 2 * p for p in prefix)
     at = tuple((2 * j + 2 - k) * f + intercepts[j + 1] for j, f in enumerate(fs))   # from piece j + 1
-    C = tuple(int(c * D) for c in intercepts)
-    A = tuple(int(a * D) for a in at)
-    return LineField(fs, intercepts, at, D, C, A)
+    # the foci set D; intercepts and at are sums of their multiples
+    D, scaled = scaled_ints(fs + intercepts + at)
+    return LineField(fs, intercepts, at, D, tuple(scaled[k:2 * k + 1]), tuple(scaled[2 * k + 1:]))
 
 
 def solve_1d(foci, r) -> LevelSolution1D:

@@ -71,6 +71,14 @@ def as_ratio(x) -> tuple:
         return int(q.numerator), int(q.denominator)
 
 
+def scaled_ints(values) -> tuple:
+    """(D, ints) for exact numbers `values`: D the lcm of their denominators
+    (1 for none), and each value times D as a Python int, in order."""
+    ratios = [as_ratio(v) for v in values]
+    D = math.lcm(*(d for _, d in ratios))
+    return D, [n * (D // d) for n, d in ratios]
+
+
 def float_below(q) -> float:
     """The largest float <= the exact number q."""
     f = float(q)

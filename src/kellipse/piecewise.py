@@ -7,14 +7,14 @@ the fixed-point set.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import LevelSolution1D, SolutionKind, line_field, solve_1d
 from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF
-from .metric import is_exact
+from .metric import as_ratio, is_exact, scaled_ints
 
 __all__ = [
     "PiecewiseAffine1D",
@@ -55,11 +55,20 @@ class PiecewiseAffine1D:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "owns_left", owns)
-        # the fixed_point_set memo hashes the map on every lookup
+        # the fixed_point_set memo hashes the map on every lookup, and compares
+        # an equal map that is another object: both read one flat key of ints
+        key = (*(c for q in bps for c in as_ratio(q)),
+               *(c for piece in pieces for q in piece for c in as_ratio(q)), *owns)
+        object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((bps, pieces, owns)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     def piece_index(self, x) -> int:
         i = bisect_left(self.breakpoints, x)
@@ -100,9 +109,26 @@ def srelu(t_l, a_l, t_r, a_r) -> PiecewiseAffine1D:
 
 @dataclass(frozen=True)
 class FixedSet1D:
-    """The exact solution set of f(x) = x for a piecewise-affine map."""
+    """The exact solution set of f(x) = x for a piecewise-affine map.
+
+    At construction the finite part ends are scaled by one common denominator
+    D to Python ints (`scaled_ints`), so that `contains` tests an exact x in
+    integer arithmetic.
+    """
 
     members: IntervalUnion
+
+    def __post_init__(self):
+        parts = self.members.parts
+        finite = [e for p in parts for e in (p.lo, p.hi) if e not in (NEG_INF, POS_INF)]
+        D, scaled = scaled_ints(finite)
+        ints = iter(scaled)
+        # each part as (lo, hi, lo_open, hi_open) with its ends times D, None when infinite
+        ends = tuple((None if p.lo == NEG_INF else next(ints), None if p.hi == POS_INF else next(ints),
+                      p.lo_open, p.hi_open) for p in parts)
+        object.__setattr__(self, "_D", D)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_starts", tuple(NEG_INF if lo is None else lo for lo, *_ in ends))
 
     @property
     def intervals(self) -> tuple:
@@ -117,7 +143,20 @@ class FixedSet1D:
         return self.members.is_empty
 
     def contains(self, x) -> bool:
-        return self.members.contains(x)
+        """Whether x is a fixed point. An exact x = n/m is placed among the
+        scaled part starts by the key floor(nD/m) and tested against the
+        scaled ends by comparing nD with end * m; any other x goes to
+        `IntervalUnion.contains`."""
+        if not is_exact(x):
+            return self.members.contains(x)
+        n, m = as_ratio(x)
+        nD = n * self._D
+        i = bisect_right(self._starts, nD // m)
+        if i == 0:
+            return False
+        lo, hi, lo_open, hi_open = self._ends[i - 1]
+        return ((lo is None or nD > lo * m or nD == lo * m and not lo_open)
+                and (hi is None or nD < hi * m or nD == hi * m and not hi_open))
 
     def __str__(self) -> str:
         return str(self.members)
@@ -157,7 +196,8 @@ def fixed_kellipse_radii(f: PiecewiseAffine1D, foci) -> IntervalUnion:
     exactly when its full level set (a point, or the flat median segment) is
     contained in the fixed set.
     """
-    fix = fixed_point_set(f).members
+    fixed = fixed_point_set(f)
+    fix = fixed.members
     field = line_field(map(Fraction, foci))
     m_lo, m_hi = field.median
     xi = field.value
@@ -176,7 +216,7 @@ def fixed_kellipse_radii(f: PiecewiseAffine1D, foci) -> IntervalUnion:
     r_star = field.r_star
     at_star = field.solve(r_star)
     if at_star.kind is SolutionKind.POINTS:
-        star_ok = all(fix.contains(x) for x in at_star.points)
+        star_ok = all(fixed.contains(x) for x in at_star.points)
     else:
         lo, hi = at_star.interval
         star_ok = fix.contains_interval(Interval(lo, hi))

@@ -9,8 +9,10 @@ most PAIR_BLOCK entries), on one of two dtypes, with every distance from the
 metric's one norm, `Metric.column_norm`. When the plan is exact, the metric
 keeps rationals (the line, L1, Linf) and the foci, the radius, the plan
 points and their images all have int/Fraction coordinates, the kernel runs
-on object arrays in rational arithmetic with zero slack, and the report is
-"exact": every margin is an int or a Fraction. Every other input runs on
+with zero slack on object arrays of Python ints, all scaled by one common
+denominator; it finds the witness there and computes the witness's margin
+from its own numbers, so the report is "exact": every margin is an int or a
+Fraction, as unscaled rational arithmetic gives it. Every other input runs on
 float arrays with the slack `metric.TAU_COND`. Pair conditions fit the
 minimal feasible constant and report the witness pair (the first in plan
 order on ties); every verdict is qualified by whether the plan was
@@ -29,14 +31,16 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .geometry import KEllipse, SolutionKind, SumField, solve_1d
-from .metric import (_FRACTION, STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, _coords,
-                     as_point, exact_div, exact_eq, exact_points, is_exact)
+from .metric import (STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, _coords, as_point,
+                     exact_div, exact_eq, exact_points, is_exact, scaled_ints)
 
 __all__ = [
     "ConfigurationError",
@@ -389,11 +393,51 @@ def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
     return exact_div(num, den)
 
 
-def _runs_exact(plan: SamplePlan, f: SumField, points, images, r) -> bool:
-    """Rational arithmetic decides a check: an exact plan under a metric that
-    keeps rationals (any metric on the line, L1 and Linf), with int/Fraction
-    foci, radius, points and images. Every margin is then exact."""
-    return plan.exact and f.space.keeps_rationals and exact_points(r, f.foci, points, images)
+@dataclass(frozen=True)
+class _Mapped:
+    """Tx for the first len(images) plan points, and how many leading rows
+    rational arithmetic decides (-1: not even the foci and radius). For those
+    rows P and TP hold the points and images, r the radius and foci the foci,
+    all times one common denominator D as Python ints.
+    """
+
+    images: tuple
+    exact_rows: int = -1
+    D: int = 1
+    r: int = 0
+    foci: tuple = ()
+    P: np.ndarray | None = None
+    TP: np.ndarray | None = None
+
+    def field(self, metric, P: np.ndarray) -> np.ndarray:
+        """D times the sum-of-distances field at the scaled rows P: a sum of
+        `distance_field` over the scaled foci, in focus order."""
+        total = np.zeros(len(P), dtype=object)
+        for c in self.foci:
+            total += metric.distance_field(P, c)
+        return total
+
+
+def _mapped(m: SelfMap, plan: SamplePlan, f: SumField, r, condition_ids) -> _Mapped:
+    """Map the plan points the conditions read, once, and scale the rows that
+    rational arithmetic decides: on an exact plan under a metric that keeps
+    rationals (any metric on the line, L1 and Linf), with int/Fraction foci
+    and radius, the on-set rows when their points and images are exact, and
+    every row when the off-set ones are too. Every margin is then exact.
+    """
+    images = _images(m, plan, condition_ids)
+    if not (plan.exact and f.space.keeps_rationals and exact_points(r, f.foci)):
+        return _Mapped(images)
+    points, n = plan.all_points[:len(images)], len(plan.on_ellipse)
+    rows = 0
+    if exact_points(r, points[:n], images[:n]):
+        rows = len(points) if exact_points(r, points[n:], images[n:]) else n
+    dim, k = f.space.dimension, len(f.foci)
+    D, ints = scaled_ints([r, *(c for group in (f.foci, points[:rows], images[:rows])
+                                for p in group for c in p)])
+    foci = tuple(tuple(ints[1 + i * dim: 1 + (i + 1) * dim]) for i in range(k))
+    grid = np.array(ints[1 + k * dim:], dtype=object).reshape(2, rows, dim)
+    return _Mapped(images, rows, D, ints[0], foci, grid[0], grid[1])
 
 
 def _fit_report(condition_id, fitted, threshold, strict, witness, meta) -> ConditionReport:
@@ -407,16 +451,17 @@ def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan
 
     The plan points the condition reads are mapped once and handed to the
     condition kernel, which runs on one of two dtypes. Exact inputs (see
-    `_runs_exact`) give object arrays of int/Fraction, checked with zero
-    slack, so every margin is rational. Every other input gives float arrays,
-    checked with slack TAU_COND and strict margin STRICT_MARGIN; its report
-    has exact=False.
+    `_mapped`) are scaled to Python ints on one common denominator and
+    checked with zero slack; the witness's margin is then computed from its
+    own int/Fraction numbers, so every margin is rational. Every other input
+    gives float arrays, checked with slack TAU_COND and strict margin
+    STRICT_MARGIN; its report has exact=False.
     """
     if condition_id not in CONDITION_IDS:
         raise ValueError(f"unknown condition id {condition_id!r}; choose from {CONDITION_IDS}")
     if condition_id == "Ik":
         return check_identity_condition(m, e.field, plan)
-    return _check(condition_id, e.field, e.r, e.k, plan, _images(m, plan, (condition_id,)))
+    return _check(condition_id, e.field, e.r, e.k, plan, _mapped(m, plan, e.field, e.r, (condition_id,)))
 
 
 def check_identity_condition(m: SelfMap, f: SumField, plan: SamplePlan) -> ConditionReport:
@@ -427,7 +472,7 @@ def check_identity_condition(m: SelfMap, f: SumField, plan: SamplePlan) -> Condi
     TAU_IDENT, which only float rounding can produce. The check runs in the
     condition kernel on exact or float arrays, as in check_condition.
     """
-    return _check("Ik", f, 0, len(f.foci), plan, _images(m, plan, ("Ik",)))
+    return _check("Ik", f, 0, len(f.foci), plan, _mapped(m, plan, f, 0, ("Ik",)))
 
 
 def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
@@ -446,84 +491,146 @@ def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
 PAIR_BLOCK = 1 << 18   # most entries in one temporary of a blocked pair reduction
 
 
-def _divide(num, den, fill, tau, exact: bool) -> np.ndarray:
-    """num / den where den > tau, else fill. Exact denominators become
-    Fractions first: an int over an int would give a float."""
-    if exact:
-        den = _FRACTION(den)
+def _divide(num, den, fill, tau) -> np.ndarray:
+    """num / den where den > tau, else fill, on float arrays."""
     return np.divide(num, den, out=np.full(num.shape, fill, dtype=den.dtype), where=den > tau)
 
 
-def _extreme(rows: int, cols: int, dim: int, block, largest: bool):
+def _first_max(vals) -> tuple:
+    flat = int(vals.argmax())
+    return flat, vals.item(flat)
+
+
+def _first_min(vals) -> tuple:
+    flat = int(vals.argmin())
+    return flat, vals.item(flat)
+
+
+def _first_ratio(sides) -> tuple:
+    """(flat index, value) of the first largest num/den, in row-major order,
+    of int arrays sides = (num, den) >= 0: a Fraction, or math.inf where
+    den = 0 < num, or -1 where both are 0 (a skipped pair).
+
+    Python's int true division rounds correctly, so it is monotone: the exact
+    maximum lies among the entries whose float quotient is the largest. Those
+    are compared by integer cross-multiplication, in order, so that ties keep
+    the first (the float filter of Fortune & Van Wyk 1993 and Shewchuk 1997).
+    """
+    num, den = (a.ravel() for a in sides)
+    live = den > 0
+    q = np.where(num > 0, math.inf, -1.0)
+    try:
+        q[live] = (num[live] / den[live]).astype(float)
+    except OverflowError:       # a ratio beyond the largest float: saturate, still monotone
+        q[live] = [_quotient(a, b) for a, b in zip(num[live].tolist(), den[live].tolist())]
+    flat = int(q.argmax())
+    top = q.item(flat)
+    if top < 0 or top == math.inf:
+        return flat, top
+    for c in np.flatnonzero(q == top)[1:].tolist():
+        if num[c] * den[flat] > num[flat] * den[c]:
+            flat = c
+    return flat, Fraction(num[flat], den[flat])
+
+
+def _quotient(a: int, b: int) -> float:
+    """a / b, or the largest float when it is larger."""
+    try:
+        return a / b
+    except OverflowError:
+        return sys.float_info.max
+
+
+def _extreme(rows: int, cols: int, dim: int, block, largest: bool, first=None):
     """(value, i, j) of the first largest (or smallest) entry, in row-major
     order, of the (rows, cols) matrix that block(i0, i1) yields row slice by
-    row slice; None when the matrix is empty. A slice holds PAIR_BLOCK //
-    (cols * dim) rows, at least one, so that its (rows, cols, dim) coordinate
-    gaps stay within PAIR_BLOCK entries whenever one row does."""
+    row slice; None when the matrix is empty. first(slice) gives a slice's
+    (flat index, value): by default its argmax or argmin. A slice holds
+    PAIR_BLOCK // (cols * dim) rows, at least one, so that its (rows, cols,
+    dim) coordinate gaps stay within PAIR_BLOCK entries whenever one row does."""
     if rows == 0 or cols == 0:
         return None
+    first = first or (_first_max if largest else _first_min)
     step = max(1, PAIR_BLOCK // (cols * dim))
     best = None
     for i0 in range(0, rows, step):
-        vals = block(i0, min(rows, i0 + step))
-        flat = int(vals.argmax() if largest else vals.argmin())
-        v = vals.item(flat)
+        flat, v = first(block(i0, min(rows, i0 + step)))
         if best is None or (v > best[0] if largest else v < best[0]):
             best = (v, i0 + flat // cols, flat % cols)
     return best
 
 
-def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, images) -> ConditionReport:
-    """One condition over the plan. images lists Tx for the plan points in
-    plan order, at least for those the condition reads: the on-set points,
-    then, for the pair fits and Ik, the off-set points. Pair reductions run
-    in blocks; ties keep the first witness in plan order."""
+def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapped) -> ConditionReport:
+    """One condition over the plan, the points mapped as `mapped` holds them.
+    Pair reductions run in blocks; ties keep the first witness in plan order.
+    On exact rows the search runs on D times every distance, as Python ints;
+    the witness's margin is then computed from its own int/Fraction numbers,
+    so that its value and type are those of unscaled rational arithmetic (a
+    pair ratio is the same with or without the scale).
+    """
     on = plan.on_ellipse
     n = len(on)
-    points = plan.all_points if condition_id in PAIR_FIT or condition_id == "Ik" else on
-    if not points or condition_id != "Ik" and not on:
-        return ConditionReport(condition_id, VACUOUS, None, 0, (), plan.exhaustive,
-                               _runs_exact(plan, f, (), (), r),
+    rows = len(plan.all_points) if condition_id in PAIR_FIT or condition_id == "Ik" else n
+    if not rows or condition_id != "Ik" and not on:
+        return ConditionReport(condition_id, VACUOUS, None, 0, (), plan.exhaustive, mapped.exact_rows >= 0,
                                "empty plan" if condition_id == "Ik" else "no on-set samples")
-    images = images[:len(points)]
-    exact = _runs_exact(plan, f, points, images, r)
+    points, images = plan.all_points[:rows], mapped.images[:rows]
+    exact = rows <= mapped.exact_rows
     meta = dict(exhaustive=plan.exhaustive, exact=exact)
     tau, strict = (0, 0) if exact else (TAU_COND, STRICT_MARGIN)
     metric, dim = f.space.metric, f.space.dimension
-    r = r if exact else float(r)
-    P, TP = _coords(points, dim, exact), _coords(images, dim, exact)
+    if exact:
+        P, TP, rs, values = mapped.P[:rows], mapped.TP[:rows], mapped.r, partial(mapped.field, metric)
+    else:
+        P, TP, rs, values = _coords(points, dim, False), _coords(images, dim, False), float(r), f.values
     X, TX, Y, TY = P[:n], TP[:n], P[n:], TP[n:]
     off = points[n:]
 
+    def own(i):
+        """Point i and its image as one-row arrays of their own int/Fraction numbers."""
+        return _coords(points[i:i + 1], dim, True), _coords(images[i:i + 1], dim, True)
+
     if condition_id == "Ik":
         step = metric.rowwise(P, TP)
-        margins = (f.values(P) - f.values(TP)) / (Fraction(k + 1) if exact else k + 1) - step
+        if exact:       # (k + 1) D times the margin
+            margins = (values(P) - values(TP)) - (k + 1) * step
+        else:
+            margins = (values(P) - values(TP)) / (k + 1) - step
         i = int(margins.argmin())
-        moved = np.flatnonzero((margins >= -tau) & (step > TAU_IDENT))
+        if exact:
+            p, tp = own(i)
+            worst = ((f.values(p) - f.values(tp)) / Fraction(k + 1) - metric.rowwise(p, tp)).item(0)
+        else:
+            worst = margins.item(i)
+        ident = Fraction(TAU_IDENT) * mapped.D if exact else TAU_IDENT
+        moved = np.flatnonzero((margins >= -tau) & (step > ident))
         notes = f"passing point {points[moved[-1]]} is not fixed" if len(moved) else ""
-        return ConditionReport("Ik", PASS if margins[i] >= -tau else FAIL, None, margins.item(i),
+        return ConditionReport("Ik", PASS if worst >= -tau else FAIL, None, worst,
                                (points[i],), **meta, notes=notes)
 
     if condition_id in POINTWISE_IDS:
-        ftx = f.values(TX)
-        if condition_id == "Ek1":
-            margins = (f.values(X) - ftx) - metric.rowwise(X, TX)
-        elif condition_id == "Ek2":
-            margins = ftx - r
-        elif condition_id == "E'k1":
-            margins = (f.values(X) + ftx - 2 * r) - metric.rowwise(X, TX)
-        elif condition_id == "E'k2":
-            margins = r - ftx
-        else:
-            margins = -np.abs(ftx - r)
+        def pointwise(X, TX, r, values):
+            ftx = values(TX)
+            if condition_id == "Ek1":
+                return (values(X) - ftx) - metric.rowwise(X, TX)
+            if condition_id == "Ek2":
+                return ftx - r
+            if condition_id == "E'k1":
+                return (values(X) + ftx - 2 * r) - metric.rowwise(X, TX)
+            if condition_id == "E'k2":
+                return r - ftx
+            return -np.abs(ftx - r)
+
+        margins = pointwise(X, TX, rs, values)
         i = int(margins.argmin())
-        verdict = PASS if margins[i] >= -tau else FAIL
-        return ConditionReport(condition_id, verdict, None, margins.item(i), (on[i],), **meta)
+        worst = pointwise(*own(i), r, f.values).item(0) if exact else margins.item(i)
+        verdict = PASS if worst >= -tau else FAIL
+        return ConditionReport(condition_id, verdict, None, worst, (on[i],), **meta)
 
     if condition_id in PAIR_FIT:
         sx, sy = metric.rowwise(X, TX), metric.rowwise(Y, TY)
 
-        def ratios(i0, i1):
+        def sides(i0, i1):
             x, tx = X[i0:i1], TX[i0:i1]
             num = metric.pairwise(tx, TY)
             if condition_id == "Ek3":
@@ -536,12 +643,19 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, images) -> Co
                     den = np.maximum(den, term)
             else:
                 den = metric.pairwise(x, Y)
+            return num, den
+
+        def ratios(i0, i1):
+            num, den = sides(i0, i1)
             # -1 marks a skipped pair: both sides vanish, so any constant works
-            out = _divide(num, den, -1, tau, exact)
+            out = _divide(num, den, -1, tau)
             out[(den <= tau) & (num > tau)] = math.inf
             return out
 
-        best = _extreme(n, len(off), dim, ratios, largest=True)
+        if exact:
+            best = _extreme(n, len(off), dim, sides, largest=True, first=_first_ratio)
+        else:
+            best = _extreme(n, len(off), dim, ratios, largest=True)
         if best is None or best[0] < 0:
             return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
                                    notes="no informative pairs")
@@ -549,17 +663,21 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, images) -> Co
         return _fit_report(condition_id, fitted, PAIR_FIT[condition_id], strict, (on[i], off[j]), meta)
 
     if condition_id == "E''k2":
-        deficit = r - f.values(TX)
+        deficit = rs - values(TX)
         short = deficit > 0
-        need = _divide(deficit, metric.rowwise(X, TX), math.inf, tau, exact)
-        need[~short] = 0
-        i = int(need.argmax())
-        fitted = need.item(i) if short[i] else 0
+        if exact:
+            i, need = _first_ratio((np.where(short, deficit, 0), np.where(short, metric.rowwise(X, TX), 1)))
+        else:
+            need = _divide(deficit, metric.rowwise(X, TX), math.inf, tau)
+            need[~short] = 0
+            i = int(need.argmax())
+            need = need.item(i)
+        fitted = need if short[i] else 0
         return _fit_report(condition_id, fitted, 1, strict, (on[i],), meta)
 
     if condition_id == "E'''k2":
         def margins(i0, i1):
-            out = metric.pairwise(TX[i0:i1], TX) - r
+            out = metric.pairwise(TX[i0:i1], TX) - rs
             keep = np.arange(n) > np.arange(i0, i1)[:, None]
             keep &= (X[i0:i1, None, :] != X[None, :, :]).any(axis=-1)
             out[~keep] = math.inf
@@ -570,18 +688,25 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, images) -> Co
             return ConditionReport(condition_id, VACUOUS, None, 0, (), **meta,
                                    notes="fewer than two distinct on-set samples")
         worst, i, j = best
+        if exact:
+            worst = (metric.pairwise(own(i)[1], own(j)[1]) - r).item(0)
         return ConditionReport(condition_id, PASS if worst > -tau else FAIL,
                                None, worst, (on[i], on[j]), **meta)
 
     if condition_id == "E'''k3":
-        step = metric.rowwise(X, TX)
-        penalty = np.where(step > 0, step - r, 0)    # the radius gap s -> s - r, 0 at s = 0
+        def penalty(X, TX, r):     # the radius gap s -> s - r, 0 at s = 0, of the step s
+            step = metric.rowwise(X, TX)
+            return np.where(step > 0, step - r, 0)
 
-        def margins(i0, i1):
-            return ((metric.pairwise(X[i0:i1], X) - penalty[i0:i1, None])
-                    - metric.pairwise(TX[i0:i1], TX))
+        def margins(x, tx, gap, X, TX):
+            return (metric.pairwise(x, X) - gap[:, None]) - metric.pairwise(tx, TX)
 
-        worst, i, j = _extreme(n, n, dim, margins, largest=False)
+        gap = penalty(X, TX, rs)
+        worst, i, j = _extreme(n, n, dim, lambda i0, i1: margins(X[i0:i1], TX[i0:i1], gap[i0:i1], X, TX),
+                               largest=False)
+        if exact:
+            (x, tx), (y, ty) = own(i), own(j)
+            worst = margins(x, tx, penalty(x, tx, r), y, ty).item(0)
         verdict = PASS if worst >= -tau else FAIL
         return ConditionReport(condition_id, verdict, None, worst, (on[i], on[j]), **meta)
 
@@ -618,7 +743,8 @@ class TheoremVerdict:
 def certify(theorem: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> TheoremVerdict:
     """Aggregate one condition family into existence/uniqueness flags.
 
-    The plan points are mapped once for the whole family. Vacuous conditions
+    The plan points are mapped once for the whole family, and which of them
+    rational arithmetic decides is settled, and scaled, once. Vacuous conditions
     do not block certification; any Fail does. On finite spaces with
     exhaustive plans the verdict is exact, otherwise it holds on the sampled
     plan only.
@@ -628,8 +754,8 @@ def certify(theorem: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> TheoremV
         raise ValueError(f"unknown theorem {theorem!r}; choose from {sorted(THEOREM_FAMILIES)}")
     family, existence_ids, uniqueness_ids = THEOREM_FAMILIES[key]
     ids = existence_ids + uniqueness_ids
-    images = _images(m, plan, ids)
-    reports = {cid: _check(cid, e.field, e.r, e.k, plan, images) for cid in ids}
+    mapped = _mapped(m, plan, e.field, e.r, ids)
+    reports = {cid: _check(cid, e.field, e.r, e.k, plan, mapped) for cid in ids}
     existence = all(reports[cid].verdict != FAIL for cid in existence_ids)
     uniqueness = all(reports[cid].verdict != FAIL for cid in uniqueness_ids)
     return TheoremVerdict(key, family, existence, uniqueness, reports, plan.exhaustive)

@@ -25,7 +25,7 @@ from kellipse import (Affine1D, ConstantPoint, Identity, InFiniteSet, InHalfspac
                       SumField, check_condition, default_plan, exhaustive_plan,
                       make_fixing_map, min_radius)
 from kellipse.cli import main
-from kellipse.metric import STRICT_MARGIN, TAU_COND, TAU_IDENT
+from kellipse.metric import STRICT_MARGIN, TAU_COND, TAU_IDENT, scaled_ints
 from kellipse.verifier import CONDITION_IDS, FAIL, PAIR_FIT, PASS, POINTWISE_IDS, VACUOUS
 from oracles import RadiusGap, ik_margin, pair_ratio, pointwise_margin, scalar_distance, scalar_value
 
@@ -422,3 +422,67 @@ def test_report_plan_is_exact_only_under_a_rational_metric(metric, points, exact
     assert all(c["exact"] is exact for c in data["conditions"])
     sp = Space.finite([tuple(p) for p in points], Metric(metric))
     assert exhaustive_plan(KEllipse(sp, [tuple(p) for p in foci], 5)).exact is exact
+
+
+# ---------------------------------------------------------------------------
+# the exact argmax: pair ratios closer than a double resolves, on a large D
+# ---------------------------------------------------------------------------
+
+K = 2 ** 60
+P61, P31 = 2 ** 61 - 1, 2 ** 31 - 1     # coprime primes: the plan's D exceeds 2**64
+
+
+def _near_tie_case(metric, dim):
+    """A rational plan whose largest Bk3 ratios are 1/3, then (K + 1)/(3K)
+    twice (a tie), on coordinates over the coprime denominators P61 and P31.
+
+    Each number v sits at (v,) on the line or (v, v/2) in the plane, on one
+    ray, so that every distance is a fixed multiple of |v - w| under L1 and
+    Linf alike.
+    """
+    def pt(v):
+        return Point((v,) if dim == 1 else (v, Fraction(v) / 2))
+
+    space = Space.continuum(dim, metric)
+    x1, x2, x3 = pt(Fraction(3, P61)), pt(Fraction(3 * K, P31)), pt(Fraction(6 * K, P31))
+    images = {x1: pt(Fraction(1, P61)), x2: pt(Fraction(K + 1, P31)), x3: pt(Fraction(2 * K + 2, P31))}
+    far, origin = pt(-1000), pt(0)
+    rules = tuple((InFiniteSet((x,)), ConstantPoint(tx)) for x, tx in images.items())
+    m = SelfMap(rules + ((InFiniteSet((far,)), ConstantPoint(origin)), (Otherwise(), Identity())))
+    e = KEllipse(space, (origin, pt(1)), 5)
+    plan = SamplePlan(space, (x1, x2, x3), (far, origin), exact=True)
+    return m, e, plan, (x2, origin)
+
+
+@pytest.mark.parametrize("block", (1, None), ids=("block-1", "block-default"))
+@pytest.mark.parametrize("metric, dim", ((Metric.l1(), 1), (Metric.l1(), 2), (Metric.linf(), 2)),
+                         ids=("line", "L1-plane", "Linf-plane"))
+def test_exact_argmax_separates_ratios_a_double_cannot(monkeypatch, block, metric, dim):
+    if block is not None:
+        monkeypatch.setattr(verifier, "PAIR_BLOCK", block)
+    m, e, plan, witness = _near_tie_case(metric, dim)
+    coords = [c for p in plan.all_points + tuple(m.map_points(plan.all_points)) for c in p]
+    assert scaled_ints(coords)[0] > 2 ** 64
+    lo, hi = Fraction(1, 3), Fraction(K + 1, 3 * K)
+    assert lo < hi and float(lo) == float(hi)      # a float argmax keeps the first, 1/3
+    rep = check_condition("Bk3", m, e, plan)
+    assert rep.exact and rep.witness == witness
+    assert rep.fitted_constant == hi and type(rep.fitted_constant) is Fraction
+    assert rep.worst_margin == 1 - hi and type(rep.worst_margin) is Fraction
+    for cid in CONDITION_IDS:
+        _assert_matches(cid, m, e, plan, exact=True)
+
+
+def test_exact_argmax_takes_ratios_beyond_the_largest_float():
+    # Bk3 ratios 5, 10**400 and 10**400 + 1: the last two beyond a double, the last largest
+    space = Space.continuum(1, Metric.l1())
+    x0, origin = Point((Fraction(1, 5),)), Point((0,))
+    x1, x2 = Point((Fraction(1, 10 ** 400),)), Point((Fraction(1, 10 ** 400 + 1),))
+    m = SelfMap(((InFiniteSet((x0, x1, x2)), ConstantPoint((1,))), (Otherwise(), Identity())))
+    e = KEllipse(space, (origin, Point((1,))), 5)
+    plan = SamplePlan(space, (x0, x1, x2), (origin,), exact=True)
+    rep = check_condition("Bk3", m, e, plan)
+    assert rep.witness == (x2, origin)
+    assert rep.fitted_constant == 10 ** 400 + 1 and type(rep.fitted_constant) is Fraction
+    for cid in CONDITION_IDS:
+        _assert_matches(cid, m, e, plan, exact=True)
