@@ -23,7 +23,7 @@ from .geometry import SolverError, min_radius, nonempty
 from .metric import fmt_num, verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
 from .scene import SceneError, load_scene
-from .tracer import export_csv, export_svg, sample_3d, trace_2d
+from .tracer import _csv_parts, _svg_parts, sample_3d, trace_2d
 from .verifier import FAIL, THEOREM_FAMILIES, certify, check_identity_condition
 
 
@@ -54,6 +54,12 @@ def report_to_dict(rep) -> dict:
     }
 
 
+def _write(path, parts) -> None:
+    """Write the text pieces `parts` to path as UTF-8, one piece at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(parts)
+
+
 def cmd_trace(args) -> int:
     scene = load_scene(args.scene)
     if scene.trace is None:
@@ -71,9 +77,9 @@ def cmd_trace(args) -> int:
     else:
         raise SceneError("trace requires a 2D or 3D continuum scene")
 
-    Path(args.output).write_text(export_svg(polylines, e.foci, scene.trace.bbox, dots), encoding="utf-8")
+    _write(args.output, _svg_parts(polylines, e.foci, scene.trace.bbox, dots))
     if args.csv:
-        Path(args.csv).write_text(export_csv(points), encoding="utf-8")
+        _write(args.csv, _csv_parts(points))
     if result.boundary_warning:
         print("warning: the curve touches the bbox boundary", file=sys.stderr)
     if not len(points):

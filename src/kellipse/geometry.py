@@ -86,11 +86,17 @@ class SumField:
         rows: each sum then runs 0 + d1 + d2 ... in focus order, in Python
         arithmetic.
         """
-        exact = isinstance(pts, np.ndarray) and pts.dtype.kind == "O"
-        total = np.zeros(len(pts), dtype=object if exact else float)
-        for f in self.foci:
-            total += self.space.metric.distance_field(pts, f)
-        return total
+        return _field(self.space.metric, self.foci, pts)
+
+
+def _field(metric: Metric, foci, pts: np.ndarray) -> np.ndarray:
+    """The sum of `metric.distance_field(pts, c)` over the foci c, in focus
+    order, from zero: float, or object for an object array `pts`."""
+    exact = isinstance(pts, np.ndarray) and pts.dtype.kind == "O"
+    total = np.zeros(len(pts), dtype=object if exact else float)
+    for c in foci:
+        total += metric.distance_field(pts, c)
+    return total
 
 
 @dataclass(frozen=True)

@@ -55,20 +55,11 @@ class PiecewiseAffine1D:
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "owns_left", owns)
-        # the fixed_point_set memo hashes the map on every lookup, and compares
-        # an equal map that is another object: both read one flat key of ints
-        key = (*(c for q in bps for c in as_ratio(q)),
-               *(c for piece in pieces for q in piece for c in as_ratio(q)), *owns)
-        object.__setattr__(self, "_key", key)
+        # the fixed_point_set memo hashes the map on every lookup
         object.__setattr__(self, "_hash", hash((bps, pieces, owns)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
 
     def piece_index(self, x) -> int:
         i = bisect_left(self.breakpoints, x)

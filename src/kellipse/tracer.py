@@ -457,6 +457,12 @@ def export_svg(polylines, foci, bbox, points=None) -> str:
     """SVG 1.1 document of the (x, y) plane over bbox (its first two axes): axes
     through the origin, one path per polyline, the foci as markers and, when
     given, the (x, y) projection of `points` (n, >= 2) as dots."""
+    return "".join(_svg_parts(polylines, foci, bbox, points))
+
+
+def _svg_parts(polylines, foci, bbox, points=None):
+    """The text of `export_svg` in pieces, the dots FORMAT_ROWS at a time, so
+    that a file can be written without the whole document in memory."""
     (x_min, x_max), (y_min, y_max) = bbox[:2]
     if not (x_max > x_min and y_max > y_min):
         raise ValueError(f"bbox {bbox[:2]} has an axis with no extent")
@@ -471,50 +477,52 @@ def export_svg(polylines, foci, bbox, points=None) -> str:
         p = np.atleast_2d(np.asarray(p, dtype=float))
         return np.column_stack([(p[:, 0] - x_min) * sx, (y_max - p[:, 1]) * sx])
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-    ]
+    yield ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{w}" height="{h}" '
+           f'viewBox="0 0 {w} {h}">\n'
+           f'<rect width="{w}" height="{h}" fill="white"/>\n')
     px, py = to_px((0.0, 0.0))[0]
     if x_min < 0 < x_max:
-        lines.append(f'<line x1="{px:.2f}" y1="0" x2="{px:.2f}" y2="{h}" stroke="#cccccc" stroke-width="1"/>')
+        yield f'<line x1="{px:.2f}" y1="0" x2="{px:.2f}" y2="{h}" stroke="#cccccc" stroke-width="1"/>\n'
     if y_min < 0 < y_max:
-        lines.append(f'<line x1="0" y1="{py:.2f}" x2="{w}" y2="{py:.2f}" stroke="#cccccc" stroke-width="1"/>')
+        yield f'<line x1="0" y1="{py:.2f}" x2="{w}" y2="{py:.2f}" stroke="#cccccc" stroke-width="1"/>\n'
     for pl in polylines:
-        d = "M " + _format_rows("%.4f %.4f", to_px(pl.vertices), " L ") + (" Z" if pl.closed else "")
-        lines.append(f'<path d="{d}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>')
+        d = "M " + "".join(_format_rows("%.4f %.4f", to_px(pl.vertices), " L ")) + (" Z" if pl.closed else "")
+        yield f'<path d="{d}" fill="none" stroke="#1f4e8c" stroke-width="1.5"/>\n'
     if len(foci):
-        lines.append(_format_rows('<circle cx="%.4f" cy="%.4f" r="3" fill="#c0392b"/>', to_px(foci)))
+        yield from _format_rows('<circle cx="%.4f" cy="%.4f" r="3" fill="#c0392b"/>\n', to_px(foci))
     if points is not None and len(points):
-        lines.append(_format_rows('<circle cx="%.3f" cy="%.3f" r="0.8" fill="#1f4e8c"/>', to_px(points)))
-    lines.append("</svg>\n")     # the final newline, without another copy of the text
-    return "\n".join(lines)
+        yield from _format_rows('<circle cx="%.3f" cy="%.3f" r="0.8" fill="#1f4e8c"/>\n', to_px(points))
+    yield "</svg>\n"
 
 
 def export_csv(points) -> str:
     """CSV text with header x,y[,z]; exact values print as rationals."""
+    return "".join(_csv_parts(points))
+
+
+def _csv_parts(points):
+    """The text of `export_csv` in pieces, float rows FORMAT_ROWS at a time, so
+    that a file can be written without the whole table in memory."""
     table = isinstance(points, np.ndarray) and points.ndim == 2
     rows = None if table and points.dtype == np.float64 else [tuple(p) for p in points]
     dim = points.shape[1] if table else len(rows[0]) if rows else 2
     if dim > 3:
         raise ValueError(f"CSV export takes at most 3 columns (x, y, z), got {dim}")
-    lines = [",".join("xyz"[:dim])]
+    yield ",".join("xyz"[:dim]) + "\n"
     if rows is not None:
-        lines += [",".join(fmt_num(c) for c in row) for row in rows]
+        yield "".join(",".join(fmt_num(c) for c in row) + "\n" for row in rows)
     elif len(points):
-        lines.append(_format_rows(",".join(["%r"] * dim), points))
-    lines.append("")        # the final newline, without another copy of the text
-    return "\n".join(lines)
+        yield from _format_rows(",".join(["%r"] * dim) + "\n", points)
 
 
-def _format_rows(row: str, values: np.ndarray, sep: str = "\n") -> str:
-    """`row % v` for each row v of `values` (n, m), joined by sep. Each chunk of
-    FORMAT_ROWS rows is formatted by one % operation, so that the Python floats
-    alive at once stay few next to the text itself."""
-    chunks = (values[s:s + FORMAT_ROWS] for s in range(0, len(values), FORMAT_ROWS))
-    return sep.join(sep.join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks)
+def _format_rows(row: str, values: np.ndarray, sep: str = ""):
+    """`row % v` for each row v of `values` (n, m), joined by sep, as one piece
+    per chunk of FORMAT_ROWS rows. Each chunk is formatted by one % operation,
+    so that the Python floats alive at once stay few next to the text."""
+    for s in range(0, len(values), FORMAT_ROWS):
+        c = values[s:s + FORMAT_ROWS]
+        yield (sep if s else "") + sep.join([row] * len(c)) % tuple(c.ravel().tolist())
 
 
 def parse_csv_points(text: str) -> list[Point]:

@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import KEllipse, SolutionKind, SumField, solve_1d
+from .geometry import KEllipse, SolutionKind, SumField, _field, solve_1d
 from .metric import (STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, _coords, as_point,
                      exact_div, exact_eq, exact_points, is_exact, scaled_ints)
 
@@ -409,14 +409,6 @@ class _Mapped:
     P: np.ndarray | None = None
     TP: np.ndarray | None = None
 
-    def field(self, metric, P: np.ndarray) -> np.ndarray:
-        """D times the sum-of-distances field at the scaled rows P: a sum of
-        `distance_field` over the scaled foci, in focus order."""
-        total = np.zeros(len(P), dtype=object)
-        for c in self.foci:
-            total += metric.distance_field(P, c)
-        return total
-
 
 def _mapped(m: SelfMap, plan: SamplePlan, f: SumField, r, condition_ids) -> _Mapped:
     """Map the plan points the conditions read, once, and scale the rows that
@@ -496,16 +488,6 @@ def _divide(num, den, fill, tau) -> np.ndarray:
     return np.divide(num, den, out=np.full(num.shape, fill, dtype=den.dtype), where=den > tau)
 
 
-def _first_max(vals) -> tuple:
-    flat = int(vals.argmax())
-    return flat, vals.item(flat)
-
-
-def _first_min(vals) -> tuple:
-    flat = int(vals.argmin())
-    return flat, vals.item(flat)
-
-
 def _first_ratio(sides) -> tuple:
     """(flat index, value) of the first largest num/den, in row-major order,
     of int arrays sides = (num, den) >= 0: a Fraction, or math.inf where
@@ -550,11 +532,15 @@ def _extreme(rows: int, cols: int, dim: int, block, largest: bool, first=None):
     dim) coordinate gaps stay within PAIR_BLOCK entries whenever one row does."""
     if rows == 0 or cols == 0:
         return None
-    first = first or (_first_max if largest else _first_min)
     step = max(1, PAIR_BLOCK // (cols * dim))
     best = None
     for i0 in range(0, rows, step):
-        flat, v = first(block(i0, min(rows, i0 + step)))
+        vals = block(i0, min(rows, i0 + step))
+        if first:
+            flat, v = first(vals)
+        else:
+            flat = int(vals.argmax() if largest else vals.argmin())
+            v = vals.item(flat)
         if best is None or (v > best[0] if largest else v < best[0]):
             best = (v, i0 + flat // cols, flat % cols)
     return best
@@ -580,7 +566,7 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapp
     tau, strict = (0, 0) if exact else (TAU_COND, STRICT_MARGIN)
     metric, dim = f.space.metric, f.space.dimension
     if exact:
-        P, TP, rs, values = mapped.P[:rows], mapped.TP[:rows], mapped.r, partial(mapped.field, metric)
+        P, TP, rs, values = mapped.P[:rows], mapped.TP[:rows], mapped.r, partial(_field, metric, mapped.foci)
     else:
         P, TP, rs, values = _coords(points, dim, False), _coords(images, dim, False), float(r), f.values
     X, TX, Y, TY = P[:n], TP[:n], P[n:], TP[n:]

@@ -453,6 +453,30 @@ def test_csv_header_width_follows_the_array():
     assert export_csv(np.array([[0.5, -0.0, 1e-300]])) == "x,y,z\n0.5,-0.0,1e-300\n"
 
 
+def test_trace_files_are_written_without_the_whole_text(tmp_path):
+    # the CLI writes a cloud's SVG and CSV piece by piece: the text is never
+    # held whole, nor encoded whole, so the traced peak stays a small share
+    # of the file (the SVG also holds the dots' pixel coordinates, twice while
+    # np.column_stack builds them), and the file is the exported string
+    from kellipse.cli import _write
+
+    pts = np.random.default_rng(5).normal(size=(100_000, 3))
+    bbox = ((-4, 4), (-4, 4))
+    for path, parts, text, arrays in (
+            (tmp_path / "c.csv", tracer._csv_parts(pts), export_csv(pts), 0),
+            (tmp_path / "c.svg", tracer._svg_parts([], ((0, 0),), bbox, pts), export_svg([], ((0, 0),), bbox, pts),
+             2 * pts[:, :2].nbytes)):
+        tracemalloc.start()
+        try:
+            _write(path, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert path.read_text(encoding="utf-8") == text and size > 4 * 2**20
+        assert peak < arrays + size / 8
+
+
 @pytest.mark.parametrize("points", (np.zeros((1, 4)), [(1, 2, 3, 4)]), ids=("array", "rows"))
 def test_csv_refuses_more_than_three_columns(points):
     with pytest.raises(ValueError, match="got 4"):
