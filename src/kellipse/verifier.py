@@ -2,8 +2,8 @@
 
 A self-map is an ordered rule table (region mask, action), applied to a list
 of points at once; a sample plan pairs on-level-set points with ambient
-points, classifying its candidates with one `SumField.values` call per
-block. Every condition is computed by one kernel of numpy reductions over
+points, classifying its candidates with one field evaluation per block.
+Every condition is computed by one kernel of numpy reductions over
 the plan's distance vectors and pairwise distance matrices (in blocks of at
 most PAIR_BLOCK entries), on one of two dtypes, with every distance from the
 metric's one norm, `Metric.column_norm`. When the plan is exact, the metric
@@ -34,7 +34,6 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -229,15 +228,23 @@ class SamplePlan:
 
 
 def exhaustive_plan(e: KEllipse) -> SamplePlan:
-    """Partition a finite space into on-set and off-set points, exactly."""
+    """Partition a finite space into on-set and off-set points, exactly. When
+    the radius, the foci and the points are exact in a space that keeps
+    rationals, the field is compared with r on Python ints, all scaled by one
+    common denominator (`_scaled`); otherwise each field value is compared
+    with r by `exact_eq`."""
     if not e.space.is_finite:
         raise ValueError("exhaustive plans require a finite space")
-    pts = e.space.points
-    on, off = [], []
-    for p, v in zip(pts, e.field.values(_coords(pts, e.space.dimension)).tolist()):
-        (on if exact_eq(v, e.r) else off).append(p)
+    pts, dim = e.space.points, e.space.dimension
     exact = e.space.keeps_rationals and exact_points(e.r, pts)
-    return SamplePlan(e.space, tuple(on), tuple(off), seed=0, exhaustive=True, exact=exact)
+    if exact and exact_points(e.r, e.foci):
+        _, r, (foci, P) = _scaled(e.r, (e.foci, pts), dim)
+        hits = (_field(e.space.metric, foci, P) == r).tolist()
+    else:
+        hits = [exact_eq(v, e.r) for v in e.field.values(_coords(pts, dim)).tolist()]
+    on = tuple(p for p, hit in zip(pts, hits) if hit)
+    off = tuple(p for p, hit in zip(pts, hits) if not hit)
+    return SamplePlan(e.space, on, off, seed=0, exhaustive=True, exact=exact)
 
 
 def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
@@ -393,43 +400,77 @@ def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
     return exact_div(num, den)
 
 
+def _scaled(r, groups, dim: int) -> tuple:
+    """(D, r, arrays) for an exact radius and groups of points: each number
+    times D, the lcm of all their denominators, as a Python int, and each
+    group as an (n, dim) object array."""
+    D, ints = scaled_ints([r, *(c for group in groups for p in group for c in p)])
+    arrays, at = [], 1
+    for group in groups:
+        arrays.append(np.array(ints[at:at + len(group) * dim], dtype=object).reshape(len(group), dim))
+        at += len(group) * dim
+    return D, ints[0], arrays
+
+
 @dataclass(frozen=True)
 class _Mapped:
     """Tx for the first len(images) plan points, and how many leading rows
     rational arithmetic decides (-1: not even the foci and radius). For those
-    rows P and TP hold the points and images, r the radius and foci the foci,
-    all times one common denominator D as Python ints.
+    rows P and TP hold the points and images and r the radius, all times one
+    common denominator D as Python ints, and FP and FTP the field at P and TP
+    on the foci times D.
     """
 
     images: tuple
     exact_rows: int = -1
     D: int = 1
     r: int = 0
-    foci: tuple = ()
     P: np.ndarray | None = None
     TP: np.ndarray | None = None
+    FP: np.ndarray | None = None
+    FTP: np.ndarray | None = None
+
+
+_last_mapped = None   # (m, plan, f, r, every point mapped, _Mapped) of the last _mapped call
 
 
 def _mapped(m: SelfMap, plan: SamplePlan, f: SumField, r, condition_ids) -> _Mapped:
-    """Map the plan points the conditions read, once, and scale the rows that
+    """Map the plan points the conditions read, and scale the rows that
     rational arithmetic decides: on an exact plan under a metric that keeps
     rationals (any metric on the line, L1 and Linf), with int/Fraction foci
     and radius, the on-set rows when their points and images are exact, and
     every row when the off-set ones are too. Every margin is then exact.
+
+    The last result is kept and served again to a call on the same m, plan, f
+    and r, compared by identity, unless that call reads every plan point and
+    the kept one mapped the on-set points alone. All four are immutable
+    (frozen dataclasses and numbers) and held by the memo, so no id is reused;
+    the map must be a pure function, as the `fixed_point_set` memo assumes of
+    maps. So the theorem families certified in turn on one exact plan and
+    map, map and scale it once. Float plans are not kept: they map cheaply,
+    and keeping one alive into the next call made the certify2d benchmark
+    about 5% slower on a 2-vCPU host. The memo is read and replaced as one
+    tuple, so callers in other threads at worst map a plan twice.
     """
-    images = _images(m, plan, condition_ids)
-    if not (plan.exact and f.space.keeps_rationals and exact_points(r, f.foci)):
-        return _Mapped(images)
-    points, n = plan.all_points[:len(images)], len(plan.on_ellipse)
-    rows = 0
-    if exact_points(r, points[:n], images[:n]):
-        rows = len(points) if exact_points(r, points[n:], images[n:]) else n
-    dim, k = f.space.dimension, len(f.foci)
-    D, ints = scaled_ints([r, *(c for group in (f.foci, points[:rows], images[:rows])
-                                for p in group for c in p)])
-    foci = tuple(tuple(ints[1 + i * dim: 1 + (i + 1) * dim]) for i in range(k))
-    grid = np.array(ints[1 + k * dim:], dtype=object).reshape(2, rows, dim)
-    return _Mapped(images, rows, D, ints[0], foci, grid[0], grid[1])
+    global _last_mapped
+    # Ik reads every image, and so does a pair fit when there are on-set
+    # points to pair; the other conditions read the on-set images alone
+    every = "Ik" in condition_ids or bool(plan.on_ellipse and any(cid in PAIR_FIT for cid in condition_ids))
+    last = _last_mapped
+    if last and all(a is b for a, b in zip(last, (m, plan, f, r))) and (last[4] or not every):
+        return last[5]
+    images = m.map_points(plan.all_points if every else plan.on_ellipse)
+    mapped = _Mapped(images)
+    if plan.exact and f.space.keeps_rationals and exact_points(r, f.foci):
+        points, n = plan.all_points[:len(images)], len(plan.on_ellipse)
+        rows = 0
+        if exact_points(r, points[:n], images[:n]):
+            rows = len(points) if exact_points(r, points[n:], images[n:]) else n
+        D, rs, (foci, P, TP) = _scaled(r, (f.foci, points[:rows], images[:rows]), f.space.dimension)
+        metric = f.space.metric
+        mapped = _Mapped(images, rows, D, rs, P, TP, _field(metric, foci, P), _field(metric, foci, TP))
+    _last_mapped = (m, plan, f, r, every, mapped) if plan.exact else None
+    return mapped
 
 
 def _fit_report(condition_id, fitted, threshold, strict, witness, meta) -> ConditionReport:
@@ -465,15 +506,6 @@ def check_identity_condition(m: SelfMap, f: SumField, plan: SamplePlan) -> Condi
     condition kernel on exact or float arrays, as in check_condition.
     """
     return _check("Ik", f, 0, len(f.foci), plan, _mapped(m, plan, f, 0, ("Ik",)))
-
-
-def _images(m: SelfMap, plan: SamplePlan, condition_ids) -> list:
-    """Tx for each plan point the conditions read, in plan order, each point
-    mapped once: every point for Ik, and for a pair fit when the plan has
-    on-set points to pair; otherwise the on-set points alone."""
-    pairs = plan.on_ellipse and any(cid in PAIR_FIT for cid in condition_ids)
-    points = plan.all_points if "Ik" in condition_ids or pairs else plan.on_ellipse
-    return m.map_points(points)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +598,9 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapp
     tau, strict = (0, 0) if exact else (TAU_COND, STRICT_MARGIN)
     metric, dim = f.space.metric, f.space.dimension
     if exact:
-        P, TP, rs, values = mapped.P[:rows], mapped.TP[:rows], mapped.r, partial(_field, metric, mapped.foci)
+        P, TP, rs = mapped.P[:rows], mapped.TP[:rows], mapped.r
     else:
-        P, TP, rs, values = _coords(points, dim, False), _coords(images, dim, False), float(r), f.values
+        P, TP, rs = _coords(points, dim, False), _coords(images, dim, False), float(r)
     X, TX, Y, TY = P[:n], TP[:n], P[n:], TP[n:]
     off = points[n:]
 
@@ -579,9 +611,9 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapp
     if condition_id == "Ik":
         step = metric.rowwise(P, TP)
         if exact:       # (k + 1) D times the margin
-            margins = (values(P) - values(TP)) - (k + 1) * step
+            margins = (mapped.FP[:rows] - mapped.FTP[:rows]) - (k + 1) * step
         else:
-            margins = (values(P) - values(TP)) / (k + 1) - step
+            margins = (f.values(P) - f.values(TP)) / (k + 1) - step
         i = int(margins.argmin())
         if exact:
             p, tp = own(i)
@@ -595,21 +627,29 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapp
                                (points[i],), **meta, notes=notes)
 
     if condition_id in POINTWISE_IDS:
-        def pointwise(X, TX, r, values):
-            ftx = values(TX)
+        def pointwise(X, TX, r, fx, ftx):
+            """The margins at X, given the field at X (read by Ek1 and E'k1
+            alone) and at TX."""
             if condition_id == "Ek1":
-                return (values(X) - ftx) - metric.rowwise(X, TX)
+                return (fx - ftx) - metric.rowwise(X, TX)
             if condition_id == "Ek2":
                 return ftx - r
             if condition_id == "E'k1":
-                return (values(X) + ftx - 2 * r) - metric.rowwise(X, TX)
+                return (fx + ftx - 2 * r) - metric.rowwise(X, TX)
             if condition_id == "E'k2":
                 return r - ftx
             return -np.abs(ftx - r)
 
-        margins = pointwise(X, TX, rs, values)
+        def fields(X, TX):
+            return f.values(X) if condition_id in ("Ek1", "E'k1") else None, f.values(TX)
+
+        margins = pointwise(X, TX, rs, *((mapped.FP[:n], mapped.FTP[:n]) if exact else fields(X, TX)))
         i = int(margins.argmin())
-        worst = pointwise(*own(i), r, f.values).item(0) if exact else margins.item(i)
+        if exact:
+            x, tx = own(i)
+            worst = pointwise(x, tx, r, *fields(x, tx)).item(0)
+        else:
+            worst = margins.item(i)
         verdict = PASS if worst >= -tau else FAIL
         return ConditionReport(condition_id, verdict, None, worst, (on[i],), **meta)
 
@@ -649,7 +689,7 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapp
         return _fit_report(condition_id, fitted, PAIR_FIT[condition_id], strict, (on[i], off[j]), meta)
 
     if condition_id == "E''k2":
-        deficit = rs - values(TX)
+        deficit = rs - (mapped.FTP[:n] if exact else f.values(TX))
         short = deficit > 0
         if exact:
             i, need = _first_ratio((np.where(short, deficit, 0), np.where(short, metric.rowwise(X, TX), 1)))
@@ -729,11 +769,12 @@ class TheoremVerdict:
 def certify(theorem: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> TheoremVerdict:
     """Aggregate one condition family into existence/uniqueness flags.
 
-    The plan points are mapped once for the whole family, and which of them
-    rational arithmetic decides is settled, and scaled, once. Vacuous conditions
-    do not block certification; any Fail does. On finite spaces with
-    exhaustive plans the verdict is exact, otherwise it holds on the sampled
-    plan only.
+    The plan points are mapped, the rows that rational arithmetic decides are
+    settled and scaled, and the field is taken at them and at their images,
+    once for a plan and map: families certified in turn on the same plan and
+    map share that work (`_mapped`). Vacuous conditions do not block
+    certification; any Fail does. On finite spaces with exhaustive plans the
+    verdict is exact, otherwise it holds on the sampled plan only.
     """
     key = theorem.lower()
     if key not in THEOREM_FAMILIES:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,9 @@ from kellipse import (Affine1D, ConfigurationError, ConstantPoint, Identity,
                       check_condition, check_identity_condition, default_plan,
                       exhaustive_plan, fixed_points_on, make_fixing_map,
                       selfmap_from_piecewise)
-from kellipse.verifier import FAIL, PASS, VACUOUS, _radical_inverse
+from kellipse import verifier
+from kellipse.metric import TAU_EQ, exact_eq, is_exact
+from kellipse.verifier import FAIL, PASS, THEOREM_FAMILIES, VACUOUS, _radical_inverse
 from oracles import PointClass, classify, ik_margin, pair_ratio, pointwise_margin, scalar_distance
 
 
@@ -590,3 +593,152 @@ def test_halton_blocks_give_the_scalar_plan(dim, metric, refine_tol, off_count):
     expect = scalar_off_points(e, 3, off_count, cfg)
     assert typed(plan.off_ellipse) == typed(expect)
     assert (len(expect) == 0) == (refine_tol == 5.0)
+
+
+# ---------------------------------------------------------------------------
+# one mapped plan for every theorem family
+# ---------------------------------------------------------------------------
+
+def report_fields(rep):
+    """Every field of a report by name, with its type; the witness with its coordinates' types."""
+    out = {}
+    for field in dataclasses.fields(rep):
+        v = getattr(rep, field.name)
+        out[field.name] = (type(v), typed(v) if field.name == "witness" else v)
+    return out
+
+
+def memo_case(slope=Fraction(1, 2)):
+    """A freshly built exact finite plan on the line, its level set {-3, 3},
+    and a map with rational images."""
+    sp = Space.finite([(x,) for x in (-5, -3, -1, Fraction(-1, 2), 0, 1, Fraction(7, 3), 3, 6)],
+                      Metric.l1())
+    e = KEllipse(sp, ((-1,), (1,)), 6)
+    m = SelfMap(((InHalfspace((1,), 0), Affine1D(slope, Fraction(1, 3))),
+                 (Otherwise(), Affine1D(-1, 2))))
+    return m, e, exhaustive_plan(e)
+
+
+def certified(theorems, m, e, plan):
+    return [[report_fields(rep) for rep in certify(t, m, e, plan).reports.values()] for t in theorems]
+
+
+@pytest.fixture
+def mapped_sizes(monkeypatch):
+    """The number of points of each SelfMap.map_points call, in order."""
+    sizes, map_points = [], SelfMap.map_points
+
+    def spy(self, points):
+        sizes.append(len(points))
+        return map_points(self, points)
+
+    monkeypatch.setattr(SelfMap, "map_points", spy)
+    return sizes
+
+
+def test_theorem_families_in_turn_map_a_plan_once(mapped_sizes):
+    m, e, plan = memo_case()
+    assert plan.exact and plan.on_ellipse == ((-3,), (3,))
+    got = certified(THEOREM_FAMILIES, m, e, plan)
+    assert mapped_sizes == [len(plan.all_points)]
+    assert got == [certified((t,), *memo_case())[0] for t in THEOREM_FAMILIES]
+    assert all(rep["exact"] == (bool, True) for family in got for rep in family)
+
+
+def test_a_second_map_on_the_same_plan_gets_its_own_images():
+    m, e, plan = memo_case()
+    steep = memo_case(slope=2)[0]
+    first = certified(THEOREM_FAMILIES, m, e, plan)
+    got = certified(THEOREM_FAMILIES, steep, e, plan)
+    assert got == certified(THEOREM_FAMILIES, *memo_case(slope=2))
+    assert got != first
+    assert certified(THEOREM_FAMILIES, m, e, plan) == first
+
+
+def test_an_on_set_mapping_is_not_served_to_a_call_that_reads_every_point(mapped_sizes):
+    m, e, plan = memo_case()
+    narrow = report_fields(check_condition("Ek1", m, e, plan))
+    got = certified(("t1",), m, e, plan)
+    assert mapped_sizes == [2, len(plan.all_points)]
+    assert report_fields(check_condition("Ek2", m, e, plan)) == got[0][1]
+    assert mapped_sizes == [2, len(plan.all_points)]       # the full mapping serves the on-set reads
+    assert narrow == got[0][0] and got == certified(("t1",), *memo_case())
+    # a map defined on the level set alone passes Ek1 but cannot be certified
+    partial_map = SelfMap(((InFiniteSet(plan.on_ellipse), Identity()),))
+    assert check_condition("Ek1", partial_map, e, plan).verdict == PASS
+    with pytest.raises(ConfigurationError):
+        certify("t1", partial_map, e, plan)
+
+
+def test_a_float_plan_is_mapped_again_by_each_call(mapped_sizes):
+    sp = Space.finite(((0, 0), (3, 4), (1, 1), (6, 8), (2, 0)), Metric.l2())
+    e = KEllipse(sp, ((0, 0), (3, 4)), 5)
+    m, plan = make_fixing_map([e], (2, 0)), exhaustive_plan(e)
+    assert not plan.exact
+    first = certified(("t1",), m, e, plan)
+    assert certified(("t1",), m, e, plan) == first
+    assert mapped_sizes == [len(plan.all_points)] * 2
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive split: scaled ints against the scalar field
+# ---------------------------------------------------------------------------
+
+def scalar_partition(e):
+    """(on, off, exact) of a finite space point by point: the scalar field
+    equals r exactly when both are exact, and within TAU_EQ otherwise."""
+    sp = e.space
+    exact = sp.keeps_rationals and is_exact(e.r) and all(is_exact(c) for p in sp.points for c in p)
+    on, off = [], []
+    for p in sp.points:
+        v = sum(scalar_distance(sp.metric, p, c) for c in e.foci)
+        hit = v == e.r if is_exact(v) and is_exact(e.r) else abs(v - e.r) <= TAU_EQ
+        (on if hit else off).append(p)
+    return tuple(on), tuple(off), exact
+
+
+@pytest.fixture
+def exact_eq_calls(monkeypatch):
+    calls = []
+
+    def spy(v, r):
+        calls.append(v)
+        return exact_eq(v, r)
+
+    monkeypatch.setattr(verifier, "exact_eq", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ("int", "Fraction"))
+@pytest.mark.parametrize("dim, metric", ((1, Metric.l1()), (2, Metric.l1()), (2, Metric.linf())),
+                         ids=("line", "L1", "Linf"))
+def test_exhaustive_plan_on_scaled_ints_matches_the_scalar_split(exact_eq_calls, dim, metric, kind, seed):
+    rng = random.Random(seed)
+
+    def num():
+        return rng.randint(-6, 6) if kind == "int" else Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+
+    sp = Space.finite([tuple(num() for _ in range(dim)) for _ in range(40)], metric)
+    foci, x = rng.sample(sp.points, 3), rng.choice(sp.points)
+    e = KEllipse(sp, foci, sum(scalar_distance(metric, x, c) for c in foci))
+    plan = exhaustive_plan(e)
+    on, off, exact = scalar_partition(e)
+    assert typed(plan.on_ellipse) == typed(on) and typed(plan.off_ellipse) == typed(off)
+    assert plan.exact is exact
+    assert plan.exact and plan.on_ellipse and not exact_eq_calls
+
+
+@pytest.mark.parametrize("case", ("float radius", "float focus"))
+def test_exhaustive_plan_with_a_float_radius_or_focus_compares_by_exact_eq(exact_eq_calls, case):
+    sp = Space.finite([(x,) for x in (-5, -3, -1, 0, 1, 3, 6)], Metric.l1())
+    foci, r = ((-1,), (1,)), 6
+    if case == "float radius":
+        r = 6 + TAU_EQ / 2      # the field at -3 and 3 is 6, within TAU_EQ
+    else:
+        foci = ((-1.0,), (1,))
+    e = KEllipse(sp, foci, r)
+    plan = exhaustive_plan(e)
+    assert len(exact_eq_calls) == len(sp.points)
+    assert (plan.on_ellipse, plan.off_ellipse, plan.exact) == scalar_partition(e)
+    assert plan.on_ellipse == ((-3,), (3,)) and plan.exact is (case == "float focus")
