@@ -19,8 +19,12 @@ Before any timing, both trees are byte-compiled (`python -m compileall -q
 src`), so that every run imports from fresh `.pyc` files.
 
 The record keeps the final JSON line of every run; per workload and
-end-to-end metric, each side's quartiles and the number of pairs the change
-wins (lower is better for all five); per workload, each side's failed and
+end-to-end metric, each side's quartiles, the number of pairs the change
+wins (ties count for neither side), whether the gain rule holds (the change
+wins at least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's interquartile range) and whether the
+change's median is within the metric's BENCHMARK.json bound of the
+parent's (worse by at most that share); per workload, each side's failed and
 attempted ops summed over its runs; per workload, keyed by its name, the
 per-layer figures of three traced runs of each side (`--trace 1`, seed 7),
 the sides back to back with the parent first in the first and third, each
@@ -104,20 +108,25 @@ def src_lines(checkout: Path) -> dict:
     return {**lines, "total": sum(lines.values())}
 
 
-def summary(runs: list) -> dict:
-    """Per metric: each side's (q1, median, q3) and the pairs the change wins;
-    and each side's failed and attempted ops over all runs, with their share."""
+def summary(runs: list, end_to_end: list) -> dict:
+    """Per end-to-end metric (BENCHMARK.json's entries): each side's (q1,
+    median, q3), the pairs the change wins, and whether the gain rule holds
+    and the change's median is within the bound; and each side's failed and
+    attempted ops over all runs, with their share."""
     out = {"ops": {}}
     for side in ("parent", "change"):
         failed, attempted = (sum(run[side][key] for run in runs) for key in ("failed", "attempted"))
         out["ops"][side] = {"failed": failed, "attempted": attempted,
                             "failed_share": failed / attempted if attempted else None}
-    for m in runs[0]["change"]["metrics"]:
+    for spec in end_to_end:
+        m, sign = spec["name"], 1 if spec["better"] == "lower" else -1
         value = {side: [run[side]["metrics"][m]["value"] for run in runs] for side in ("parent", "change")}
-        out[m] = {**{side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
-                     for side, v in value.items()},
-                  "change_wins": sum(c < p for p, c in zip(value["parent"], value["change"])),
-                  "pairs": len(runs)}
+        q = {side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3 for side, v in value.items()}
+        (q1, parent, q3), change = q["parent"], q["change"][1]
+        wins = sum(sign * (p - c) > 0 for p, c in zip(value["parent"], value["change"]))
+        out[m] = {**q, "change_wins": wins, "pairs": len(runs),
+                  "gain": wins >= 0.9 * len(runs) and sign * (parent - change) > q3 - q1,
+                  "within_bound": sign * (change - parent) <= spec["bound"] * abs(parent)}
     return out
 
 
@@ -154,7 +163,7 @@ def main() -> int:
                 print(wl, seed, {side: runs[-1][side]["metrics"]["wall_s"]["value"] for side in sides},
                       file=sys.stderr)
             record["runs"][wl] = runs
-            record["summary"][wl] = summary(runs)
+            record["summary"][wl] = summary(runs, spec["end_to_end"])
         record["per_layer"] = {}
         for wl in args.workloads:
             runs = [pair(sides, wl, TRACE_SEED, seconds, 1, i % 2 == 0) for i in range(TRACE_RUNS)]

@@ -54,7 +54,9 @@ MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 BLOCK = 8                   # cells per axis of a pruning block
 EVAL_CHUNK = 1 << 16        # tile nodes per field evaluation and edge scan
-FORMAT_ROWS = 1 << 12       # rows formatted per % operation by _format_rows
+# rows formatted per % operation by _format_rows; a CSV chunk takes the repr
+# of each distinct value once, as strings, unless over half its cells differ
+FORMAT_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -502,8 +504,8 @@ def export_csv(points) -> str:
 
 
 def _csv_parts(points):
-    """The text of `export_csv` in pieces, float rows FORMAT_ROWS at a time, so
-    that a file can be written without the whole table in memory."""
+    """The text of `export_csv` in pieces, FORMAT_ROWS rows at a time, so that
+    a file can be written without the whole table in memory."""
     table = isinstance(points, np.ndarray) and points.ndim == 2
     rows = None if table and points.dtype == np.float64 else [tuple(p) for p in points]
     dim = points.shape[1] if table else len(rows[0]) if rows else 2
@@ -511,18 +513,48 @@ def _csv_parts(points):
         raise ValueError(f"CSV export takes at most 3 columns (x, y, z), got {dim}")
     yield ",".join("xyz"[:dim]) + "\n"
     if rows is not None:
-        yield "".join(",".join(fmt_num(c) for c in row) + "\n" for row in rows)
+        for s in range(0, len(rows), FORMAT_ROWS):
+            yield "".join(",".join(fmt_num(c) for c in row) + "\n" for row in rows[s:s + FORMAT_ROWS])
     elif len(points):
-        yield from _format_rows(",".join(["%r"] * dim) + "\n", points)
+        yield from _format_rows(",".join(["%s"] * dim) + "\n", points, reprs=True)
 
 
-def _format_rows(row: str, values: np.ndarray, sep: str = ""):
+def _format_rows(row: str, values: np.ndarray, sep: str = "", reprs: bool = False):
     """`row % v` for each row v of `values` (n, m), joined by sep, as one piece
     per chunk of FORMAT_ROWS rows. Each chunk is formatted by one % operation,
-    so that the Python floats alive at once stay few next to the text."""
+    so that the Python objects alive at once stay few next to the text.
+
+    With reprs (the CSV's float table), row's fields are %s and a chunk's
+    cells come from _reprs. The shortest round-trip repr of each float is
+    nearly all of a CSV's time (Gay 1990; Adams 2018, "Ryu"), and two of a
+    cloud point's three coordinates are grid values that repeat, so each
+    distinct value's repr is made once per chunk. A chunk whose cells are
+    more than half distinct gives its floats instead, which %s prints as
+    their repr too: the strings would save little time there, and with
+    their copies they would outweigh the floats.
+    """
     for s in range(0, len(values), FORMAT_ROWS):
         c = values[s:s + FORMAT_ROWS]
-        yield (sep if s else "") + sep.join([row] * len(c)) % tuple(c.ravel().tolist())
+        yield (sep if s else "") + sep.join([row] * len(c)) % (
+            _reprs(c) if reprs else tuple(c.ravel().tolist()))
+
+
+def _reprs(c: np.ndarray) -> tuple:
+    """The cells of the float64 chunk c (n, m) in row order for _format_rows:
+    one repr string per distinct bit pattern (-0.0 == 0.0 but prints
+    otherwise), or the floats if more than half of the cells are distinct.
+    The arrays named here die with this frame, before the chunk's text is
+    yielded."""
+    bits = np.ascontiguousarray(c).view(np.int64).ravel()
+    order = np.argsort(bits)
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = np.diff(bits[order]) != 0
+    if 2 * np.count_nonzero(first) > len(bits):
+        return tuple(c.ravel().tolist())
+    strs = np.frompyfunc(repr, 1, 1)(c.ravel()[order[first]])
+    inv = np.empty(len(bits), dtype=np.intp)
+    inv[order] = np.cumsum(first) - 1       # each cell's rank among the distinct values
+    return tuple(strs[inv].tolist())
 
 
 def parse_csv_points(text: str) -> list[Point]:

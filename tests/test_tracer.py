@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.spatial import cKDTree
 from kellipse import (KEllipse, Metric, SolverError, Space, TraceConfig,
                       export_csv, export_svg, fixture_scene, min_radius,
                       parse_csv_points, sample_3d, trace_2d, tracer)
-from kellipse.metric import TAU_EQ
+from kellipse.metric import TAU_EQ, fmt_num
 from oracles import arc_length
 
 
@@ -481,3 +483,104 @@ def test_trace_files_are_written_without_the_whole_text(tmp_path):
 def test_csv_refuses_more_than_three_columns(points):
     with pytest.raises(ValueError, match="got 4"):
         export_csv(points)
+
+
+# the float table path of the CSV export formats each distinct value of a
+# chunk once (tracer._reprs); its text must be the former one %r per cell
+def former_csv(points) -> str:
+    dim = points.shape[1]
+    row = ",".join(["%r"] * dim) + "\n"
+    return ",".join("xyz"[:dim]) + "\n" + "".join(row % tuple(p) for p in points.tolist())
+
+
+def grid_cloud(n, rng, dim=3, nodes=257):
+    """n rows shaped like a traced cloud: dim - 1 grid-valued columns and one distinct column."""
+    grid = np.linspace(-4, 4, nodes)
+    return np.column_stack([grid[rng.integers(0, nodes, n)] for _ in range(dim - 1)] + [rng.normal(size=n)])
+
+
+def test_csv_keeps_negative_zero_beside_zero_in_one_chunk():
+    pts = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]] * 50)
+    assert all(isinstance(c, str) for c in tracer._reprs(pts))
+    assert export_csv(pts) == former_csv(pts)
+    assert export_csv(pts).splitlines()[1:3] == ["0.0,-0.0,0.0", "-0.0,0.0,-0.0"]
+
+
+def test_csv_prints_subnormals_infinities_and_nans_as_before():
+    special = [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, math.inf, -math.inf, math.nan,
+               -math.nan, float.fromhex("0x1.fffffffffffffp+1023"), 0.1]
+    pts = np.array(special * 30).reshape(-1, 3)
+    assert all(isinstance(c, str) for c in tracer._reprs(pts))
+    assert export_csv(pts) == former_csv(pts)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("extra", (-1, 0, 1, "3n+5"))
+def test_csv_rows_across_chunk_boundaries(dim, extra):
+    n = 3 * tracer.FORMAT_ROWS + 5 if extra == "3n+5" else tracer.FORMAT_ROWS + extra
+    pts = np.round(grid_cloud(n, np.random.default_rng(dim), dim, nodes=65), 2)
+    assert all(isinstance(c, str) for c in tracer._reprs(pts[:tracer.FORMAT_ROWS]))
+    parts = list(tracer._csv_parts(pts))
+    assert len(parts) == 1 + -(-n // tracer.FORMAT_ROWS)
+    assert "".join(parts) == former_csv(pts)
+
+
+def test_csv_chunks_of_equal_distinct_and_half_distinct_values():
+    n = tracer.FORMAT_ROWS
+    cells = n * 2
+    same = np.full((n, 2), 1.25)
+    distinct = np.arange(cells, dtype=float).reshape(n, 2) / 7
+    # exactly half of the cells distinct, the most that still takes the strings
+    half = np.repeat(np.arange(cells // 2) / 7, 2).reshape(n, 2)
+    over = half.copy()
+    over[0, 0] = 0.5
+    for pts, strings in ((same, True), (half, True), (over, False), (distinct, False)):
+        assert all(isinstance(c, str) == strings for c in tracer._reprs(pts))
+        assert export_csv(pts) == former_csv(pts)
+
+
+def test_csv_of_fortran_order_and_strided_arrays():
+    base = grid_cloud(2 * tracer.FORMAT_ROWS + 3, np.random.default_rng(9), 4, nodes=33)
+    for pts in (np.asfortranarray(base[:, :3]), base[::2, ::2], base[::-3, 1:]):
+        assert not pts.flags.c_contiguous
+        assert export_csv(pts) == former_csv(np.ascontiguousarray(pts))
+
+
+def test_csv_round_trips_a_traced_cloud_bit_for_bit():
+    sp = Space.continuum(3, Metric.l2())
+    e = KEllipse(sp, ((5, 0, 0), (0, 2, 0), (0, 0, 1)), 12)
+    pts = sample_3d(e, TraceConfig(bbox=((-8, 8), (-8, 8), (-8, 8)), resolution=32)).points
+    pts = np.vstack([pts, -pts])        # the grid has 0.0, so the mirror has -0.0
+    zero = pts == 0
+    assert np.signbit(pts[zero]).any() and not np.signbit(pts[zero]).all()
+    text = export_csv(pts)
+    assert text == former_csv(pts)
+    back = np.array(parse_csv_points(text), dtype=float)
+    assert back.view(np.int64).tolist() == pts.view(np.int64).tolist()
+
+
+def test_csv_of_a_cloud_holds_one_chunk_of_strings(tmp_path):
+    # a cloud's cells are strings per distinct value of a chunk; the traced
+    # peak of writing it does not grow with the rows, as it would if the
+    # strings of every row were kept
+    from kellipse.cli import _write
+
+    peaks = []
+    for n in (100_000, 400_000):
+        pts = grid_cloud(n, np.random.default_rng(n))
+        assert all(isinstance(c, str) for c in tracer._reprs(pts[:tracer.FORMAT_ROWS]))
+        tracemalloc.start()
+        try:
+            _write(tmp_path / "c.csv", tracer._csv_parts(pts))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_csv_streams_exact_rows_a_chunk_at_a_time():
+    n = tracer.FORMAT_ROWS + 1
+    rows = [(Fraction(i, 3), i) for i in range(n)]
+    parts = list(tracer._csv_parts(rows))
+    assert len(parts) == 3
+    assert "".join(parts) == "x,y\n" + "".join(f"{fmt_num(a)},{fmt_num(b)}\n" for a, b in rows)
