@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .geometry import SolverError, min_radius, nonempty
-from .metric import fmt_num, verify_metric_axioms
+from .metric import Space, fmt_num, verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
 from .scene import SceneError, load_scene
 from .tracer import _csv_parts, _svg_parts, sample_3d, trace_2d
@@ -151,6 +151,8 @@ def cmd_fixpoints(args) -> int:
     scene = load_scene(args.scene)
     if scene.piecewise is None:
         raise SceneError(f"scene {scene.name!r} has no piecewise map")
+    if scene.ellipses and scene.space != Space.continuum(1, scene.space.metric):
+        raise SceneError(f"scene {scene.name!r}: radii need a 1D continuum without membership")
     fix = fixed_point_set(scene.piecewise)
     print(f"Fix = {fix}")
     if scene.ellipses:

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import Interval, IntervalUnion
-from .metric import (_FRACTION, TAU_OPT, Metric, Point, Space, _coords, as_exact, as_point, as_ratio,
-                     exact_eq, float_below, is_exact, scaled_ints)
+from .metric import (_FRACTION, TAU_OPT, Metric, Point, Space, _coords, _scaled, as_exact, as_point,
+                     as_ratio, exact_eq, exact_points, float_below, is_exact, scaled_ints)
 
 __all__ = [
     "SumField",
@@ -99,18 +99,31 @@ def _field(metric: Metric, foci, pts: np.ndarray) -> np.ndarray:
     return total
 
 
+def _on_level(e: KEllipse, pts) -> list[bool]:
+    """Whether the field is r at each point of pts: on ints (`_scaled`) when r,
+    the foci and pts are exact in a space that keeps rationals, else by
+    `exact_eq` of each `SumField.values` entry and r."""
+    dim = e.space.dimension
+    if e.space.keeps_rationals and exact_points(e.r, e.foci, pts):
+        _, r, (foci, P) = _scaled(e.r, (e.foci, pts), dim)
+        return (_field(e.space.metric, foci, P) == r).tolist()
+    return [exact_eq(v, e.r) for v in e.field.values(_coords(pts, dim)).tolist()]
+
+
 @dataclass(frozen=True)
 class KEllipse:
     """The level set {x : sum_i d(x, xi) = r} of a sum-of-distances field."""
 
     space: Space
     foci: tuple
-    r: object   # real >= 0; int/Fraction preserved for exact work
+    r: object   # finite real >= 0; int/Fraction preserved for exact work
 
     def __post_init__(self):
         object.__setattr__(self, "foci", tuple(self.space.require_member(f) for f in self.foci))
         if not self.foci:
             raise ValueError("a k-ellipse needs at least one focus")
+        if not (is_exact(self.r) or math.isfinite(self.r)):
+            raise ValueError(f"radius must be finite, got {self.r}")
         if self.r < 0:
             raise ValueError(f"radius must be >= 0, got {self.r}")
 
@@ -587,8 +600,7 @@ def members_finite(e: KEllipse) -> list[Point]:
     """
     if e.space.is_finite:
         pts = e.space.points
-        values = e.field.values(_coords(pts, e.space.dimension)).tolist()
-        return [p for p, v in zip(pts, values) if exact_eq(v, e.r)]
+        return [p for p, hit in zip(pts, _on_level(e, pts)) if hit]
     if e.space.dimension == 1:
         level = _level_set_1d(e)
         if not all(p.is_point for p in level.parts):

@@ -5,16 +5,19 @@ endpoint so unions of fixed-point sets and radius sets stay exact even for
 discontinuous piecewise maps. Infinite endpoints are always open. The same
 types hold every exact subset of the line: fixed sets, radius sets, the
 membership restriction of a mixed space and the regions of a 1D self-map.
+`IntervalUnion.contains` is the one membership test of such a set: it decides
+in integer arithmetic, on the part ends scaled by one common denominator.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import fmt_num
+from .metric import as_ratio, fmt_num, is_exact, scaled_ints
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -104,10 +107,6 @@ class IntervalUnion:
 
     parts: tuple = ()
 
-    def __post_init__(self):
-        # the part starts, for `contains`
-        object.__setattr__(self, "_starts", tuple(p.lo for p in self.parts))
-
     @classmethod
     def of(cls, intervals) -> "IntervalUnion":
         items = [iv for iv in intervals if not iv.is_empty]
@@ -130,11 +129,29 @@ class IntervalUnion:
     def is_empty(self) -> bool:
         return not self.parts
 
+    @functools.cached_property
+    def _cuts(self) -> tuple:
+        """(D, cuts) for `contains`: D the lcm of the denominators of the finite
+        part ends, and each end e in order as an int on the doubled scale 2D:
+        2eD at a closed start or an open end, 2eD + 1 at an open start or a
+        closed end, e itself when infinite: increasing, as the parts are disjoint."""
+        ends = [(e, bump) for p in self.parts for e, bump in ((p.lo, p.lo_open), (p.hi, not p.hi_open))]
+        D, ints = scaled_ints([e for e, _ in ends if e not in (NEG_INF, POS_INF)])
+        ints = iter(ints)
+        return D, tuple(e if e in (NEG_INF, POS_INF) else 2 * next(ints) + bump for e, bump in ends)
+
     def contains(self, x) -> bool:
-        # parts are sorted, disjoint and merged, so only the last one that
-        # starts at or before x can hold it
-        i = bisect_right(self._starts, x)
-        return i > 0 and self.parts[i - 1].contains(x)
+        """Whether x (an int, Fraction, float or numpy number) lies in the union,
+        decided on ints: x = n/m has the key 2q + (rem > 0) for divmod(nD, m) =
+        (q, rem), and lies in the union when an odd number of cuts are at most
+        its key. +-inf and NaN lie in no union."""
+        # is_exact first: isfinite would convert a Fraction to a float in Python
+        if not (is_exact(x) or math.isfinite(x)):
+            return False
+        n, m = as_ratio(x)
+        D, cuts = self._cuts
+        q, rem = divmod(n * D, m)
+        return bisect_right(cuts, 2 * q + (rem > 0)) % 2 == 1
 
     def contains_interval(self, iv: Interval) -> bool:
         # parts are maximal, so containment must happen within a single part

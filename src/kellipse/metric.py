@@ -79,6 +79,18 @@ def scaled_ints(values) -> tuple:
     return D, [n * (D // d) for n, d in ratios]
 
 
+def _scaled(r, groups, dim: int) -> tuple:
+    """(D, r, arrays) for an exact radius and groups of points: each number
+    times D, the lcm of all their denominators, as a Python int, and each
+    group as an (n, dim) object array."""
+    D, ints = scaled_ints([r, *(c for group in groups for p in group for c in p)])
+    arrays, at = [], 1
+    for group in groups:
+        arrays.append(np.array(ints[at:at + len(group) * dim], dtype=object).reshape(len(group), dim))
+        at += len(group) * dim
+    return D, ints[0], arrays
+
+
 def float_below(q) -> float:
     """The largest float <= the exact number q."""
     f = float(q)
@@ -309,6 +321,8 @@ class Space:
                 raise ValueError("membership restriction applies to continuum spaces only")
         if self.membership is not None and self.dimension != 1:
             raise ValueError("membership restrictions are supported in dimension 1 only")
+        if self.membership is not None and self.membership.is_empty:
+            raise ValueError("a membership restriction needs at least one part")
 
     @classmethod
     def continuum(cls, dimension: int, metric: Metric, membership: IntervalUnion | None = None) -> "Space":

@@ -7,14 +7,14 @@ the fixed-point set.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import LevelSolution1D, SolutionKind, line_field, solve_1d
 from .intervals import Interval, IntervalUnion, NEG_INF, POS_INF
-from .metric import as_ratio, is_exact, scaled_ints
+from .metric import is_exact
 
 __all__ = [
     "PiecewiseAffine1D",
@@ -100,26 +100,11 @@ def srelu(t_l, a_l, t_r, a_r) -> PiecewiseAffine1D:
 
 @dataclass(frozen=True)
 class FixedSet1D:
-    """The exact solution set of f(x) = x for a piecewise-affine map.
-
-    At construction the finite part ends are scaled by one common denominator
-    D to Python ints (`scaled_ints`), so that `contains` tests an exact x in
-    integer arithmetic.
-    """
+    """The exact solution set of f(x) = x for a piecewise-affine map: its
+    intervals and isolated points, held as one `IntervalUnion`, whose
+    `contains` decides membership."""
 
     members: IntervalUnion
-
-    def __post_init__(self):
-        parts = self.members.parts
-        finite = [e for p in parts for e in (p.lo, p.hi) if e not in (NEG_INF, POS_INF)]
-        D, scaled = scaled_ints(finite)
-        ints = iter(scaled)
-        # each part as (lo, hi, lo_open, hi_open) with its ends times D, None when infinite
-        ends = tuple((None if p.lo == NEG_INF else next(ints), None if p.hi == POS_INF else next(ints),
-                      p.lo_open, p.hi_open) for p in parts)
-        object.__setattr__(self, "_D", D)
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_starts", tuple(NEG_INF if lo is None else lo for lo, *_ in ends))
 
     @property
     def intervals(self) -> tuple:
@@ -134,20 +119,8 @@ class FixedSet1D:
         return self.members.is_empty
 
     def contains(self, x) -> bool:
-        """Whether x is a fixed point. An exact x = n/m is placed among the
-        scaled part starts by the key floor(nD/m) and tested against the
-        scaled ends by comparing nD with end * m; any other x goes to
-        `IntervalUnion.contains`."""
-        if not is_exact(x):
-            return self.members.contains(x)
-        n, m = as_ratio(x)
-        nD = n * self._D
-        i = bisect_right(self._starts, nD // m)
-        if i == 0:
-            return False
-        lo, hi, lo_open, hi_open = self._ends[i - 1]
-        return ((lo is None or nD > lo * m or nD == lo * m and not lo_open)
-                and (hi is None or nD < hi * m or nD == hi * m and not hi_open))
+        """Whether x is a fixed point."""
+        return self.members.contains(x)
 
     def __str__(self) -> str:
         return str(self.members)

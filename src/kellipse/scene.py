@@ -23,7 +23,7 @@ Region kinds: on_ellipse (index, tol), in_set (points), interval (lo, hi,
 lo_open, hi_open; null = unbounded), halfspace (coeffs, offset), otherwise.
 An interval region and the membership of a mixed 1D space are exact
 `Interval` / `IntervalUnion` values, null ends becoming -inf / inf; a
-membership interval must have lo <= hi.
+membership needs at least one part, and each interval of it lo <= hi.
 Action kinds: identity, constant (point), affine (slope, intercept),
 rational (num [a, b], den [c, d]).
 

@@ -37,9 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import KEllipse, SolutionKind, SumField, _field, solve_1d
-from .metric import (STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, _coords, as_point,
-                     exact_div, exact_eq, exact_points, is_exact, scaled_ints)
+from .geometry import KEllipse, SolutionKind, SumField, _field, _on_level, solve_1d
+from .metric import (STRICT_MARGIN, TAU_COND, TAU_EQ, TAU_IDENT, Point, Space, _coords, _scaled, as_point,
+                     exact_div, exact_eq, exact_points, is_exact)
 
 __all__ = [
     "ConfigurationError",
@@ -228,22 +228,15 @@ class SamplePlan:
 
 
 def exhaustive_plan(e: KEllipse) -> SamplePlan:
-    """Partition a finite space into on-set and off-set points, exactly. When
-    the radius, the foci and the points are exact in a space that keeps
-    rationals, the field is compared with r on Python ints, all scaled by one
-    common denominator (`_scaled`); otherwise each field value is compared
-    with r by `exact_eq`."""
+    """Partition a finite space into on-set and off-set points, exactly
+    (`geometry._on_level`)."""
     if not e.space.is_finite:
         raise ValueError("exhaustive plans require a finite space")
-    pts, dim = e.space.points, e.space.dimension
-    exact = e.space.keeps_rationals and exact_points(e.r, pts)
-    if exact and exact_points(e.r, e.foci):
-        _, r, (foci, P) = _scaled(e.r, (e.foci, pts), dim)
-        hits = (_field(e.space.metric, foci, P) == r).tolist()
-    else:
-        hits = [exact_eq(v, e.r) for v in e.field.values(_coords(pts, dim)).tolist()]
+    pts = e.space.points
+    hits = _on_level(e, pts)
     on = tuple(p for p, hit in zip(pts, hits) if hit)
     off = tuple(p for p, hit in zip(pts, hits) if not hit)
+    exact = e.space.keeps_rationals and exact_points(e.r, pts)
     return SamplePlan(e.space, on, off, seed=0, exhaustive=True, exact=exact)
 
 
@@ -316,8 +309,8 @@ def _plan_1d(e: KEllipse, seed: int, off_count: int, window) -> SamplePlan:
 
 def _off_level(e: KEllipse, xs: list) -> list:
     """The points (x,) for x in xs, in order, at which the line field is not r."""
-    values = e.field.values(_coords([(x,) for x in xs], 1)).tolist()
-    return [Point((x,)) for x, v in zip(xs, values) if not exact_eq(v, e.r)]
+    pts = [Point((x,)) for x in xs]
+    return [p for p, hit in zip(pts, _on_level(e, pts)) if not hit]
 
 
 def _plan_nd(e: KEllipse, seed: int, off_count: int, trace_config) -> SamplePlan:
@@ -398,18 +391,6 @@ def pair_ratio(condition_id: str, m: SelfMap, e: KEllipse, x: Point, y: Point,
     if den <= tau:
         return None if num <= tau else math.inf
     return exact_div(num, den)
-
-
-def _scaled(r, groups, dim: int) -> tuple:
-    """(D, r, arrays) for an exact radius and groups of points: each number
-    times D, the lcm of all their denominators, as a Python int, and each
-    group as an (n, dim) object array."""
-    D, ints = scaled_ints([r, *(c for group in groups for p in group for c in p)])
-    arrays, at = [], 1
-    for group in groups:
-        arrays.append(np.array(ints[at:at + len(group) * dim], dtype=object).reshape(len(group), dim))
-        at += len(group) * dim
-    return D, ints[0], arrays
 
 
 @dataclass(frozen=True)

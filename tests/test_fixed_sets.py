@@ -1,14 +1,17 @@
-"""Fixed sets on scaled integers, and the memo of equal maps.
+"""Membership in exact line sets, and the memo of equal maps.
 
-`FixedSet1D.contains` tests an exact x against its part ends in integer
-arithmetic; `IntervalUnion.contains`, on the same parts, is the reference.
+`IntervalUnion.contains` decides membership in integer arithmetic, and
+`FixedSet1D.contains` delegates to it; a scan of every part's own
+`Interval.contains` is the reference.
 """
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import kellipse as ke
 from kellipse import FixedSet1D, PiecewiseAffine1D, fixed_point_set, srelu
 from kellipse.intervals import NEG_INF, POS_INF, Interval, IntervalUnion
 
@@ -47,6 +50,10 @@ def _probes(rng, union: IntervalUnion) -> list:
     return exact + ints + [float(q) for q in exact] + [-math.inf, math.inf, 0.0]
 
 
+def _scan(union: IntervalUnion, x) -> bool:
+    return any(p.contains(x) for p in union.parts)
+
+
 def test_membership_in_integers_matches_the_interval_union():
     rng = random.Random(22)
     checked = 0
@@ -54,9 +61,44 @@ def test_membership_in_integers_matches_the_interval_union():
         union = _union(rng)
         fixed = FixedSet1D(union)
         for x in _probes(rng, union):
-            assert fixed.contains(x) is union.contains(x), (str(union), x)
+            assert fixed.contains(x) is _scan(union, x), (str(union), x)
             checked += 1
     assert checked > 10000
+
+
+def test_interval_union_contains_matches_a_scan_of_its_parts():
+    # ints, Fractions up to denominator 2**61 - 1, floats, +-inf and NaN, each
+    # also as the numpy scalars that carry it exactly
+    rng = random.Random(25)
+    checked = 0
+    for _ in range(300):
+        union = _union(rng)
+        for x in _probes(rng, union) + [math.nan]:
+            want = _scan(union, x)
+            assert union.contains(x) is want, (str(union), x)
+            variants = [np.float64(x)] if isinstance(x, float) else []
+            if isinstance(x, float) and float(np.float32(x)) == x:
+                variants.append(np.float32(x))
+            if isinstance(x, int) and abs(x) < 2 ** 63:
+                variants += [np.int64(x), np.int32(x)] if abs(x) < 2 ** 31 else [np.int64(x)]
+            for v in variants:
+                assert union.contains(v) is want, (str(union), repr(v))
+            checked += 1 + len(variants)
+    assert checked > 15000
+
+
+def test_mixed_space_membership_with_float_and_fraction_ends():
+    membership = IntervalUnion.of([Interval.point(Fraction(-7, 3)),
+                                   Interval(-0.75, Fraction(1, 3), True, False),
+                                   Interval(Fraction(5, 2), 3.5, False, True), Interval(6.125, POS_INF)])
+    space = ke.Space.continuum(1, ke.Metric.l1(), membership)
+    ends = (Fraction(-7, 3), -0.75, Fraction(1, 3), Fraction(5, 2), 3.5, 6.125)
+    probes = [e + s for e in map(Fraction, ends) for s in (Fraction(-1, 10 ** 9), 0, Fraction(1, 10 ** 9))]
+    probes += [float(q) for q in probes] + [-3, 0, 3, 7, 2 ** 70, -2.0, 0.25]
+    for x in probes:
+        assert space.contains(ke.Point((x,))) is _scan(membership, x), x
+    assert [space.contains((x,)) for x in (Fraction(-7, 3), -0.75, Fraction(1, 3), 3.5, 6.125)] == \
+        [True, False, True, False, True]
 
 
 @pytest.mark.parametrize("x", (0, 1, Fraction(1, 2), -3.0, 2 ** 70, Fraction(-1, 2 ** 61 - 1)))

@@ -66,6 +66,12 @@ def test_foci_must_belong_to_space():
         KEllipse(Space.continuum(2, Metric.l2()), ((1,),), 1)   # dim mismatch
 
 
+@pytest.mark.parametrize("r", (math.inf, -math.inf, math.nan, np.float64(math.inf)))
+def test_radius_must_be_finite(r):
+    with pytest.raises(ValueError, match="radius must be finite"):
+        KEllipse(Space.continuum(1, Metric.l1()), ((0,),), r)
+
+
 def test_field_is_built_once_per_ellipse():
     sp = Space.continuum(2, Metric.l2())
     e = KEllipse(sp, ((0, 0), (1, 0)), 3)

@@ -129,6 +129,13 @@ def test_membership_restriction():
         Space.continuum(2, Metric.l1(), mem)   # 1D only
 
 
+def test_membership_restriction_needs_a_part():
+    # an empty membership left sample_points nothing to choose from
+    for mem in (IntervalUnion.empty(), IntervalUnion.of([Interval(1, 0)])):
+        with pytest.raises(ValueError, match="at least one part"):
+            Space.continuum(1, Metric.l1(), mem)
+
+
 @pytest.mark.parametrize("parts", [
     (ke.Interval.point(-2), ke.Interval(20, 30)),
     (ke.Interval(-15, -12, lo_open=True, hi_open=True),),

@@ -222,6 +222,48 @@ def test_cli_fixpoints(capsys):
     assert "radii = [2, 18]" in out
 
 
+LINE_SPACE = {"kind": "continuum", "dimension": 1, "metric": {"kind": "l1"}}
+IDENTITY_MAP = {"rules": [{"region": {"kind": "otherwise"}, "action": {"kind": "identity"}}]}
+
+
+@pytest.mark.parametrize("r", ("1e400", "-1e400", "NaN"))
+def test_non_finite_radius_is_a_scene_error(tmp_path, capsys, r):
+    # JSON 1e400 reads as inf, NaN as nan; either once died in verify, exiting 1
+    text = json.dumps({"space": LINE_SPACE, "ellipse": {"foci": [[0], [2]], "r": 0}, "map": IDENTITY_MAP})
+    path = tmp_path / "scene.json"
+    path.write_text(text.replace('"r": 0', f'"r": {r}'), encoding="utf-8")
+    with pytest.raises(SceneError, match="radius must be finite"):
+        ke.load_scene(path)
+    assert main(["verify", str(path), "--theorem", "t1"]) == 2
+    assert "radius must be finite" in capsys.readouterr().err
+
+
+def test_empty_membership_is_a_scene_error(tmp_path, capsys):
+    data = {"space": dict(LINE_SPACE, membership=[])}
+    with pytest.raises(ValueError, match="at least one part"):
+        parse_scene(data)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["axioms", str(path)]) == 2
+    assert "at least one part" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, foci", [
+    ({"kind": "continuum", "dimension": 2, "metric": {"kind": "l2"}}, [[-1, 5], [0, 7], [1, -3]]),
+    ({"kind": "finite", "points": [[-1], [0], [1], [5]], "metric": {"kind": "l1"}}, [[-1], [0], [1]]),
+    (dict(LINE_SPACE, membership=[{"interval": [-10, 10]}]), [[-1], [0], [1]]),
+], ids=("plane", "finite", "mixed"))
+def test_fixpoints_refuses_radii_off_the_plain_line(tmp_path, capsys, space, foci):
+    # the radii are those of the foci's first coordinates on the whole line
+    data = {"space": space, "ellipse": {"foci": foci, "r": 15},
+            "piecewise": {"srelu": {"tl": -6, "al": 2, "tr": 6, "ar": 3}}}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["fixpoints", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "1D continuum without membership" in out.err
+
+
 def test_cli_axioms(capsys):
     assert main(["axioms", str(fixture_path("tri_l1")), "--samples", "200"]) == 0
     assert "0 violation(s)" in capsys.readouterr().out

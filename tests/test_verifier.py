@@ -14,7 +14,7 @@ from kellipse import (Affine1D, ConfigurationError, ConstantPoint, Identity,
                       check_condition, check_identity_condition, default_plan,
                       exhaustive_plan, fixed_points_on, make_fixing_map,
                       selfmap_from_piecewise)
-from kellipse import verifier
+from kellipse import geometry, verifier
 from kellipse.metric import TAU_EQ, exact_eq, is_exact
 from kellipse.verifier import FAIL, PASS, THEOREM_FAMILIES, VACUOUS, _radical_inverse
 from oracles import PointClass, classify, ik_margin, pair_ratio, pointwise_margin, scalar_distance
@@ -705,7 +705,7 @@ def exact_eq_calls(monkeypatch):
         calls.append(v)
         return exact_eq(v, r)
 
-    monkeypatch.setattr(verifier, "exact_eq", spy)
+    monkeypatch.setattr(geometry, "exact_eq", spy)
     return calls
 
 
@@ -742,3 +742,58 @@ def test_exhaustive_plan_with_a_float_radius_or_focus_compares_by_exact_eq(exact
     assert len(exact_eq_calls) == len(sp.points)
     assert (plan.on_ellipse, plan.off_ellipse, plan.exact) == scalar_partition(e)
     assert plan.on_ellipse == ((-3,), (3,)) and plan.exact is (case == "float focus")
+
+
+# ---------------------------------------------------------------------------
+# the one level test: members_finite and the line plan's off-set
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ("int", "Fraction", "float"))
+@pytest.mark.parametrize("dim, metric",
+                         ((1, Metric.l2()), (2, Metric.l1()), (2, Metric.linf()), (2, Metric.l2())),
+                         ids=("line", "L1", "Linf", "L2"))
+def test_members_finite_matches_the_scalar_field(dim, metric, kind, seed):
+    rng = random.Random(250 + seed)
+
+    def num():
+        v = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+        return {"int": round(v), "Fraction": v, "float": float(v)}[kind]
+
+    sp = Space.finite([tuple(num() for _ in range(dim)) for _ in range(40)], metric)
+    foci, x = rng.sample(sp.points, 3), rng.choice(sp.points)
+    e = KEllipse(sp, foci, sum(scalar_distance(metric, x, c) for c in foci))
+    on = scalar_partition(e)[0]
+    assert on and typed(geometry.members_finite(e)) == typed(on)
+
+
+def _on_line_level(foci, r, x) -> bool:
+    v = sum(scalar_distance(Metric.l1(), (x,), f) for f in foci)
+    return v == r if is_exact(v) and is_exact(r) else abs(v - r) <= TAU_EQ
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_line_plan_off_set_matches_the_scalar_field(seed):
+    # four distinct foci, at the minimum radius: the level set is the segment
+    # between the middle two, so many dyadic candidates lie on it
+    rng = random.Random(25 + seed)
+    foci = tuple((Fraction(v, 4),) for v in sorted(rng.sample(range(-16, 17), 4)))
+    r = min(sum(scalar_distance(Metric.l1(), f, g) for g in foci) for f in foci)
+    candidates = [Fraction(v, 64) for v in range(-64 * 10, 64 * 10 + 1)]
+    isolated = [Fraction(v, 8) for v in range(-40, 41, 3)]
+    mixed = ke.IntervalUnion.of([Interval.point(q) for q in isolated + [f[0] for f in foci]])
+    for radius in (r, float(r)):
+        want = [(x,) for x in candidates if not _on_line_level(foci, radius, x)]
+        assert 0 < len(want) < len(candidates)
+        for space in (Space.continuum(1, Metric.l1()), Space.continuum(1, Metric.l1(), mixed)):
+            e = KEllipse(space, foci, radius)
+            assert verifier._off_level(e, candidates) == want
+            plan = default_plan(e, seed=seed, off_count=64)
+            assert plan.off_ellipse and all(space.contains(p) for p in plan.off_ellipse)
+            assert not any(_on_line_level(foci, radius, p[0]) for p in plan.off_ellipse)
+            assert all(_on_line_level(foci, radius, p[0]) for p in plan.on_ellipse)
+        # the scaled-int and the exact_eq paths keep the same draws
+        if radius == r:
+            exact_off = default_plan(e, seed=seed, off_count=64).off_ellipse
+        else:
+            assert default_plan(e, seed=seed, off_count=64).off_ellipse == exact_off
