@@ -2,7 +2,9 @@
 the numeric policy: every float tolerance and the exact-number helpers.
 
 Coordinates may be int, float, or Fraction. Every distance the package
-computes comes from one norm, `Metric.column_norm`, on arrays; `_coords` is
+computes comes from one norm, `Metric.column_norm`, on arrays;
+`Metric.column_norm_along` is that norm with all columns but one carried
+over from call to call, equal to it bit for bit; `_coords` is
 the one rule for a point array's dtype: object (int/Fraction kept) unless
 every coordinate is a float. Exact types are preserved wherever the metric
 allows (L1, Linf, and any metric in dimension 1), so that finite-space and 1D
@@ -266,6 +268,32 @@ class Metric:
         s = _fold(np.add, terms)
         s **= 1.0 / self.p
         return np.multiply(m, s, out=s)
+
+    def column_norm_along(self, g: list, axis: int):
+        """The function col -> column_norm(g with g[axis] replaced by col), bit for bit.
+
+        For norms of many points that differ in one coordinate only. Under L2
+        with float columns the fixed axes are squared here, once: the sum of
+        the squares before `axis` is kept, and each square after it, since
+        IEEE addition is commutative (col^2 + carry is carry + col^2) but does
+        not reassociate. g's fixed columns are not kept. Every other metric
+        keeps them, unchanged, and takes column_norm with col put in.
+        """
+        if self.kind != "l2" or len(g) == 1 or any(_holds_objects(gi) for gi in g):
+            return lambda col: self.column_norm(g[:axis] + [col] + g[axis + 1:])
+        carry = None                # the squares before axis, summed in axis order
+        for gi in g[:axis]:
+            carry = gi * gi if carry is None else np.add(carry, gi * gi, out=carry)
+        after = [gi * gi for gi in g[axis + 1:]]
+
+        def norm(col):
+            acc = np.multiply(col, col)
+            if carry is not None:
+                acc += carry
+            for s in after:
+                acc += s
+            return np.sqrt(acc, out=acc)
+        return norm
 
 
 def _coords(points, dim: int, exact: bool | None = None) -> np.ndarray:

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .geometry import KEllipse
 from .intervals import Interval, IntervalUnion
-from .metric import REFINE_TOL, Metric, Point, Space
+from .metric import REFINE_TOL, Metric, Point, Space, is_exact
 from .piecewise import PiecewiseAffine1D, srelu
 from .tracer import TraceConfig
 from .verifier import (Affine1D, ConstantPoint, Identity, InFiniteSet,
@@ -75,15 +75,11 @@ class Scene:
         return self.ellipses[0]
 
     def build_plan(self, seed: int | None = None) -> SamplePlan:
-        cfg = self.plan_cfg
-        window = cfg.get("window")
-        if window is not None:
-            window = tuple(_num(v) for v in window)
         return default_plan(
             self.ellipse,
             seed=self.seed if seed is None else seed,
-            off_count=int(cfg.get("off_count", 512)),
-            window=window,
+            off_count=self.plan_cfg.get("off_count", 512),
+            window=self.plan_cfg.get("window"),
             trace_config=self.trace,
         )
 
@@ -232,6 +228,28 @@ def _parse_piecewise(obj) -> PiecewiseAffine1D:
         raise SceneError(f"bad piecewise map: {exc}") from exc
 
 
+def _parse_plan(obj) -> dict:
+    """The plan field with its numbers checked and parsed: off_count an
+    integer >= 1, window two finite numbers lo < hi."""
+    if not isinstance(obj, dict):
+        raise SceneError("plan must be an object")
+    plan = dict(obj)
+    if "off_count" in plan:
+        n = plan["off_count"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise SceneError(f"plan.off_count must be an integer >= 1, got {n!r}")
+    if "window" in plan:
+        w = plan["window"]
+        try:
+            lo, hi = (_num(v) for v in w)
+        except (SceneError, TypeError, ValueError) as exc:
+            raise SceneError(f"plan.window must be two numbers [lo, hi], got {w!r}") from exc
+        if not (all(is_exact(v) or math.isfinite(v) for v in (lo, hi)) and lo < hi):
+            raise SceneError(f"plan.window must have finite ends lo < hi, got {w!r}")
+        plan["window"] = (lo, hi)
+    return plan
+
+
 def parse_scene(data: dict, name: str = "<scene>") -> Scene:
     if not isinstance(data, dict):
         raise SceneError("scene must be a JSON object")
@@ -254,13 +272,17 @@ def parse_scene(data: dict, name: str = "<scene>") -> Scene:
     if "trace" in data:
         t = data["trace"]
         try:
-            trace = TraceConfig(
+            fields = dict(
                 bbox=tuple((float(_num(lo)), float(_num(hi))) for lo, hi in t["bbox"]),
                 resolution=int(t.get("resolution", 256)),
                 refine_tol=float(_num(t.get("refine_tol", REFINE_TOL))),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SceneError(f"bad trace config: {exc}") from exc
+        try:
+            trace = TraceConfig(**fields)
+        except ValueError as exc:       # its message starts with the field it refuses
+            raise SceneError(f"bad trace config: trace.{exc}") from exc
         if len(trace.bbox) != space.dimension:
             raise SceneError("trace bbox dimension does not match the space")
 
@@ -275,7 +297,7 @@ def parse_scene(data: dict, name: str = "<scene>") -> Scene:
         self_map=self_map,
         piecewise=piecewise,
         trace=trace,
-        plan_cfg=data.get("plan", {}),
+        plan_cfg=_parse_plan(data.get("plan", {})),
         seed=seed,
         theorem=data.get("theorem"),
         description=data.get("description", ""),

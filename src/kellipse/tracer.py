@@ -9,9 +9,14 @@ over the tiles in id order, and each is refined by bisection until the
 residual |field - r| at the emitted vertex is within the configured
 tolerance. The field is the metric's column norm of the gaps
 |x[i] - focus[i]|, bit-identical to SumField.values: grid nodes look their
-gaps up in one table per focus and axis; bisection keeps one (k, N) block of
-gaps per axis and, as grid edges are axis-aligned, each round rewrites only
-the moving axis's slice of it.
+gaps up in one table per focus and axis. Grid edges are axis-aligned, so
+bisection moves one coordinate: it keeps the moving gaps of the edges along
+an axis as one (k, m) block, rewritten each round, and takes their norms
+from Metric.column_norm_along, which under L2 squares the fixed axes once
+per call, not once per round. A round moves the bracket ends and the best
+point, the rows of one array, by one bit select, y ^ ((x ^ y) & m) on int64
+views, not by masked copies, whose cost follows the runs of a mask that is
+here close to random.
 In 2D, each cell lies in one tile and takes its case from that tile's four
 corners, and its segments from one table indexed by that case, between grid
 edges numbered by integer ids; as an edge borders at most two cells, the
@@ -46,10 +51,10 @@ MAX_RESOLUTION = 4096
 # Tracing holds the tiles of about EVAL_CHUNK nodes and their temporaries, and
 # the crossing edges; no array has an entry per grid node. sample_3d of
 # tri3d_l2 on a 321^3 grid evaluates 2.12M tile entries for its 33.1M nodes
-# (a face node once per tile) and peaks 26.6 MiB above the interpreter by
-# tracemalloc, while bisecting the crossing edges with their gaps as one
-# (k, N) block per axis and the norms of a round; finding the edges peaks at
-# 14.4 MiB. A 3D grid at MAX_RESOLUTION would have 6.9e10 nodes.
+# (a face node once per tile) and peaks 24.8 MiB above the interpreter by
+# tracemalloc, while bisecting the crossing edges with their moving gaps, the
+# fixed axes' squares and the norms of a round, each a (k, N) block; finding
+# the edges peaks at 14.2 MiB. A 3D grid at MAX_RESOLUTION would have 6.9e10 nodes.
 MAX_GRID_NODES = 1 << 25
 BISECT_BUDGET = 60          # halvings per crossing edge
 BLOCK = 8                   # cells per axis of a pruning block
@@ -61,6 +66,9 @@ FORMAT_ROWS = 1 << 12
 
 @dataclass(frozen=True)
 class TraceConfig:
+    """Grid and tolerance of a trace. Each ValueError it raises names first
+    the field it refuses: bbox, resolution or refine_tol."""
+
     bbox: tuple                 # per-axis (lo, hi)
     resolution: int = 256       # cells per axis
     refine_tol: float = REFINE_TOL
@@ -72,11 +80,14 @@ class TraceConfig:
             raise ValueError("refine_tol must be finite and > 0")
         bbox = tuple((float(lo), float(hi)) for lo, hi in self.bbox)
         for lo, hi in bbox:
+            if not math.isfinite(hi - lo):          # an end is not finite, or the width overflows
+                raise ValueError(f"bbox axis ({lo}, {hi}) must have finite ends and width")
             if not (hi > lo):
                 raise ValueError(f"bbox axis ({lo}, {hi}) has no extent")
         nodes = (self.resolution + 1) ** len(bbox)
         if nodes > MAX_GRID_NODES:
-            raise ValueError(f"grid of {nodes} nodes exceeds MAX_GRID_NODES = {MAX_GRID_NODES}")
+            raise ValueError(f"resolution {self.resolution} makes a grid of {nodes} nodes, "
+                             f"above MAX_GRID_NODES = {MAX_GRID_NODES}")
         object.__setattr__(self, "bbox", bbox)
 
     def axes(self) -> list[np.ndarray]:
@@ -198,45 +209,59 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
     Edge i runs from the point p0[i] to the point whose coordinate axis[i]
     (an int, or one per edge) is hi[i] instead; f0 and f1 are field - r at its
     ends. Only that coordinate is bisected, since 0.5 * (x + x) == x. The
-    edges are grouped by axis in a stable order, and the gaps of every point
-    to every focus are kept as one (k, N) block per axis: each round rewrites
-    one slice of each moving axis's block, takes every norm in one
-    column_norm call and sums their rows in focus order from zeros, as
-    SumField.values does. Keeps the best (smallest-residual) point seen, so
-    every returned point satisfies |field - r| <= tol; raises SolverError
-    when some edge has not got there within BISECT_BUDGET halvings.
+    edges are grouped by axis in a stable order, one span per axis with
+    edges (a 3D call has one, a 2D call up to two). A span keeps a (k, m)
+    block of its moving gaps to the k foci and the norm along its axis from
+    Metric.column_norm_along, made once: under L2 it holds the squares of
+    the fixed gaps, which are then freed. Each round rewrites the blocks,
+    takes each span's norms in one call, sets the spans' norms side by side
+    and sums their rows in focus order from zeros, as SumField.values does.
+    Keeps the best (smallest-residual) point seen, so every returned point
+    satisfies |field - r| <= tol; raises SolverError when some edge has not
+    got there within BISECT_BUDGET halvings. The ends a and b and the best point are the rows of one
+    (3, N) array, which a round updates by one _select from its midpoints,
+    and the best residual by np.fmin and np.minimum: each equal bit for bit
+    to a masked copy where the midpoint is kept, NaN residuals included.
     """
     pts = np.array(p0, dtype=float)
     n, d = pts.shape
     order = np.argsort(np.broadcast_to(axis, n), kind="stable")
     axes = np.broadcast_to(axis, n)[order]
-    spans = [slice(*np.searchsorted(axes, [i, i + 1])) for i in range(d)]     # axis i's edges
     foci = np.array(f.foci, dtype=float)                    # as SumField.values has them
-    gaps = [np.abs(pts[order, i] - foci[:, i, None]) for i in range(d)]     # (k, N) per axis
+    spans = []                      # (edges, axis, its moving gaps, the norm along it)
+    for i in range(d):
+        s = slice(*np.searchsorted(axes, [i, i + 1]))
+        if s.start < s.stop:
+            g = [np.abs(pts[order[s], j] - foci[:, j, None]) for j in range(d)]     # (k, m) per axis
+            spans.append((s, i, g[i], f.space.metric.column_norm_along(g, i)))
+            del g                   # the L2 norm keeps the squares, not the fixed gaps
     a, b = pts[order, axes], np.asarray(hi, dtype=float)[order]
     f0, f1 = f0[order], f1[order]
     below = f0 < 0                  # f - r < 0 at each end a, which stays so as a moves
-    best = np.where(np.abs(f0) <= np.abs(f1), a, b)
+    ends = np.array([a, b, np.where(np.abs(f0) <= np.abs(f1), a, b)])
+    a, b, best = ends
     best_res = np.minimum(np.abs(f0), np.abs(f1))
+    takes = np.empty((3, n), dtype=bool)    # where a, b and best take the midpoint
     for _ in range(BISECT_BUDGET):
         if (best_res <= tol).all():
             break
         mid = 0.5 * (a + b)
-        for i, s in enumerate(spans):
-            g = gaps[i][:, s]
+        norms = []
+        for s, i, g, norm in spans:
             np.subtract(mid[s], foci[:, i, None], out=g)
             np.abs(g, out=g)
+            norms.append(norm(g))
         fm = np.zeros(n)
-        for row in f.space.metric.column_norm(gaps):
+        for row in norms[0] if len(norms) == 1 else np.concatenate(norms, axis=1):
             fm += row
         fm -= r
-        res = np.abs(fm)
-        better = res < best_res
-        np.copyto(best, mid, where=better)
-        np.copyto(best_res, res, where=better)
-        same = (fm < 0) == below
-        np.copyto(a, mid, where=same)
-        np.copyto(b, mid, where=~same)
+        np.equal(fm < 0, below, out=takes[0])
+        np.invert(takes[0], out=takes[1])
+        res = np.abs(fm, out=fm)
+        np.less(res, best_res, out=takes[2])
+        _select(takes, mid, ends, out=ends)
+        # res where res < best_res, else best_res: a NaN res is passed over and a NaN best_res kept
+        np.minimum(best_res, np.fmin(res, best_res, out=res), out=best_res)
     pts[order, axes] = best
     unconverged = int((best_res > tol).sum())
     if unconverged:
@@ -247,6 +272,22 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
             f"after {BISECT_BUDGET} halvings; worst residual {best_res[worst]:.3g} > {tol:g}",
             Point(pts[worst].tolist()), float(best_res[worst]))
     return pts
+
+
+def _select(mask: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x where mask, else y, bit for bit, into out (which may be x or y);
+    x may broadcast against y, as one row against many.
+
+    The masked exchange y ^ ((x ^ y) & m) on int64 views, m all ones where
+    mask (Warren, "Hacker's Delight", 2nd ed., ch. 2), with the AND taken as
+    a product by the 0/1 mask, which stays one byte a value: three passes
+    that do not branch on the mask, where a masked np.copyto walks a random
+    mask run by run at several times the cost.
+    """
+    t = np.bitwise_xor(x.view(np.int64), y.view(np.int64))
+    t *= mask
+    np.bitwise_xor(y.view(np.int64), t, out=out.view(np.int64))
+    return out
 
 
 # marching-squares segment table (Lorensen & Cline 1987), indexed by case: case

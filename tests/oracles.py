@@ -5,6 +5,10 @@ These are the independent scalar forms: one point or one pair at a time, in
 Python arithmetic (`sum`, `max`, `math.sqrt` and `**`). They agree with the
 package bit for bit under L1, L2 and Linf, and within a few ulps under Lp,
 where Python's pow and numpy's power may round differently.
+
+`bisect_edges` is the tracer's edge bisection as it was before its rounds
+moved from masked copies to bit selects and its L2 norms to a carry of the
+fixed axes' squares: the package must return the same points bit for bit.
 """
 import math
 from dataclasses import dataclass
@@ -13,7 +17,9 @@ from functools import partial
 
 import numpy as np
 
-from kellipse.metric import exact_div
+from kellipse.geometry import SolverError
+from kellipse.metric import Point, exact_div
+from kellipse.tracer import BISECT_BUDGET
 from kellipse.verifier import SelfMap
 
 
@@ -129,3 +135,48 @@ def arc_length(polyline) -> float:
     if polyline.closed:
         v = np.vstack([v, v[:1]])
     return float(np.linalg.norm(np.diff(v, axis=0), axis=1).sum())
+
+
+def bisect_edges(f, r, p0, axis, hi, f0, f1, tol):
+    """tracer._bisect_edges with masked copies and a (k, N) gap block per axis."""
+    pts = np.array(p0, dtype=float)
+    n, d = pts.shape
+    order = np.argsort(np.broadcast_to(axis, n), kind="stable")
+    axes = np.broadcast_to(axis, n)[order]
+    spans = [slice(*np.searchsorted(axes, [i, i + 1])) for i in range(d)]     # axis i's edges
+    foci = np.array(f.foci, dtype=float)
+    gaps = [np.abs(pts[order, i] - foci[:, i, None]) for i in range(d)]     # (k, N) per axis
+    a, b = pts[order, axes], np.asarray(hi, dtype=float)[order]
+    f0, f1 = f0[order], f1[order]
+    below = f0 < 0
+    best = np.where(np.abs(f0) <= np.abs(f1), a, b)
+    best_res = np.minimum(np.abs(f0), np.abs(f1))
+    for _ in range(BISECT_BUDGET):
+        if (best_res <= tol).all():
+            break
+        mid = 0.5 * (a + b)
+        for i, s in enumerate(spans):
+            g = gaps[i][:, s]
+            np.subtract(mid[s], foci[:, i, None], out=g)
+            np.abs(g, out=g)
+        fm = np.zeros(n)
+        for row in f.space.metric.column_norm(gaps):
+            fm += row
+        fm -= r
+        res = np.abs(fm)
+        better = res < best_res
+        np.copyto(best, mid, where=better)
+        np.copyto(best_res, res, where=better)
+        same = (fm < 0) == below
+        np.copyto(a, mid, where=same)
+        np.copyto(b, mid, where=~same)
+    pts[order, axes] = best
+    unconverged = int((best_res > tol).sum())
+    if unconverged:
+        best_res = best_res[np.argsort(order)]
+        worst = int(np.argmax(best_res))
+        raise SolverError(
+            f"bisection left {unconverged} of {len(best_res)} crossing edge(s) unconverged "
+            f"after {BISECT_BUDGET} halvings; worst residual {best_res[worst]:.3g} > {tol:g}",
+            Point(pts[worst].tolist()), float(best_res[worst]))
+    return pts

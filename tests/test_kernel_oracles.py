@@ -1,10 +1,12 @@
 """The tracer's kernels against the plainer versions they replaced, kept here
 as oracles: the column-by-column norm against the last-axis reduction, the
 one-coordinate bisection on gap columns against full-vector bisection
-through SumField.values, the grid's per-axis gap tables against
+through SumField.values and against its masked-copy form in `oracles`, the
+norm with one column carried against the whole norm, the grid's per-axis gap tables against
 SumField.values at the node coordinates, and the tile edge scan against a
 whole-grid comparison."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from kellipse import KEllipse, Metric, SolverError, Space, fixture_scene, sample_3d, tracer
 from kellipse.geometry import SumField
 from kellipse.metric import Point
+from oracles import bisect_edges
 
 METRICS = [Metric.l1(), Metric.l2(), Metric.linf(), Metric.lp(3), Metric.lp(4)]
 
@@ -217,6 +220,111 @@ def test_unconverged_bisection_names_the_worst_edge_in_the_callers_order():
         assert isinstance(want, tuple) and got == want
         named.append(want[1])
     assert named[2] == named[1][::-1] != named[1]
+
+
+def on_level_edges(f, r, on, cell):
+    """Edges along each axis from and into the point `on`, where field - r is 0."""
+    dim = len(on)
+    at, steps = np.tile(on, (dim, 1)), cell * np.eye(dim)
+    p0, p1 = np.vstack([at, at - steps]), np.vstack([at + steps, at])
+    axis = np.tile(np.arange(dim), 2)
+    return p0, axis, p1, f.values(p0) - r, f.values(p1) - r
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bisection_equals_the_masked_copy_oracle(metric, dim):
+    rng = np.random.default_rng(17 * dim + len(metric.label))
+    foci = tuple(map(tuple, rng.uniform(-3, 3, size=(4, dim))))
+    f = SumField(Space.continuum(dim, metric), foci)
+    on = rng.uniform(-2, 2, size=dim)
+    r = float(f.values(on[None, :])[0])
+    edges = [crossing_edges(f, r, [-7] * dim, [7] * dim, 0.3, 20000 * (dim - 1), rng),
+             on_level_edges(f, r, on, 0.3)]
+    p0, axis, p1, f0, f1 = (np.concatenate(c) for c in zip(*edges))
+    order = rng.permutation(len(p0))
+    p0, axis, p1, f0, f1 = (x[order] for x in (p0, axis, p1, f0, f1))
+    hi = p1[np.arange(len(p1)), axis]
+    assert (f0 == 0).sum() == dim and (f1 == 0).sum() == dim and len(set(axis.tolist())) == dim
+    # 2D: one batch mixing both axes; 3D: one batch per axis, as sample_3d sends
+    # them, and a mixed one; at tol 1e-300 every batch runs out of halvings
+    batches = [(slice(None), axis)] + [(axis == a, a) for a in range(dim)] * (dim == 3)
+    for (sel, ax), tol in itertools.product(batches, (1e-9, 1e-300)):
+        ax = ax if isinstance(ax, int) else ax[sel]
+        args = (f, r, p0[sel], ax, hi[sel], f0[sel], f1[sel], tol)
+        want, got = outcome(lambda: bisect_edges(*args)), outcome(lambda: bisect_unchanged(*args))
+        assert type(got) is type(want)
+        assert same_bits(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+def test_bisection_passes_over_a_nan_residual_as_the_oracle():
+    # under Lp a gap that overflows to inf makes the field NaN (inf / inf): the
+    # masked copy kept the best residual so far, and so the edge's error
+    f = SumField(Space.continuum(2, Metric.lp(4)), ((1e308, 0.0), (0.0, 0.0)))
+    p0 = np.array([[-1.5e308, 0.0], [-1.0, 0.5], [0.5, -1.0]])
+    axis, hi = np.array([0, 0, 1]), np.array([-1e308, 2.0, 1.5])
+    f0, f1 = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])
+    for tol in (1e-9, 0.5):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = outcome(lambda: bisect_edges(f, 3.0, p0, axis, hi, f0, f1, tol))
+            got = outcome(lambda: tracer._bisect_edges(f, 3.0, p0, axis, hi, f0, f1, tol))
+        assert isinstance(want, tuple) and got == want
+
+
+def same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.label)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_column_norm_along_is_column_norm_with_one_column_put_in(metric, dim):
+    rng = np.random.default_rng(23 * dim + len(metric.label))
+    shape = (3, 400)
+
+    def gaps():
+        g = np.abs(rng.normal(size=shape)) * 10.0 ** rng.integers(-3, 4, size=shape)
+        g[:, ::7] = 0.0
+        return g
+    g = [gaps() for _ in range(dim)]
+    g[0][:, 1::5] = g[-1][:, 1::5]          # tied maxima on the fixed axes
+    top = np.max(g, axis=0)
+    for axis in range(dim):
+        fixed = [gi.copy() for gi in g]
+        norm = metric.column_norm_along(fixed, axis)
+        tied = gaps()
+        tied[:, 2::3] = top[:, 2::3]         # the moving gap ties the fixed maximum
+        for col in (g[axis], gaps(), tied, np.zeros(shape)):
+            want = metric.column_norm(g[:axis] + [col] + g[axis + 1:])
+            assert same_bits(norm(col.copy()), want)
+        assert all(same_bits(a, b) for a, b in zip(fixed, g))
+    # object gaps (ints and Fractions) as column_norm takes them: exact under
+    # L1 and Linf, floats under L2 and Lp
+    exact = [np.array([[0, Fraction(1, 3), 2], [5, 5, Fraction(7, 2)]], dtype=object) for _ in range(dim)]
+    exact[0][0, 2] = 5
+    for axis in range(dim):
+        col = exact[axis][::-1].copy()
+        want = metric.column_norm(exact[:axis] + [col] + exact[axis + 1:])
+        got = metric.column_norm_along(exact, axis)(col)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_select_is_a_bit_for_bit_where():
+    nan_payload = np.array([0x7FF8000000000123, -0x0007FFFFFFFFFEDD], dtype=np.int64).view(float)
+    values = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308,
+                              1.0, -3.5, 1.7976931348623157e308], nan_payload])
+    x, y = (v.ravel() for v in np.meshgrid(values, values))
+    mask = np.random.default_rng(2).random(len(x)) < 0.5
+    want = np.where(mask, x.view(np.int64), y.view(np.int64))
+    assert same_bits(tracer._select(mask, x, y, out=np.empty_like(x)).view(np.int64), want)
+    for alias in ("x", "y"):
+        xx, yy = x.copy(), y.copy()
+        out = tracer._select(mask, xx, yy, out=xx if alias == "x" else yy)
+        assert same_bits(out.view(np.int64), want)
+    # one row of x against the rows of y, as bisection selects its midpoints
+    rows = np.array([y, y[::-1], x])
+    masks = np.array([mask, ~mask, mask])
+    want = np.where(masks, x.view(np.int64), rows.view(np.int64))
+    assert same_bits(tracer._select(masks, x, rows, out=rows).view(np.int64), want)
 
 
 def tile_index(nodes):

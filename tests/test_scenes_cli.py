@@ -238,6 +238,38 @@ def test_non_finite_radius_is_a_scene_error(tmp_path, capsys, r):
     assert "radius must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("plan, field", [
+    # a negative count once made every pair condition vacuous, so t1 passed
+    ({"off_count": -5}, "plan.off_count"), ({"off_count": 0}, "plan.off_count"),
+    ({"off_count": 1.5}, "plan.off_count"), ({"off_count": "NaN"}, "plan.off_count"),
+    ({"off_count": '"x"'}, "plan.off_count"), ({"off_count": "true"}, "plan.off_count"),
+    # a non-finite end once died in the plan with OverflowError, exiting 1
+    ({"window": "[-1e400, 5]"}, "plan.window"), ({"window": "[-5, NaN]"}, "plan.window"),
+    ({"window": "[5, -5]"}, "plan.window"), ({"window": "[2, 2]"}, "plan.window"),
+    ({"window": "[1]"}, "plan.window"), ({"window": '"ab"'}, "plan.window"),
+    ({"window": '[1, "x"]'}, "plan.window"), ("[]", "plan must be an object"),
+])
+def test_bad_plan_is_a_scene_error(tmp_path, capsys, plan, field):
+    # the plan is written as JSON text: 1e400 reads as inf, NaN as nan
+    body = plan if isinstance(plan, str) else "{" + ", ".join(f'"{k}": {v}' for k, v in plan.items()) + "}"
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"space": LINE_SPACE, "ellipse": {"foci": [[0], [2]], "r": 4},
+                                "map": IDENTITY_MAP, "plan": "PLAN"}).replace('"PLAN"', body),
+                    encoding="utf-8")
+    with pytest.raises(SceneError, match=field):
+        ke.load_scene(path)
+    assert main(["verify", str(path), "--theorem", "t1"]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_good_plan_is_parsed_once():
+    scene = parse_scene({"space": LINE_SPACE, "ellipse": {"foci": [[0], [2]], "r": 4},
+                         "plan": {"off_count": 3, "window": ["-1/2", 7]}})
+    from fractions import Fraction
+    assert scene.plan_cfg == {"off_count": 3, "window": (Fraction(-1, 2), 7)}
+    assert len(scene.build_plan().off_ellipse) == 3
+
+
 def test_empty_membership_is_a_scene_error(tmp_path, capsys):
     data = {"space": dict(LINE_SPACE, membership=[])}
     with pytest.raises(ValueError, match="at least one part"):
@@ -294,6 +326,19 @@ def test_cli_trace_grid_too_large_is_usage_error(tmp_path, capsys):
     scene = trace_scene(tmp_path, {"bbox": [[0, 1]] * 3, "resolution": 4096})
     assert main(["trace", scene, "-o", str(tmp_path / "out.svg")]) == 2
     assert "MAX_GRID_NODES" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bbox", ["[[-1e400, 4], [-3, 4]]", "[[-3, 4], [-3, 1e400]]",
+                                  "[[NaN, 4], [-3, 4]]", "[[-1e308, 1e308], [-3, 4]]"])
+def test_cli_trace_bbox_that_is_not_finite_is_usage_error(tmp_path, capsys, bbox):
+    # an end of 1e400 (inf) once failed with "cannot convert float NaN to integer"
+    scene = trace_scene(tmp_path, {"bbox": json.loads(bbox), "resolution": 16})
+    with pytest.raises(SceneError, match="trace.bbox"):
+        ke.load_scene(scene)
+    assert main(["trace", scene, "-o", str(tmp_path / "out.svg")]) == 2
+    assert "trace.bbox axis" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="finite ends"):
+        ke.TraceConfig(bbox=json.loads(bbox))
 
 
 def test_cli_trace_unconverged_bisection_is_solver_error(tmp_path, capsys):

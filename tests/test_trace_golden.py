@@ -1,6 +1,7 @@
 """Traced output pinned by sha256: the bytes `kellipse trace` writes for the
-shipped scenes, and trace_2d polylines on curves that reach the saddle,
-open-chain and near-duplicate branches, which the shipped scenes do not.
+shipped scenes, trace_2d polylines on curves that reach the saddle,
+open-chain and near-duplicate branches, which the shipped scenes do not,
+and sample_3d clouds under L1 and Linf, which no shipped scene traces.
 
 Tracing changes must keep every traced vertex, so these digests must not
 move. tri3d_lp4 is left out: its Lp(4) powers come from np.power, which may
@@ -11,7 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from kellipse import KEllipse, Metric, Space, TraceConfig, fixture_path, trace_2d
+from kellipse import (KEllipse, Metric, Space, TraceConfig, fixture_path, fixture_scene,
+                      sample_3d, trace_2d)
 from kellipse.cli import main
 
 GOLDEN = {
@@ -100,3 +102,22 @@ def test_branch_cases_reach_their_branches():
 @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
 def test_trace_2d_branches_match_golden_digests(name):
     assert trace_digest(trace_2d(*branch_case(name))) == BRANCH_CASES[name][1]
+
+
+# the tri3d_l2 foci, radius and bbox under another metric, at resolution 32:
+# sha256 of the cloud and boundary flag
+CLOUD_CASES = {
+    "l1": (Metric.l1(), "39b79b62ba37113294df31b35699438115bd5527fe497bd55d97c6831abd8308"),
+    "linf": (Metric.linf(), "aee8b0b2932bd667a47e89039c7f0e58a1be65c3dacbcba322a2661ce090d421"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOUD_CASES))
+def test_sample_3d_clouds_match_golden_digests(name):
+    metric, digest = CLOUD_CASES[name]
+    scene = fixture_scene("tri3d_l2")
+    e = KEllipse(Space.continuum(3, metric), scene.ellipse.foci, scene.ellipse.r)
+    res = sample_3d(e, TraceConfig(bbox=scene.trace.bbox, resolution=32))
+    h = hashlib.sha256(np.ascontiguousarray(res.points, dtype="<f8").tobytes())
+    h.update(f"boundary {res.boundary_warning}".encode())
+    assert len(res) > 500 and h.hexdigest() == digest

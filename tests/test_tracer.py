@@ -360,8 +360,8 @@ def test_grid_node_bound():
 
 
 def test_sample_3d_peak_memory_on_shipped_scene():
-    # bisection sets the peak, about 17.0 MiB; the grid phase holds only the
-    # tiles of kept sub-blocks and peaks at 9.5 MiB, where one bool per node
+    # bisection sets the peak, about 15.9 MiB; the grid phase holds only the
+    # tiles of kept sub-blocks and peaks at 9.1 MiB, where one bool per node
     # of the 257^3 grid would alone take 16.2 MiB
     scene = fixture_scene("tri3d_l2")
     tracemalloc.start()
