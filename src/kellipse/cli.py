@@ -7,8 +7,10 @@ Subcommands:
     fixpoints <scene>                            exact fixed set and radii
     axioms <scene> [--samples N]                 metric axiom check
 
-Exit codes: 0 success/Pass, 1 condition Fail, 2 usage or scene error,
-3 solver error. --seed overrides the scene seed.
+Exit codes: 0 success/Pass, 1 condition Fail, 2 usage or scene error (a
+malformed scene value, or a self-map that fails on a plan point), 3 solver
+error, 4 any other exception, printed with its traceback. --seed overrides the
+scene seed.
 """
 from __future__ import annotations
 
@@ -22,9 +24,9 @@ from pathlib import Path
 from .geometry import SolverError, min_radius, nonempty
 from .metric import Space, fmt_num, verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
-from .scene import SceneError, load_scene
+from .scene import THEOREMS, SceneError, load_scene
 from .tracer import _csv_parts, _svg_parts, sample_3d, trace_2d
-from .verifier import FAIL, THEOREM_FAMILIES, certify, check_identity_condition
+from .verifier import FAIL, ConfigurationError, certify, check_identity_condition
 
 
 def fmt_point(p) -> str:
@@ -93,7 +95,7 @@ def cmd_verify(args) -> int:
     scene = load_scene(args.scene)
     if scene.self_map is None:
         raise SceneError(f"scene {scene.name!r} has no self-map")
-    theorem = (args.theorem or scene.theorem or "t1").lower()
+    theorem = args.theorem or scene.theorem or "t1"
     e = scene.ellipse
     plan = scene.build_plan(seed=args.seed)
 
@@ -101,11 +103,9 @@ def cmd_verify(args) -> int:
         verdict = None
         reports = {"Ik": check_identity_condition(scene.self_map, e.field, plan)}
         family = "identity-forcing"
-    elif theorem in THEOREM_FAMILIES:
+    else:
         verdict = certify(theorem, scene.self_map, e, plan)
         reports, family = verdict.reports, verdict.family
-    else:
-        raise SceneError(f"unknown theorem {theorem!r} (choose t1..t5)")
     failed = any(r.verdict == FAIL for r in reports.values())
     summary = {
         "scene": scene.name,
@@ -191,7 +191,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check one condition family on the scene")
     p.add_argument("scene")
-    p.add_argument("--theorem", choices=["t1", "t2", "t3", "t4", "t5"],
+    p.add_argument("--theorem", choices=THEOREMS,
                    help="condition family (default: scene's, then t1)")
     p.add_argument("--report", help="write a JSON report here")
     p.add_argument("--seed", type=int, help="override the scene seed")
@@ -217,15 +217,19 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SceneError as exc:
+    except (ValueError, OSError) as exc:      # SceneError among them
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ConfigurationError as exc:          # the scene's self-map fails on a plan point
+        print(f"error: map: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        import traceback        # loaded only when a run fails this way
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

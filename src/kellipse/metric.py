@@ -445,6 +445,12 @@ class AxiomReport:
         return not self.violations
 
 
+# Largest sample_count of verify_metric_axioms. A triple costs up to 1,010
+# bytes in 3D, 690 on the line and 360 in a finite space (tracemalloc peak at
+# 1,000 and 4,000 triples), so a check at the bound peaks at about 66 MB.
+MAX_AXIOM_SAMPLES = 1 << 16
+
+
 def verify_metric_axioms(space: Space, sample_count: int, seed: int = 0) -> AxiomReport:
     """Check the metric axioms on seeded sample triples.
 
@@ -452,10 +458,13 @@ def verify_metric_axioms(space: Space, sample_count: int, seed: int = 0) -> Axio
     `rowwise` call over the triples. Violations are report content, not
     errors: the report lists each offending triple with the violated axiom
     and the violation amount, triple by triple in sample order. A triangle
-    excess counts when it is above TAU_TRI.
+    excess counts when it is above TAU_TRI. A sample_count outside
+    [3, MAX_AXIOM_SAMPLES] is a ValueError, raised before any point is drawn.
     """
     if sample_count < 3:
         raise ValueError("sample_count must be >= 3")
+    if sample_count > MAX_AXIOM_SAMPLES:
+        raise ValueError(f"sample_count {sample_count} is above MAX_AXIOM_SAMPLES = {MAX_AXIOM_SAMPLES}")
     metric = space.metric
     samples = sample_points(space, 3 * sample_count, seed)
     S = _coords(samples, space.dimension)

@@ -28,11 +28,15 @@ Action kinds: identity, constant (point), affine (slope, intercept),
 rational (num [a, b], den [c, d]).
 
 JSON integers stay exact; strings like "4/7" parse as exact fractions.
+
+Every malformed value is one SceneError whose message starts with the scene
+key it sits under, such as `space.metric` or `plan.window`; `kellipse` exits 2.
 """
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -45,13 +49,31 @@ from .piecewise import PiecewiseAffine1D, srelu
 from .tracer import TraceConfig
 from .verifier import (Affine1D, ConstantPoint, Identity, InFiniteSet,
                        InHalfspace, OnEllipse, Otherwise, Rational1D,
-                       SamplePlan, SelfMap, default_plan)
+                       MAX_PLAN_POINTS, SamplePlan, SelfMap, default_plan)
 
 SCHEMA_VERSION = 1
+THEOREMS = ("t1", "t2", "t3", "t4", "t5")
 
 
 class SceneError(ValueError):
     """A scene file failed validation."""
+
+
+# what parsing a malformed value raises: 1e400 reads as inf, "1/0" divides by zero
+_PARSE_ERRORS = (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
+
+
+@contextmanager
+def _field(key: str, sep: str = ": "):
+    """Report a parse error inside scene key `key` as the SceneError key + sep +
+    error; one that starts with the key already, from an inner field, passes."""
+    try:
+        yield
+    except _PARSE_ERRORS as exc:
+        why = f"missing {exc}" if isinstance(exc, KeyError) else str(exc)
+        if isinstance(exc, SceneError) and why.startswith(key):
+            raise
+        raise SceneError(f"{key}{sep}{why}") from exc
 
 
 @dataclass
@@ -86,16 +108,11 @@ class Scene:
 
 def _num(v):
     """Parse a scene number: ints stay exact, 'p/q' strings become Fractions."""
-    if isinstance(v, bool):
-        raise SceneError(f"expected a number, got {v!r}")
-    if isinstance(v, (int, float)):
-        return v
     if isinstance(v, str):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SceneError(f"cannot parse number {v!r}") from exc
-    raise SceneError(f"expected a number, got {v!r}")
+        return Fraction(v)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"expected a number, got {v!r}")
 
 
 def _num_or_none(v, inf_sign: int):
@@ -107,19 +124,14 @@ def _num_or_none(v, inf_sign: int):
 def _parse_metric(obj) -> Metric:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SceneError("metric must be an object with a 'kind'")
-    kind = obj["kind"]
-    try:
-        if kind == "lp":
-            return Metric.lp(_num(obj.get("p")))
-        return Metric(kind)
-    except (TypeError, ValueError) as exc:
-        raise SceneError(f"bad metric: {exc}") from exc
+    return Metric.lp(_num(obj.get("p"))) if obj["kind"] == "lp" else Metric(obj["kind"])
 
 
 def _parse_space(obj) -> Space:
     if not isinstance(obj, dict):
         raise SceneError("scene needs a 'space' object")
-    metric = _parse_metric(obj.get("metric", {"kind": "l2"}))
+    with _field("space.metric"):
+        metric = _parse_metric(obj.get("metric", {"kind": "l2"}))
     kind = obj.get("kind", "continuum")
     if kind == "finite":
         pts = obj.get("points")
@@ -129,41 +141,35 @@ def _parse_space(obj) -> Space:
     if kind != "continuum":
         raise SceneError(f"unknown space kind {kind!r}")
     dim = obj.get("dimension")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise SceneError("continuum space needs an integer 'dimension' >= 1")
     membership = None
     if "membership" in obj:
         parts = []
         for entry in obj["membership"]:
             if "point" in entry:
-                parts.append(Interval.point(_num(entry["point"])))
+                iv = Interval.point(_num(entry["point"]))
             elif "interval" in entry:
                 lo, hi = entry["interval"]
                 iv = Interval(_num_or_none(lo, -1), _num_or_none(hi, +1))
-                if iv.is_empty:
-                    raise SceneError(f"empty membership interval {entry['interval']!r}")
-                parts.append(iv)
             else:
                 raise SceneError(f"bad membership entry {entry!r}")
+            if iv.is_empty or not iv.lo <= iv.hi:       # a NaN end compares false
+                raise SceneError(f"empty membership interval {entry!r}")
+            parts.append(iv)
         membership = IntervalUnion.of(parts)
     return Space.continuum(dim, metric, membership)
 
 
 def _parse_ellipse(obj, space: Space) -> KEllipse:
-    try:
-        foci = [Point([_num(c) for c in f]) for f in obj["foci"]]
-        return KEllipse(space, tuple(foci), _num(obj["r"]))
-    except KeyError as exc:
-        raise SceneError(f"ellipse needs 'foci' and 'r': missing {exc}") from exc
-    except ValueError as exc:
-        raise SceneError(f"bad ellipse: {exc}") from exc
+    return KEllipse(space, tuple(Point([_num(c) for c in f]) for f in obj["foci"]), _num(obj["r"]))
 
 
 def _parse_region(obj, ellipses):
     kind = obj.get("kind")
     if kind == "on_ellipse":
         idx = obj.get("index", 0)
-        if not (0 <= idx < len(ellipses)):
+        if isinstance(idx, bool) or not (0 <= idx < len(ellipses)):
             raise SceneError(f"on_ellipse index {idx} out of range")
         return OnEllipse(ellipses[idx], _num(obj.get("tol", 0)))
     if kind == "in_set":
@@ -184,11 +190,12 @@ def _parse_action(obj):
         return Identity()
     if kind == "constant":
         return ConstantPoint(Point([_num(c) for c in obj["point"]]))
+    # a Point of the coefficients refuses any that is not finite
     if kind == "affine":
-        return Affine1D(_num(obj["slope"]), _num(obj["intercept"]))
+        return Affine1D(*Point((_num(obj["slope"]), _num(obj["intercept"]))))
     if kind == "rational":
-        a, b = (_num(c) for c in obj["num"])
-        c, d = (_num(c) for c in obj["den"])
+        a, b = Point(_num(c) for c in obj["num"])
+        c, d = Point(_num(c) for c in obj["den"])
         return Rational1D((a, b), (c, d))
     raise SceneError(f"unknown action kind {kind!r}")
 
@@ -197,13 +204,7 @@ def _parse_map(obj, ellipses) -> SelfMap:
     rules = obj.get("rules")
     if not rules:
         raise SceneError("map needs a nonempty 'rules' array")
-    parsed = []
-    for rule in rules:
-        try:
-            parsed.append((_parse_region(rule["region"], ellipses),
-                           _parse_action(rule["action"])))
-        except KeyError as exc:
-            raise SceneError(f"map rule needs 'region' and 'action': missing {exc}") from exc
+    parsed = [(_parse_region(rule["region"], ellipses), _parse_action(rule["action"])) for rule in rules]
     if not isinstance(parsed[-1][0], Otherwise):
         raise SceneError("the final map rule must have region kind 'otherwise'")
     return SelfMap(tuple(parsed))
@@ -212,40 +213,30 @@ def _parse_map(obj, ellipses) -> SelfMap:
 def _parse_piecewise(obj) -> PiecewiseAffine1D:
     if "srelu" in obj:
         s = obj["srelu"]
-        try:
-            return srelu(_num(s["tl"]), _num(s["al"]), _num(s["tr"]), _num(s["ar"]))
-        except KeyError as exc:
-            raise SceneError(f"srelu needs tl/al/tr/ar: missing {exc}") from exc
-    try:
-        return PiecewiseAffine1D(
-            tuple(_num(b) for b in obj["breakpoints"]),
-            tuple((_num(a), _num(b)) for a, b in obj["pieces"]),
-            tuple(bool(o) for o in obj.get("owns_left", ())),
-        )
-    except KeyError as exc:
-        raise SceneError(f"piecewise map needs 'breakpoints' and 'pieces': missing {exc}") from exc
-    except ValueError as exc:
-        raise SceneError(f"bad piecewise map: {exc}") from exc
+        return srelu(_num(s["tl"]), _num(s["al"]), _num(s["tr"]), _num(s["ar"]))
+    return PiecewiseAffine1D(
+        tuple(_num(b) for b in obj["breakpoints"]),
+        tuple((_num(a), _num(b)) for a, b in obj["pieces"]),
+        tuple(bool(o) for o in obj.get("owns_left", ())),
+    )
 
 
 def _parse_plan(obj) -> dict:
     """The plan field with its numbers checked and parsed: off_count an
-    integer >= 1, window two finite numbers lo < hi."""
+    integer in [1, MAX_PLAN_POINTS], window two finite numbers lo < hi."""
     if not isinstance(obj, dict):
         raise SceneError("plan must be an object")
     plan = dict(obj)
     if "off_count" in plan:
         n = plan["off_count"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise SceneError(f"plan.off_count must be an integer >= 1, got {n!r}")
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_PLAN_POINTS:
+            raise SceneError(f"plan.off_count must be an integer in [1, {MAX_PLAN_POINTS}], got {n!r}")
     if "window" in plan:
         w = plan["window"]
-        try:
+        with _field("plan.window"):
             lo, hi = (_num(v) for v in w)
-        except (SceneError, TypeError, ValueError) as exc:
-            raise SceneError(f"plan.window must be two numbers [lo, hi], got {w!r}") from exc
-        if not (all(is_exact(v) or math.isfinite(v) for v in (lo, hi)) and lo < hi):
-            raise SceneError(f"plan.window must have finite ends lo < hi, got {w!r}")
+            if not (all(is_exact(v) or math.isfinite(v) for v in (lo, hi)) and lo < hi):
+                raise SceneError(f"plan.window must have finite ends lo < hi, got {w!r}")
         plan["window"] = (lo, hi)
     return plan
 
@@ -254,41 +245,42 @@ def parse_scene(data: dict, name: str = "<scene>") -> Scene:
     if not isinstance(data, dict):
         raise SceneError("scene must be a JSON object")
     version = data.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         raise SceneError(f"unsupported scene version {version} (expected {SCHEMA_VERSION})")
     if "space" not in data:
         raise SceneError("scene needs a 'space'")
-    space = _parse_space(data["space"])
+    with _field("space"):
+        space = _parse_space(data["space"])
 
-    raw_ellipses = data.get("ellipses", [])
-    if "ellipse" in data:
-        raw_ellipses = [data["ellipse"]] + list(raw_ellipses)
-    ellipses = tuple(_parse_ellipse(obj, space) for obj in raw_ellipses)
+    ellipses = ()       # "ellipse" first, then "ellipses"
+    for key, objs in (("ellipse", [data.get("ellipse")]), ("ellipses", data.get("ellipses"))):
+        if key in data:
+            with _field(key):
+                ellipses += tuple(_parse_ellipse(obj, space) for obj in objs)
 
-    self_map = _parse_map(data["map"], ellipses) if "map" in data else None
-    piecewise = _parse_piecewise(data["piecewise"]) if "piecewise" in data else None
-
-    trace = None
+    self_map = piecewise = trace = None
+    if "map" in data:
+        with _field("map"):
+            self_map = _parse_map(data["map"], ellipses)
+    if "piecewise" in data:
+        with _field("piecewise"):
+            piecewise = _parse_piecewise(data["piecewise"])
     if "trace" in data:
-        t = data["trace"]
-        try:
-            fields = dict(
-                bbox=tuple((float(_num(lo)), float(_num(hi))) for lo, hi in t["bbox"]),
-                resolution=int(t.get("resolution", 256)),
-                refine_tol=float(_num(t.get("refine_tol", REFINE_TOL))),
-            )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise SceneError(f"bad trace config: {exc}") from exc
-        try:
-            trace = TraceConfig(**fields)
-        except ValueError as exc:       # its message starts with the field it refuses
-            raise SceneError(f"bad trace config: trace.{exc}") from exc
+        with _field("trace"):
+            t = data["trace"]
+            bbox = tuple((float(_num(lo)), float(_num(hi))) for lo, hi in t["bbox"])
+            refine_tol = float(_num(t.get("refine_tol", REFINE_TOL)))
+        with _field("trace", sep="."):      # its messages start with the field they refuse
+            trace = TraceConfig(bbox, t.get("resolution", 256), refine_tol)
         if len(trace.bbox) != space.dimension:
             raise SceneError("trace bbox dimension does not match the space")
 
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise SceneError("seed must be an integer")
+    theorem = data.get("theorem")
+    if theorem is not None and theorem not in THEOREMS:
+        raise SceneError(f"theorem must be one of t1..t5, got {theorem!r}")
 
     return Scene(
         name=name,
@@ -299,7 +291,7 @@ def parse_scene(data: dict, name: str = "<scene>") -> Scene:
         trace=trace,
         plan_cfg=_parse_plan(data.get("plan", {})),
         seed=seed,
-        theorem=data.get("theorem"),
+        theorem=theorem,
         description=data.get("description", ""),
         expect=data.get("expect", {}),
     )

@@ -316,7 +316,7 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
     if e.space.is_finite or e.space.dimension != 2:
         raise ValueError("trace_2d requires a 2D continuum space")
     if not (e.r > 0):
-        raise ValueError("trace_2d requires r > 0")
+        raise ValueError("trace_2d requires an ellipse radius r > 0")
     if len(cfg.bbox) != 2:
         raise ValueError("trace_2d requires a 2D bbox")
     f = e.field

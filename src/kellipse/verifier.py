@@ -252,6 +252,11 @@ def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
 
 
 _HALTON_BASES = (2, 3, 5)
+# Largest off_count of a plan. An off-set point costs up to 330 bytes on the
+# line (a Point of a Fraction, its set entry and its share of the candidate
+# draws) and up to 270 bytes in 2D and 3D (tracemalloc peak of default_plan at
+# 1,024 and 4,096 points), so a plan at the bound holds about 22 MB.
+MAX_PLAN_POINTS = 1 << 16
 
 
 def default_plan(e: KEllipse, seed: int = 0, off_count: int = 512,
@@ -262,8 +267,11 @@ def default_plan(e: KEllipse, seed: int = 0, off_count: int = 512,
     points come from the exact level-set solve and the off-set points are
     seeded dyadic rationals (exact arithmetic end to end). In 2D/3D the on-set
     points are traced vertices / cloud points and the off-set points are
-    Halton samples, both floating point.
+    Halton samples, both floating point. An off_count outside
+    [1, MAX_PLAN_POINTS] is a ValueError, raised before any point is drawn.
     """
+    if not 1 <= off_count <= MAX_PLAN_POINTS:
+        raise ValueError(f"off_count {off_count} is outside [1, MAX_PLAN_POINTS = {MAX_PLAN_POINTS}]")
     if e.space.is_finite:
         return exhaustive_plan(e)
     if e.space.dimension == 1:

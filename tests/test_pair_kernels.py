@@ -11,7 +11,7 @@ equal in value and type.
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -193,7 +193,11 @@ def exact_case(rng, dim, metric, kind, line=False):
         foci = tuple(Point((_rational(rng),)) for _ in range(rng.randint(1, 4)))
         r_star, _ = min_radius(SumField(space, foci))
         e = KEllipse(space, foci, r_star + rng.choice((0, Fraction(1, 2), 1, 3)))
-        plan = default_plan(e, seed=rng.randint(0, 99), off_count=rng.randint(0, 12))
+        seed, off_count = rng.randint(0, 99), rng.randint(0, 12)
+        # a plan takes at least one off-set point; the first off_count of one
+        # point's plan is the plan of off_count points, none for 0
+        plan = default_plan(e, seed=seed, off_count=max(off_count, 1))
+        plan = replace(plan, off_ellipse=plan.off_ellipse[:off_count])
     else:
         space = Space.finite([_rational_point(rng, dim) for _ in range(rng.randint(4, 14))], metric)
         field = SumField(space, tuple(rng.sample(space.points, rng.randint(1, min(3, len(space.points))))))
