@@ -90,12 +90,22 @@ class SumField:
 
 
 def _field(metric: Metric, foci, pts: np.ndarray) -> np.ndarray:
-    """The sum of `metric.distance_field(pts, c)` over the foci c, in focus
-    order, from zero: float, or object for an object array `pts`."""
+    """The `_focus_sum` of `metric.distance_field(pts, c)` over the foci c:
+    float, or object for an object array `pts`."""
     exact = isinstance(pts, np.ndarray) and pts.dtype.kind == "O"
-    total = np.zeros(len(pts), dtype=object if exact else float)
-    for c in foci:
-        total += metric.distance_field(pts, c)
+    return _focus_sum((metric.distance_field(pts, c) for c in foci), len(pts), object if exact else float)
+
+
+def _focus_sum(terms, shape=(), dtype=float) -> np.ndarray:
+    """The sum of the per-focus `terms`, each of `shape`: from zeros, one
+    focus at a time in focus order with +=. Every sum of focus distances in
+    the package is this one, so that the field, the tracer's tiles and
+    bisection rounds, and damped Newton's objective round alike; numpy's
+    pairwise .sum() would round otherwise from 8 terms on. `terms` may be a
+    generator, so that one focus's term is alive at a time."""
+    total = np.zeros(shape, dtype=dtype)
+    for t in terms:
+        total += t
     return total
 
 
@@ -149,7 +159,9 @@ def min_radius(field: SumField):
     the rotated coordinates (x + y, x - y) and Linf in 3D and above a linear
     program, all exact for rational foci. L2 and Lp take damped Newton
     (`weiszfeld`), which stops only when the dual bracket has closed to
-    TAU_OPT * max(1, r), and raises SolverError otherwise.
+    TAU_OPT * max(1, r), and raises SolverError otherwise. r* is
+    SumField.value at the argmin, bit for bit, except under Lp with p = 2,
+    whose minimum damped Newton takes under L2.
     """
     value, arg, _ = _minimum(field)
     return value, arg
@@ -346,7 +358,7 @@ def _dual_norm(u: np.ndarray, p: float) -> np.ndarray:
 @dataclass
 class WeiszfeldResult:
     point: Point
-    value: float
+    value: float         # SumField.value at point under L2 (p = 2) or Lp(p), bit for bit
     lower: float         # certified lower bound on the minimum: value - lower <= TAU_OPT * max(1, value)
     trace: list          # field value at every accepted iterate
     iterations: int
@@ -375,7 +387,7 @@ def weiszfeld(foci, max_iter: int = MAX_ITER, p: float = 2.0) -> WeiszfeldResult
     extent = max(1.0, float(np.ptp(pts, axis=0).max()))
 
     def obj(y):
-        return float(metric.rowwise(y, pts).sum())
+        return float(_focus_sum(metric.rowwise(y, pts)))
 
     val, lower = obj(x), -math.inf
     trace = [val]

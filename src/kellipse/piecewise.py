@@ -178,13 +178,16 @@ def fixed_kellipse_radii(f: PiecewiseAffine1D, foci) -> IntervalUnion:
     radii = right_r.intersect(left_r)
 
     r_star = field.r_star
-    at_star = field.solve(r_star)
-    if at_star.kind is SolutionKind.POINTS:
-        star_ok = all(fixed.contains(x) for x in at_star.points)
-    else:
-        lo, hi = at_star.interval
-        star_ok = fix.contains_interval(Interval(lo, hi))
+    star_ok = _level_fixed(fixed, field.solve(r_star))
     return radii.with_point(r_star) if star_ok else radii.without_point(r_star)
+
+
+def _level_fixed(fixed: FixedSet1D, sol: LevelSolution1D) -> bool:
+    """Whether the 1D level set `sol` is nonempty and lies in the fixed set:
+    each of its points, or its whole flat segment."""
+    if sol.kind is SolutionKind.POINTS:
+        return all(fixed.contains(x) for x in sol.points)
+    return sol.kind is SolutionKind.INTERVAL and fixed.members.contains_interval(Interval(*sol.interval))
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,4 @@ def is_fixed_kellipse(f: PiecewiseAffine1D, foci, r) -> FixedEllipseCheck:
     fixed_kellipse_radii.
     """
     sol = solve_1d(foci, r)
-    fix = fixed_point_set(f)
-    if sol.kind is SolutionKind.EMPTY:
-        return FixedEllipseCheck(False, sol)
-    if sol.kind is SolutionKind.POINTS:
-        return FixedEllipseCheck(all(fix.contains(x) for x in sol.points), sol)
-    lo, hi = sol.interval
-    return FixedEllipseCheck(fix.members.contains_interval(Interval(lo, hi)), sol)
+    return FixedEllipseCheck(_level_fixed(fixed_point_set(f), sol), sol)

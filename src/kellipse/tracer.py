@@ -7,16 +7,16 @@ per grid node. In a tile a node's neighbour along an axis is the next entry,
 so crossing edges are the neighbouring entries whose signs differ, merged
 over the tiles in id order, and each is refined by bisection until the
 residual |field - r| at the emitted vertex is within the configured
-tolerance. The field is the metric's column norm of the gaps
-|x[i] - focus[i]|, bit-identical to SumField.values: grid nodes look their
-gaps up in one table per focus and axis. Grid edges are axis-aligned, so
-bisection moves one coordinate: it keeps the moving gaps of the edges along
-an axis as one (k, m) block, rewritten each round, and takes their norms
-from Metric.column_norm_along, which under L2 squares the fixed axes once
-per call, not once per round. A round moves the bracket ends and the best
-point, the rows of one array, by one bit select, y ^ ((x ^ y) & m) on int64
-views, not by masked copies, whose cost follows the runs of a mask that is
-here close to random.
+tolerance. The field is the `_focus_sum` of the metric's column norms of
+each focus's gaps |x[i] - focus[i]|, bit-identical to SumField.values: grid
+nodes look their gaps up in one table per focus and axis. Grid edges are
+axis-aligned, so bisection moves one coordinate: it keeps the moving gaps
+of the edges along an axis as one (k, m) block, rewritten each round, and
+takes their norms from Metric.column_norm_along, which under L2 squares the
+fixed axes once per call, not once per round. A round moves the bracket
+ends and the best point, the rows of one array, by one bit select,
+y ^ ((x ^ y) & m) on int64 views, not by masked copies, whose cost follows
+the runs of a mask that is here close to random.
 In 2D, each cell lies in one tile and takes its case from that tile's four
 corners, and its segments from one table indexed by that case, between grid
 edges numbered by integer ids; as an edge borders at most two cells, the
@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import KEllipse, SolverError, SumField
+from .geometry import KEllipse, SolverError, SumField, _focus_sum
 from .metric import PRUNE_SLACK, REFINE_TOL, TAU_EQ, Point, fmt_num
 
 __all__ = [
@@ -173,9 +173,10 @@ def _tiles(f: SumField, r: float, axes):
         tile = (len(blocks),) + (sub + 1,) * d
         # a gap on axis a varies along tile axis a + 1 only: a view of (m, S + 1) table entries
         along = [(len(blocks),) + tuple(sub + 1 if b == a else 1 for b in range(d)) for a in range(d)]
-        gaps = ([np.broadcast_to(t[i].reshape(shape_a), tile) for t, i, shape_a in zip(table, nodes, along)]
-                for table in tables)
-        yield nodes, _gap_field(f, tile, gaps) - r
+        norms = (f.space.metric.column_norm([np.broadcast_to(t[i].reshape(shape_a), tile)
+                                             for t, i, shape_a in zip(table, nodes, along)])
+                 for table in tables)
+        yield nodes, _focus_sum(norms, tile) - r
 
 
 def _crossable(f: SumField, r: float, axes, foci, size: int, blocks: np.ndarray) -> np.ndarray:
@@ -187,19 +188,10 @@ def _crossable(f: SumField, r: float, axes, foci, size: int, blocks: np.ndarray)
         c = 0.5 * (lo + hi)
         centres.append(c)
         halves.append(np.maximum(c - lo, hi - c))
-    fc = _gap_field(f, len(blocks), ([np.abs(c - x[i]) for i, c in enumerate(centres)] for x in foci)) - r
+    fc = _focus_sum((f.space.metric.column_norm([np.abs(c - x[i]) for i, c in enumerate(centres)])
+                     for x in foci), len(blocks)) - r
     radius = f.k * f.space.metric.column_norm(halves)
     return blocks[np.abs(fc) <= radius + PRUNE_SLACK * (1 + abs(r))]
-
-
-def _gap_field(f: SumField, shape, gaps) -> np.ndarray:
-    """SumField.values at an array of points of `shape` from each focus's gap
-    columns |x[i] - focus[i]|: the same norms summed in the same order. `gaps`
-    may be a generator, so that one focus's columns are alive at a time."""
-    total = np.zeros(shape)
-    for g in gaps:
-        total += f.space.metric.column_norm(g)
-    return total
 
 
 def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
@@ -215,7 +207,7 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
     Metric.column_norm_along, made once: under L2 it holds the squares of
     the fixed gaps, which are then freed. Each round rewrites the blocks,
     takes each span's norms in one call, sets the spans' norms side by side
-    and sums their rows in focus order from zeros, as SumField.values does.
+    and adds their rows by `_focus_sum`, as SumField.values does.
     Keeps the best (smallest-residual) point seen, so every returned point
     satisfies |field - r| <= tol; raises SolverError when some edge has not
     got there within BISECT_BUDGET halvings. The ends a and b and the best point are the rows of one
@@ -251,9 +243,7 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
             np.subtract(mid[s], foci[:, i, None], out=g)
             np.abs(g, out=g)
             norms.append(norm(g))
-        fm = np.zeros(n)
-        for row in norms[0] if len(norms) == 1 else np.concatenate(norms, axis=1):
-            fm += row
+        fm = _focus_sum(norms[0] if len(norms) == 1 else np.concatenate(norms, axis=1), n)
         fm -= r
         np.equal(fm < 0, below, out=takes[0])
         np.invert(takes[0], out=takes[1])
@@ -315,8 +305,6 @@ def trace_2d(e: KEllipse, cfg: TraceConfig) -> TraceResult:
     """
     if e.space.is_finite or e.space.dimension != 2:
         raise ValueError("trace_2d requires a 2D continuum space")
-    if not (e.r > 0):
-        raise ValueError("trace_2d requires an ellipse radius r > 0")
     if len(cfg.bbox) != 2:
         raise ValueError("trace_2d requires a 2D bbox")
     f = e.field

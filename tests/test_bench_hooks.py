@@ -6,13 +6,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def bench_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter that imports the package and bench/."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_bench_tracing_installs_on_the_package():
     """bench/tracing.py wraps package callables by name, so deleting or renaming
     one of them must fail here, not first in a benchmark run."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])}
-    proc = subprocess.run([sys.executable, "-c", "import kellipse, tracing; tracing.install(kellipse)"],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    bench_python("import kellipse, tracing; tracing.install(kellipse)")
+
+
+def test_bench_tracing_counts_the_rows_of_each_focus_distance():
+    """The benchmark's per-layer rows count one distance_field row per focus
+    and point, and one SumField.values row per point, so the field must go on
+    calling Metric.distance_field once per focus on the points it is given."""
+    proc = bench_python(
+        "import numpy as np, kellipse, tracing\n"
+        "tr = tracing.install(kellipse)\n"
+        "tr.enabled = True\n"
+        "f = kellipse.SumField(kellipse.Space.continuum(2, kellipse.Metric.l2()), ((0, 0), (1, 0), (0, 1)))\n"
+        "f.values(np.arange(10.0).reshape(5, 2))\n"
+        "m = tr.metrics(kellipse)\n"
+        "print(m['metric.distance_field.rows'], m['geometry.values.rows'])\n")
+    assert proc.stdout.split() == ["15", "5"]       # k * N and N for k = 3 foci, N = 5 points
 
 
 def test_bench_record_summary_states_the_gain_rule_and_the_bound():

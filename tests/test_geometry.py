@@ -380,6 +380,20 @@ def test_newton_steps_past_a_singular_hessian():
     assert lower <= d <= r + ROUNDING * d and r - lower <= TAU_OPT * max(1.0, r)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("metric", [Metric.l2(), Metric.lp(3), Metric.lp(4)], ids=lambda m: m.label)
+def test_min_radius_is_the_field_at_its_argmin(metric, dim):
+    """Damped Newton's objective adds the focus distances as SumField.values
+    does, so r* is the field at the returned argmin bit for bit, also from 8
+    foci on, where numpy's pairwise .sum() would round otherwise."""
+    rng = random.Random(f"{metric.label}-{dim}")
+    for k in (1, 2, *range(8, 14)):
+        foci = tuple(tuple(rng.uniform(-10, 10) for _ in range(dim)) for _ in range(k))
+        f = SumField(Space.continuum(dim, metric), foci)
+        r_star, arg = min_radius(f)
+        assert r_star == f.value(arg), (k, foci)
+
+
 @pytest.mark.parametrize("p", [2.0, 1.5, 3.0, 4.0])
 def test_newton_against_nelder_mead(p):
     # generic foci, repeated foci and sets whose median is a focus, in 2D and 3D

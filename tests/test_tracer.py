@@ -120,9 +120,10 @@ def test_trace_boundary_warning():
 def test_trace_requires_2d_and_positive_radius(line):
     with pytest.raises(ValueError):
         trace_2d(KEllipse(line, ((0,),), 1), TraceConfig(bbox=((-1, 1), (-1, 1))))
+    # r = 0 lies below the minimum radius, as in 3D: an empty trace, not an error
     e = l1_tri_ellipse(4)
-    with pytest.raises(ValueError):
-        trace_2d(KEllipse(e.space, e.foci, 0), TraceConfig(bbox=((-1, 1), (-1, 1))))
+    res = trace_2d(KEllipse(e.space, e.foci, 0), TraceConfig(bbox=((-1, 1), (-1, 1))))
+    assert len(res) == 0 and not res.boundary_warning
 
 
 def test_trace_vertices_meet_residual_bound_all_metrics():
