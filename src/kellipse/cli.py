@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .geometry import SolverError, min_radius, nonempty
+from .geometry import SolverError, _minimum, min_radius
 from .metric import Space, fmt_num, verify_metric_axioms
 from .piecewise import fixed_kellipse_radii, fixed_point_set
 from .scene import THEOREMS, SceneError, load_scene
@@ -85,7 +85,10 @@ def cmd_trace(args) -> int:
     if result.boundary_warning:
         print("warning: the curve touches the bbox boundary", file=sys.stderr)
     if not len(points):
-        why = "the bbox misses the level set" if nonempty(e) else "r is below the minimum radius"
+        r_star, _, lower = _minimum(e.field)     # f - r >= 0 at every node when r <= r*
+        why = ("r is below the minimum radius" if e.r < lower else
+               "r is the minimum radius, whose set of minimizers a sign-change grid does not trace"
+               if e.r <= r_star else "the bbox misses the level set")
         print(f"warning: traced no points: {why}", file=sys.stderr)
     print(f"traced {what} -> {args.output}")
     return 0

@@ -160,8 +160,8 @@ def min_radius(field: SumField):
     program, all exact for rational foci. L2 and Lp take damped Newton
     (`weiszfeld`), which stops only when the dual bracket has closed to
     TAU_OPT * max(1, r), and raises SolverError otherwise. r* is
-    SumField.value at the argmin, bit for bit, except under Lp with p = 2,
-    whose minimum damped Newton takes under L2.
+    SumField.value at the argmin, bit for bit, and the argmin is a point of
+    the space.
     """
     value, arg, _ = _minimum(field)
     return value, arg
@@ -175,7 +175,8 @@ def _minimum(field: SumField) -> tuple:
         return value, best, value
     if field.space.dimension == 1:
         lo, hi = line_field(f[0] for f in field.foci).median
-        arg = Point((lo if lo == hi else Fraction(lo + hi, 2),))
+        mid = Point((lo if lo == hi else Fraction(lo + hi, 2),))
+        arg = mid if field.space.contains(mid) else Point((lo,))   # lo, a focus, minimizes too
         value = field.value(arg)
         return value, arg, value
     metric = field.space.metric
@@ -186,7 +187,7 @@ def _minimum(field: SumField) -> tuple:
     elif metric.kind == "linf":
         med, r_star = _linf_median(field.foci)
     else:
-        res = weiszfeld(field.foci, p=metric.p or 2.0)
+        res = weiszfeld(field.foci, metric)
         return res.value, res.point, res.lower
     # float foci give a float argmin; the field there, summed in floats, may sit
     # on either side of the exact minimum, so the bound is the float below it
@@ -291,16 +292,16 @@ def _simplex(t: np.ndarray, columns: list) -> list:
 # for every y and x (Love, Morris & Wesolowsky 1988, ch. 2)
 # ---------------------------------------------------------------------------
 
-def _lower(metric, v: np.ndarray, n: np.ndarray, shift=None) -> float:
-    """A lower bound on the field's minimum from the gaps v_i = x - a_i (norms n) at a point x.
+def _lower(p: float, v: np.ndarray, n: np.ndarray, shift=None) -> float:
+    """A lower bound on the minimum of the Lp field, 1 < p < inf, from the
+    gaps v_i = x - a_i (norms n) at a point x, for damped Newton.
 
-    Each focus off x takes its term's gradient at x (under Linf, the signed
-    unit vector of its first largest gap); the foci at x take equal shares of
-    minus the others' sum. The mean is then subtracted and the rows rescaled
-    into the dual-norm ball, giving dual rows u_i and the bound
+    Each focus off x takes its term's gradient at x; the foci at x take equal
+    shares of minus the others' sum. The mean is then subtracted and the rows
+    rescaled into the dual-norm ball, giving dual rows u_i and the bound
     sum_i <u_i, v_i>, whatever x is. It tends to f(x) as x tends to a
-    minimizer off the foci under L2 and Lp, and equals it, less rounding, at
-    a focus that minimizes.
+    minimizer off the foci, and equals it, less rounding, at a focus that
+    minimizes.
 
     `shift` (rows) is added to the gradients first: the Newton solver passes
     each term's Hessian times its step, which moves the gradients to their
@@ -308,31 +309,24 @@ def _lower(metric, v: np.ndarray, n: np.ndarray, shift=None) -> float:
     norm annihilates v_i, so the bound then falls short of f(x) only to
     second order in the step.
     """
-    u = _gradients(v, _exponent(metric))
+    u = _gradients(v, p)
     if shift is not None:
         u += shift
     free = n == 0
     if free.any():
         u[free] = -u[~free].sum(axis=0) / free.sum()
     u -= u.mean(axis=0)
-    u /= max(1.0, float(_dual_norm(u, _exponent(metric)).max()))
+    u /= max(1.0, float(_dual_norm(u, p).max()))
     # rounding allowance: the rows sum to zero and lie in the ball only up to
     # rounding, and some minimizer lies in the foci's bounding box, within
     # max_i |v_ij| of x on each axis
     return float((u * v).sum() - (v.size + len(v)) * np.finfo(float).eps * np.abs(v).sum())
 
 
-def _exponent(metric) -> float:
-    return {"l1": 1.0, "l2": 2.0, "linf": math.inf}.get(metric.kind, metric.p)
-
-
 def _gradients(v: np.ndarray, p: float) -> np.ndarray:
-    """Rows g_i with <g_i, v_i> = ||v_i||_p and dual norm 1: each term's gradient (0 where v_i = 0)."""
+    """Rows g_i with <g_i, v_i> = ||v_i||_p and dual norm 1, for 1 < p < inf:
+    each term's gradient (0 where v_i = 0)."""
     a, s = np.abs(v), np.sign(v)
-    if p == 1:
-        return s
-    if p == math.inf:
-        return s * (np.arange(v.shape[1]) == a.argmax(axis=1)[:, None])
     m = a.max(axis=1, keepdims=True)
     w = a / np.where(m > 0, m, 1.0)
     total = (w ** p).sum(axis=1, keepdims=True)
@@ -340,12 +334,8 @@ def _gradients(v: np.ndarray, p: float) -> np.ndarray:
 
 
 def _dual_norm(u: np.ndarray, p: float) -> np.ndarray:
-    """The norm dual to Lp of each row: Lq with 1/p + 1/q = 1."""
+    """The norm dual to Lp of each row (1 < p < inf): Lq with 1/p + 1/q = 1."""
     a = np.abs(u)
-    if p == 1:
-        return a.max(axis=1)
-    if p == math.inf:
-        return a.sum(axis=1)
     q = p / (p - 1)
     m = a.max(axis=1)
     return m * ((a / np.where(m > 0, m, 1.0)[:, None]) ** q).sum(axis=1) ** (1 / q)
@@ -358,15 +348,15 @@ def _dual_norm(u: np.ndarray, p: float) -> np.ndarray:
 @dataclass
 class WeiszfeldResult:
     point: Point
-    value: float         # SumField.value at point under L2 (p = 2) or Lp(p), bit for bit
+    value: float         # SumField.value at point under the solver's metric, bit for bit
     lower: float         # certified lower bound on the minimum: value - lower <= TAU_OPT * max(1, value)
     trace: list          # field value at every accepted iterate
     iterations: int
     converged: bool      # the bracket has closed
 
 
-def weiszfeld(foci, max_iter: int = MAX_ITER, p: float = 2.0) -> WeiszfeldResult:
-    """The geometric median under L2 (or Lp, p > 1) by damped Newton with a monotone line search.
+def weiszfeld(foci, metric: Metric = Metric.l2(), max_iter: int = MAX_ITER) -> WeiszfeldResult:
+    """The geometric median under `metric`, L2 or Lp with p > 1, by damped Newton with a monotone line search.
 
     The Newton step solves the closed-form Hessian of the field, sum_i
     (p - 1) / n_i (diag(|v_i| / n_i)^(p - 2) - g_i g_i^T) for gaps v_i of
@@ -377,11 +367,13 @@ def weiszfeld(foci, max_iter: int = MAX_ITER, p: float = 2.0) -> WeiszfeldResult
     terms' gradient R, scaled by (||R||_q - m) / sum_i 1 / n_i for m
     coincident foci. The value trace is non-increasing. Returns once the
     dual bracket has closed; raises SolverError when the budget is spent
-    first, or when no halving of the Newton step leaves the field no higher.
+    first, or when no halving of the Newton step leaves the field no higher,
+    and ValueError for L1, Linf and p = 1, whose minima min_radius takes
+    exactly. The objective is SumField.value under `metric`, bit for bit.
     """
-    if not p > 1:
-        raise ValueError(f"damped Newton needs p > 1, got {p}")
-    metric = Metric.l2() if p == 2 else Metric.lp(p)
+    if metric.kind not in ("l2", "lp") or metric.p == 1:
+        raise ValueError(f"damped Newton needs L2 or Lp with p > 1, got {metric.label}")
+    p = metric.p or 2.0
     pts = np.array(foci, dtype=float)
     x = pts.mean(axis=0)
     extent = max(1.0, float(np.ptp(pts, axis=0).max()))
@@ -398,8 +390,8 @@ def weiszfeld(foci, max_iter: int = MAX_ITER, p: float = 2.0) -> WeiszfeldResult
             x, val = pts[j].copy(), at
             n = metric.rowwise(x, pts)
             trace.append(val)
-        step, shift = _newton_step(x - pts, n, float(p), extent)
-        lower = _lower(metric, x - pts, n, shift=shift)
+        step, shift = _newton_step(x - pts, n, p, extent)
+        lower = _lower(p, x - pts, n, shift=shift)
         if val - lower <= TAU_OPT * max(1.0, val):
             return WeiszfeldResult(Point(tuple(float(c) for c in x)), val, lower, trace, it, True)
         t = 1.0

@@ -272,14 +272,14 @@ class Metric:
     def column_norm_along(self, g: list, axis: int):
         """The function col -> column_norm(g with g[axis] replaced by col), bit for bit.
 
-        For norms of many points that differ in one coordinate only. Under L2
-        with float columns the fixed axes are squared here, once: the sum of
-        the squares before `axis` is kept, and each square after it, since
-        IEEE addition is commutative (col^2 + carry is carry + col^2) but does
-        not reassociate. g's fixed columns are not kept. Every other metric
-        keeps them, unchanged, and takes column_norm with col put in.
+        For norms of many points that differ in one coordinate only, on float
+        gaps, as bisection makes them. Under L2 the fixed axes are squared
+        here, once: the sum of the squares before `axis` is kept, and each
+        square after it, since IEEE addition is commutative (col^2 + carry is
+        carry + col^2) but does not reassociate. g's fixed columns are not
+        kept. Every other metric keeps them and takes column_norm with col put in.
         """
-        if self.kind != "l2" or len(g) == 1 or any(_holds_objects(gi) for gi in g):
+        if self.kind != "l2" or len(g) == 1:
             return lambda col: self.column_norm(g[:axis] + [col] + g[axis + 1:])
         carry = None                # the squares before axis, summed in axis order
         for gi in g[:axis]:

@@ -10,10 +10,10 @@ residual |field - r| at the emitted vertex is within the configured
 tolerance. The field is the `_focus_sum` of the metric's column norms of
 each focus's gaps |x[i] - focus[i]|, bit-identical to SumField.values: grid
 nodes look their gaps up in one table per focus and axis. Grid edges are
-axis-aligned, so bisection moves one coordinate: it keeps the moving gaps
-of the edges along an axis as one (k, m) block, rewritten each round, and
-takes their norms from Metric.column_norm_along, which under L2 squares the
-fixed axes once per call, not once per round. A round moves the bracket
+axis-aligned, so bisection moves one coordinate: it takes the edges grouped
+by axis, keeps the moving gaps of an axis's edges as one (k, m) block,
+rewritten each round, and takes their norms from Metric.column_norm_along,
+which squares the fixed axes under L2 once per call. A round moves the bracket
 ends and the best point, the rows of one array, by one bit select,
 y ^ ((x ^ y) & m) on int64 views, not by masked copies, whose cost follows
 the runs of a mask that is here close to random.
@@ -201,34 +201,34 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
     Edge i runs from the point p0[i] to the point whose coordinate axis[i]
     (an int, or one per edge) is hi[i] instead; f0 and f1 are field - r at its
     ends. Only that coordinate is bisected, since 0.5 * (x + x) == x. The
-    edges are grouped by axis in a stable order, one span per axis with
-    edges (a 3D call has one, a 2D call up to two). A span keeps a (k, m)
-    block of its moving gaps to the k foci and the norm along its axis from
-    Metric.column_norm_along, made once: under L2 it holds the squares of
-    the fixed gaps, which are then freed. Each round rewrites the blocks,
-    takes each span's norms in one call, sets the spans' norms side by side
-    and adds their rows by `_focus_sum`, as SumField.values does.
+    edges come grouped by axis, as trace_2d (h-edges, then v-edges) and
+    sample_3d (one axis a call) pass them; a run of one axis is a span. A
+    span keeps a (k, m) block of its moving gaps to the k foci and the norm
+    along its axis from Metric.column_norm_along, made once: under L2 it
+    holds the squares of the fixed gaps, which are then freed. Each round
+    rewrites the blocks, takes each span's norms in one call, sets them side
+    by side and adds their rows by `_focus_sum`, as SumField.values does.
     Keeps the best (smallest-residual) point seen, so every returned point
     satisfies |field - r| <= tol; raises SolverError when some edge has not
-    got there within BISECT_BUDGET halvings. The ends a and b and the best point are the rows of one
-    (3, N) array, which a round updates by one _select from its midpoints,
-    and the best residual by np.fmin and np.minimum: each equal bit for bit
-    to a masked copy where the midpoint is kept, NaN residuals included.
+    got there within BISECT_BUDGET halvings. The ends a and b and the best
+    point are the rows of one (3, N) array, which a round updates by one
+    _select from its midpoints, and the best residual by np.fmin and
+    np.minimum: each equal bit for bit to a masked copy where the midpoint
+    is kept, NaN residuals included.
     """
     pts = np.array(p0, dtype=float)
     n, d = pts.shape
-    order = np.argsort(np.broadcast_to(axis, n), kind="stable")
-    axes = np.broadcast_to(axis, n)[order]
+    axes = np.broadcast_to(axis, n)
     foci = np.array(f.foci, dtype=float)                    # as SumField.values has them
     spans = []                      # (edges, axis, its moving gaps, the norm along it)
-    for i in range(d):
-        s = slice(*np.searchsorted(axes, [i, i + 1]))
-        if s.start < s.stop:
-            g = [np.abs(pts[order[s], j] - foci[:, j, None]) for j in range(d)]     # (k, m) per axis
-            spans.append((s, i, g[i], f.space.metric.column_norm_along(g, i)))
-            del g                   # the L2 norm keeps the squares, not the fixed gaps
-    a, b = pts[order, axes], np.asarray(hi, dtype=float)[order]
-    f0, f1 = f0[order], f1[order]
+    starts = np.flatnonzero(np.diff(axes, prepend=-1)).tolist()     # where each run begins
+    for start, stop in zip(starts, starts[1:] + [n]):
+        s, i = slice(start, stop), int(axes[start])
+        g = [np.abs(pts[s, j] - foci[:, j, None]) for j in range(d)]         # (k, m) per axis
+        spans.append((s, i, g[i], f.space.metric.column_norm_along(g, i)))
+        del g                       # the L2 norm keeps the squares, not the fixed gaps
+    moving = (np.arange(n), axes)
+    a, b = pts[moving], np.asarray(hi, dtype=float)
     below = f0 < 0                  # f - r < 0 at each end a, which stays so as a moves
     ends = np.array([a, b, np.where(np.abs(f0) <= np.abs(f1), a, b)])
     a, b, best = ends
@@ -252,10 +252,9 @@ def _bisect_edges(f: SumField, r: float, p0: np.ndarray, axis, hi: np.ndarray,
         _select(takes, mid, ends, out=ends)
         # res where res < best_res, else best_res: a NaN res is passed over and a NaN best_res kept
         np.minimum(best_res, np.fmin(res, best_res, out=res), out=best_res)
-    pts[order, axes] = best
+    pts[moving] = best
     unconverged = int((best_res > tol).sum())
     if unconverged:
-        best_res = best_res[np.argsort(order)]              # in the caller's order
         worst = int(np.argmax(best_res))
         raise SolverError(
             f"bisection left {unconverged} of {len(best_res)} crossing edge(s) unconverged "

@@ -732,7 +732,11 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapp
 # theorem-level certification
 # ---------------------------------------------------------------------------
 
-# family -> (label, existence condition ids, uniqueness condition ids)
+# family -> (label, existence condition ids, uniqueness condition ids). For
+# k >= 2, t4 existence is never certified on two or more on-set points: two
+# points x, y of one level set have k d(x, y) <= sum_i (d(x, c_i) + d(c_i, y))
+# = 2r, so d(x, y) <= r, and E'''k1 puts Tx and Ty on the set, where E'''k2
+# asks d(Tx, Ty) > r.
 THEOREM_FAMILIES = {
     "t1": ("caristi-kannan", ("Ek1", "Ek2"), ("Ek3",)),
     "t2": ("chatterjea", ("E'k1", "E'k2"), ("E'k3",)),

@@ -408,3 +408,17 @@ def test_cli_trace_warns_when_the_trace_is_empty(tmp_path, capsys):
     hit = trace_scene(tmp_path, {"bbox": [[996, 1006], [995, 1005]], "resolution": 16})
     assert main(["trace", hit, "-o", str(tmp_path / "hit.svg")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_trace_warns_at_the_minimum_radius(tmp_path, capsys):
+    # tri_l2 cut to its first focus, at r = 0: the level set is that focus, in
+    # the bbox, but f - r >= 0 at every grid node, so no sign change shows it
+    data = json.loads(fixture_path("tri_l2").read_text())
+    data["ellipse"] = {"foci": [[3, 0]], "r": 0}
+    scene = tmp_path / "focus.json"
+    scene.write_text(json.dumps(data))
+    assert main(["trace", str(scene), "-o", str(tmp_path / "focus.svg")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("traced 0 polyline(s), 0 vertices")
+    assert err == ("warning: traced no points: r is the minimum radius, whose set of "
+                   "minimizers a sign-change grid does not trace\n")
