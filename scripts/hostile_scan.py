@@ -42,6 +42,7 @@ AXIOM_SAMPLES = 50
 # Scene inputs that once escaped `cli.main` with a traceback, or ran when they
 # should not: (label, scene, edits, key). An edit is (path, value) or
 # (path, function of the old value); the key is the scene key the message names.
+_REGION = ("map", "rules", 0, "region")      # the first rule's region
 _PIECEWISE_BREAKPOINT = {"breakpoints": [math.inf], "pieces": [[1, 0], [1, 0]]}
 PROBES = (
     ("srelu.tl = 1e400", "srelu", [(("piecewise", "srelu", "tl"), math.inf)], "piecewise"),
@@ -65,6 +66,14 @@ PROBES = (
     ("plan.off_count above MAX_PLAN_POINTS", "reciprocal_map",
      [(("plan", "off_count"), MAX_PLAN_POINTS + 1)], "plan.off_count"),
     ("trace.bbox end 1e400", "tri_l2", [(("trace", "bbox", 0, 0), -math.inf)], "trace.bbox"),
+    ("on_ellipse.tol = -1", "finite_anchor", [(_REGION + ("tol",), -1)], "map"),
+    ("on_ellipse.tol = NaN", "finite_anchor", [(_REGION + ("tol",), math.nan)], "map"),
+    ("on_ellipse.tol = 1e400", "finite_anchor", [(_REGION + ("tol",), math.inf)], "map"),
+    ("halfspace.offset = NaN", "finite_anchor",
+     [(_REGION, {"kind": "halfspace", "coeffs": [1, 0], "offset": math.nan})], "map"),
+    ("halfspace coefficient 1e400", "finite_anchor",
+     [(_REGION, {"kind": "halfspace", "coeffs": [math.inf, 0], "offset": 0})], "map"),
+    ("interval region end NaN", "finite_anchor", [(_REGION, {"kind": "interval", "lo": math.nan})], "map"),
 )
 # A rational map with its pole -1 inside the plan's window and no rule for
 # it: the map fails on a plan point, under verify only.

@@ -292,26 +292,18 @@ def _simplex(t: np.ndarray, columns: list) -> list:
 # for every y and x (Love, Morris & Wesolowsky 1988, ch. 2)
 # ---------------------------------------------------------------------------
 
-def _lower(p: float, v: np.ndarray, n: np.ndarray, shift=None) -> float:
+def _lower(p: float, v: np.ndarray, n: np.ndarray, u: np.ndarray) -> float:
     """A lower bound on the minimum of the Lp field, 1 < p < inf, from the
-    gaps v_i = x - a_i (norms n) at a point x, for damped Newton.
+    gaps v_i = x - a_i (norms n) at a point x and the rows u, which it
+    overwrites: the terms' gradients as `_newton_step` returns them.
 
-    Each focus off x takes its term's gradient at x; the foci at x take equal
-    shares of minus the others' sum. The mean is then subtracted and the rows
-    rescaled into the dual-norm ball, giving dual rows u_i and the bound
-    sum_i <u_i, v_i>, whatever x is. It tends to f(x) as x tends to a
-    minimizer off the foci, and equals it, less rounding, at a focus that
-    minimizes.
-
-    `shift` (rows) is added to the gradients first: the Newton solver passes
-    each term's Hessian times its step, which moves the gradients to their
-    linear estimate at the Newton point, where they balance; the Hessian of a
-    norm annihilates v_i, so the bound then falls short of f(x) only to
-    second order in the step.
+    The foci at x take equal shares of minus the others' rows; the mean is
+    then subtracted and the rows rescaled into the dual-norm ball, giving
+    dual rows u_i and the bound sum_i <u_i, v_i>, whatever x and u are.
+    Gradients moved to the Newton point, where they balance, leave it short
+    of f(x) only to second order in the step (the Hessian of a norm
+    annihilates v_i); at a focus that minimizes it equals f(x), less rounding.
     """
-    u = _gradients(v, p)
-    if shift is not None:
-        u += shift
     free = n == 0
     if free.any():
         u[free] = -u[~free].sum(axis=0) / free.sum()
@@ -390,8 +382,9 @@ def weiszfeld(foci, metric: Metric = Metric.l2(), max_iter: int = MAX_ITER) -> W
             x, val = pts[j].copy(), at
             n = metric.rowwise(x, pts)
             trace.append(val)
-        step, shift = _newton_step(x - pts, n, p, extent)
-        lower = _lower(p, x - pts, n, shift=shift)
+        v = x - pts
+        step, u = _newton_step(v, n, p, extent)
+        lower = _lower(p, v, n, u)
         if val - lower <= TAU_OPT * max(1.0, val):
             return WeiszfeldResult(Point(tuple(float(c) for c in x)), val, lower, trace, it, True)
         t = 1.0
@@ -410,10 +403,10 @@ def weiszfeld(foci, metric: Metric = Metric.l2(), max_iter: int = MAX_ITER) -> W
 
 
 def _newton_step(v: np.ndarray, n: np.ndarray, p: float, extent: float) -> tuple:
-    """The damped Newton step at gaps v (norms n) and each term's Hessian times it.
-
-    At a focus (some n_i = 0) it is Vardi & Zhang's step, with no shift, or
-    no step when the focus minimizes (all foci at it included).
+    """The damped Newton step at gaps v (norms n), and the terms' gradients
+    moved to the Newton point: each plus its Hessian times the step. At a
+    focus (some n_i = 0) it is Vardi & Zhang's step, or no step when the
+    focus minimizes (all foci at it included), and the gradients themselves.
     """
     free = n == 0
     g = _gradients(v, p)
@@ -421,9 +414,9 @@ def _newton_step(v: np.ndarray, n: np.ndarray, p: float, extent: float) -> tuple
     if free.any():
         rq = float(_dual_norm(grad[None], p)[0])
         if rq <= free.sum():
-            return np.zeros_like(grad), None
+            return np.zeros_like(grad), g
         step = -(rq - free.sum()) / (1 / n[~free]).sum() * _gradients(grad[None], p / (p - 1))[0]
-        return step, None
+        return step, g
     c = (p - 1) / n
     curv = c[:, None] * np.maximum(np.abs(v) / n[:, None], np.finfo(float).eps) ** (p - 2)
     hess = np.diag(curv.sum(axis=0)) - np.einsum("i,ij,il->jl", c, g, g)
@@ -435,7 +428,7 @@ def _newton_step(v: np.ndarray, n: np.ndarray, p: float, extent: float) -> tuple
     size = float(np.linalg.norm(step))
     if size > extent:
         step *= extent / size
-    return step, curv * step - c[:, None] * g * (g @ step)[:, None]
+    return step, g + (curv * step - c[:, None] * g * (g @ step)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +452,6 @@ class LevelSolution1D:
     kind: SolutionKind
     points: tuple = ()
     interval: tuple | None = None
-
-    @classmethod
-    def empty(cls) -> "LevelSolution1D":
-        return cls(SolutionKind.EMPTY)
-
-    @classmethod
-    def at_points(cls, *xs) -> "LevelSolution1D":
-        return cls(SolutionKind.POINTS, points=tuple(sorted(xs)))
-
-    @classmethod
-    def flat(cls, lo, hi) -> "LevelSolution1D":
-        return cls(SolutionKind.INTERVAL, interval=(lo, hi))
 
     @property
     def is_empty(self) -> bool:
@@ -532,10 +513,12 @@ class LineField:
         m = (k - 1) // 2
         nD, star = n * self.D, d * A[m]
         if nD < star:
-            return LevelSolution1D.empty()
+            return LevelSolution1D(SolutionKind.EMPTY)
         if nD == star:
             lo, hi = self.median
-            return LevelSolution1D.at_points(lo) if lo == hi else LevelSolution1D.flat(lo, hi)
+            if lo == hi:
+                return LevelSolution1D(SolutionKind.POINTS, (lo,))
+            return LevelSolution1D(SolutionKind.INTERVAL, interval=(lo, hi))
         # r lies on piece i (left) with at[i] < r <= at[i-1], on piece j (right)
         # with at[j-1] < r <= at[j]; as every A[j] is an int, A[j] < nD/d exactly
         # when A[j] < ceil(nD/d)

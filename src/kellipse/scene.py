@@ -19,11 +19,12 @@ Schema (version 1), all keys optional unless a subcommand needs them:
       "expect": {...}       # documented outcomes, used by the test suite
     }
 
-Region kinds: on_ellipse (index, tol), in_set (points), interval (lo, hi,
-lo_open, hi_open; null = unbounded), halfspace (coeffs, offset), otherwise.
-An interval region and the membership of a mixed 1D space are exact
-`Interval` / `IntervalUnion` values, null ends becoming -inf / inf; a
-membership needs at least one part, and each interval of it lo <= hi.
+Region kinds: on_ellipse (index, tol >= 0), in_set (points), interval (lo,
+hi, lo_open, hi_open; null = unbounded), halfspace (coeffs, offset), otherwise;
+tol and the halfspace numbers are finite. An interval region and the
+membership of a mixed 1D space are exact `Interval` / `IntervalUnion` values,
+null ends becoming -inf / inf, each interval lo <= hi; a membership needs at
+least one part.
 Action kinds: identity, constant (point), affine (slope, intercept),
 rational (num [a, b], den [c, d]).
 
@@ -175,10 +176,14 @@ def _parse_region(obj, ellipses):
     if kind == "in_set":
         return InFiniteSet(tuple(Point([_num(c) for c in p]) for p in obj["points"]))
     if kind == "interval":
-        return Interval(_num_or_none(obj.get("lo"), -1), _num_or_none(obj.get("hi"), +1),
-                        bool(obj.get("lo_open", False)), bool(obj.get("hi_open", False)))
-    if kind == "halfspace":
-        return InHalfspace(tuple(_num(c) for c in obj["coeffs"]), _num(obj["offset"]))
+        iv = Interval(_num_or_none(obj.get("lo"), -1), _num_or_none(obj.get("hi"), +1),
+                      bool(obj.get("lo_open", False)), bool(obj.get("hi_open", False)))
+        if not iv.lo <= iv.hi:      # a NaN end compares false
+            raise SceneError(f"interval region needs lo <= hi, got {obj!r}")
+        return iv
+    if kind == "halfspace":     # a Point of the numbers refuses any that is not finite
+        *coeffs, offset = Point([*(_num(c) for c in obj["coeffs"]), _num(obj["offset"])])
+        return InHalfspace(tuple(coeffs), offset)
     if kind == "otherwise":
         return Otherwise()
     raise SceneError(f"unknown region kind {kind!r}")

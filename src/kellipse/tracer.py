@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import KEllipse, SolverError, SumField, _focus_sum
-from .metric import PRUNE_SLACK, REFINE_TOL, TAU_EQ, Point, fmt_num
+from .metric import PRUNE_SLACK, REFINE_TOL, TAU_EQ, Point
 
 __all__ = [
     "TraceConfig",
@@ -533,18 +533,21 @@ def export_csv(points) -> str:
 
 def _csv_parts(points):
     """The text of `export_csv` in pieces, FORMAT_ROWS rows at a time, so that
-    a file can be written without the whole table in memory."""
+    a file can be written without the whole table in memory. Points other
+    than a float64 table become one object array of their own numbers, whose
+    cells %s prints as `fmt_num` does: ints and Fractions by str, floats by repr.
+    """
     table = isinstance(points, np.ndarray) and points.ndim == 2
-    rows = None if table and points.dtype == np.float64 else [tuple(p) for p in points]
+    floats = table and points.dtype == np.float64
+    rows = None if floats else [tuple(p) for p in points]
     dim = points.shape[1] if table else len(rows[0]) if rows else 2
     if dim > 3:
         raise ValueError(f"CSV export takes at most 3 columns (x, y, z), got {dim}")
     yield ",".join("xyz"[:dim]) + "\n"
     if rows is not None:
-        for s in range(0, len(rows), FORMAT_ROWS):
-            yield "".join(",".join(fmt_num(c) for c in row) + "\n" for row in rows[s:s + FORMAT_ROWS])
-    elif len(points):
-        yield from _format_rows(",".join(["%s"] * dim) + "\n", points, reprs=True)
+        points = np.array(rows, dtype=object).reshape(len(rows), dim)
+    if len(points):
+        yield from _format_rows(",".join(["%s"] * dim) + "\n", points, reprs=floats)
 
 
 def _format_rows(row: str, values: np.ndarray, sep: str = "", reprs: bool = False):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -80,9 +80,11 @@ class OnEllipse:
     ellipse: KEllipse
     tol: object = 0
 
+    def __post_init__(self):
+        if not ((is_exact(self.tol) or math.isfinite(self.tol)) and self.tol >= 0):
+            raise ValueError(f"on_ellipse tol must be a finite number >= 0, got {self.tol!r}")
+
     def mask(self, P: np.ndarray) -> np.ndarray:
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
         return np.abs(self.ellipse.field.values(P) - self.ellipse.r) <= self.tol
 
 
@@ -213,6 +215,8 @@ class SamplePlan:
     exhaustive: the plan covers every point of the space (finite spaces).
     exact: rational points, foci and radius in a space that keeps them so
     (`Space.keeps_rationals`): rational images are checked with zero slack.
+    _memo: the last result of `_mapped` on the plan; set after construction,
+    neither compared nor shown, it dies with the plan.
     """
 
     space: Space
@@ -221,6 +225,7 @@ class SamplePlan:
     seed: int = 0
     exhaustive: bool = False
     exact: bool = False
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def all_points(self) -> tuple:
@@ -420,9 +425,6 @@ class _Mapped:
     FTP: np.ndarray | None = None
 
 
-_last_mapped = None   # (m, plan, f, r, every point mapped, _Mapped) of the last _mapped call
-
-
 def _mapped(m: SelfMap, plan: SamplePlan, f: SumField, r, condition_ids) -> _Mapped:
     """Map the plan points the conditions read, and scale the rows that
     rational arithmetic decides: on an exact plan under a metric that keeps
@@ -430,24 +432,19 @@ def _mapped(m: SelfMap, plan: SamplePlan, f: SumField, r, condition_ids) -> _Map
     and radius, the on-set rows when their points and images are exact, and
     every row when the off-set ones are too. Every margin is then exact.
 
-    The last result is kept and served again to a call on the same m, plan, f
-    and r, compared by identity, unless that call reads every plan point and
-    the kept one mapped the on-set points alone. All four are immutable
-    (frozen dataclasses and numbers) and held by the memo, so no id is reused;
-    the map must be a pure function, as the `fixed_point_set` memo assumes of
-    maps. So the theorem families certified in turn on one exact plan and
-    map, map and scale it once. Float plans are not kept: they map cheaply,
-    and keeping one alive into the next call made the certify2d benchmark
-    about 5% slower on a 2-vCPU host. The memo is read and replaced as one
-    tuple, so callers in other threads at worst map a plan twice.
+    The plan keeps the last result and serves it again to a call on the same
+    m, f and r, compared by identity, unless that call reads every plan
+    point and the kept one mapped the on-set points alone. All three are
+    immutable and held by the plan, so no id is reused; the map must be a
+    pure function, as the `fixed_point_set` memo assumes of maps. So the
+    theorem families certified in turn on one plan and map share one mapping.
     """
-    global _last_mapped
     # Ik reads every image, and so does a pair fit when there are on-set
     # points to pair; the other conditions read the on-set images alone
     every = "Ik" in condition_ids or bool(plan.on_ellipse and any(cid in PAIR_FIT for cid in condition_ids))
-    last = _last_mapped
-    if last and all(a is b for a, b in zip(last, (m, plan, f, r))) and (last[4] or not every):
-        return last[5]
+    memo = plan._memo
+    if memo and all(a is b for a, b in zip(memo, (m, f, r))) and (memo[3] or not every):
+        return memo[4]
     images = m.map_points(plan.all_points if every else plan.on_ellipse)
     mapped = _Mapped(images)
     if plan.exact and f.space.keeps_rationals and exact_points(r, f.foci):
@@ -458,7 +455,7 @@ def _mapped(m: SelfMap, plan: SamplePlan, f: SumField, r, condition_ids) -> _Map
         D, rs, (foci, P, TP) = _scaled(r, (f.foci, points[:rows], images[:rows]), f.space.dimension)
         metric = f.space.metric
         mapped = _Mapped(images, rows, D, rs, P, TP, _field(metric, foci, P), _field(metric, foci, TP))
-    _last_mapped = (m, plan, f, r, every, mapped) if plan.exact else None
+    object.__setattr__(plan, "_memo", (m, f, r, every, mapped))
     return mapped
 
 
@@ -483,7 +480,7 @@ def check_condition(condition_id: str, m: SelfMap, e: KEllipse, plan: SamplePlan
         raise ValueError(f"unknown condition id {condition_id!r}; choose from {CONDITION_IDS}")
     if condition_id == "Ik":
         return check_identity_condition(m, e.field, plan)
-    return _check(condition_id, e.field, e.r, e.k, plan, _mapped(m, plan, e.field, e.r, (condition_id,)))
+    return _check(condition_id, e.field, e.r, plan, _mapped(m, plan, e.field, e.r, (condition_id,)))
 
 
 def check_identity_condition(m: SelfMap, f: SumField, plan: SamplePlan) -> ConditionReport:
@@ -494,7 +491,7 @@ def check_identity_condition(m: SelfMap, f: SumField, plan: SamplePlan) -> Condi
     TAU_IDENT, which only float rounding can produce. The check runs in the
     condition kernel on exact or float arrays, as in check_condition.
     """
-    return _check("Ik", f, 0, len(f.foci), plan, _mapped(m, plan, f, 0, ("Ik",)))
+    return _check("Ik", f, 0, plan, _mapped(m, plan, f, 0, ("Ik",)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +564,7 @@ def _extreme(rows: int, cols: int, dim: int, block, largest: bool, first=None):
     return best
 
 
-def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapped) -> ConditionReport:
+def _check(condition_id, f: SumField, r, plan: SamplePlan, mapped: _Mapped) -> ConditionReport:
     """One condition over the plan, the points mapped as `mapped` holds them.
     Pair reductions run in blocks; ties keep the first witness in plan order.
     On exact rows the search runs on D times every distance, as Python ints;
@@ -598,7 +595,7 @@ def _check(condition_id, f: SumField, r, k: int, plan: SamplePlan, mapped: _Mapp
         return _coords(points[i:i + 1], dim, True), _coords(images[i:i + 1], dim, True)
 
     if condition_id == "Ik":
-        step = metric.rowwise(P, TP)
+        k, step = len(f.foci), metric.rowwise(P, TP)
         if exact:       # (k + 1) D times the margin
             margins = (mapped.FP[:rows] - mapped.FTP[:rows]) - (k + 1) * step
         else:
@@ -775,7 +772,7 @@ def certify(theorem: str, m: SelfMap, e: KEllipse, plan: SamplePlan) -> TheoremV
     family, existence_ids, uniqueness_ids = THEOREM_FAMILIES[key]
     ids = existence_ids + uniqueness_ids
     mapped = _mapped(m, plan, e.field, e.r, ids)
-    reports = {cid: _check(cid, e.field, e.r, e.k, plan, mapped) for cid in ids}
+    reports = {cid: _check(cid, e.field, e.r, plan, mapped) for cid in ids}
     existence = all(reports[cid].verdict != FAIL for cid in existence_ids)
     uniqueness = all(reports[cid].verdict != FAIL for cid in uniqueness_ids)
     return TheoremVerdict(key, family, existence, uniqueness, reports, plan.exhaustive)

@@ -12,7 +12,7 @@ import kellipse as ke
 from kellipse import (KEllipse, Metric, Space, SumField,
                       members_finite, min_radius, solve_1d, weiszfeld)
 from kellipse import geometry
-from kellipse.geometry import SolutionKind, SolverError, _line_field, _lower, _minimum
+from kellipse.geometry import SolutionKind, SolverError, _gradients, _line_field, _lower, _minimum
 from kellipse.metric import TAU_OPT, is_exact
 from oracles import PointClass, classify, scalar_distance, scalar_value
 
@@ -219,8 +219,8 @@ def test_nonempty_against_the_certified_lower_bound():
 
 def bracket_at(field, x):
     """The dual bound that the solvers take at x."""
-    pts, x = np.array(field.foci, float), np.asarray(x, float)
-    return _lower(field.space.metric.p or 2.0, x - pts, field.space.metric.rowwise(x, pts))
+    p, pts, x = field.space.metric.p or 2.0, np.array(field.foci, float), np.asarray(x, float)
+    return _lower(p, x - pts, field.space.metric.rowwise(x, pts), _gradients(x - pts, p))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

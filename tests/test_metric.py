@@ -270,3 +270,14 @@ def test_tolerances_are_defined_only_in_metric():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-6]
     assert not found, found
+
+
+def test_no_module_keeps_state_in_a_global():
+    # a value computed for an object is kept on that object, where it dies
+    # with it, not rebound in module state by a global statement
+    src = Path(ke.__file__).parent
+    found = [f"{path.name}:{node.lineno}: global {', '.join(node.names)}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Global)]
+    assert not found, found

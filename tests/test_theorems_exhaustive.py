@@ -22,17 +22,21 @@ import itertools
 import pytest
 
 from kellipse import KEllipse, Metric, Space
-from kellipse.verifier import (ConstantPoint, InFiniteSet, SelfMap, certify, check_identity_condition,
-                               exhaustive_plan)
+from kellipse.verifier import (THEOREM_FAMILIES, ConstantPoint, InFiniteSet, SelfMap, certify,
+                               check_identity_condition, exhaustive_plan)
 
 LINE = Space.finite([(0,), (1,), (2,), (3,)], Metric.l1())
 PLANE = Space.finite([(0, 0), (0, 1), (0, 2), (1, 1)], Metric.linf())
+TAXICAB = Space.finite([(0, 0), (1, 0), (0, 1), (2, 1)], Metric.l1())
+# the on-set {(2,)}, on which some maps certify existence and uniqueness
+SINGLETON = (LINE, ((0,), (1,)), 3, 1)
 # (space, foci, r, size of the on-set)
 CASES = [
     (LINE, ((0,), (3,)), 3, 4), (LINE, ((0,), (2,)), 2, 3),
     (LINE, ((0,), (1,)), 1, 2), (LINE, ((0,), (1,)), 0, 0),
     (PLANE, ((0, 0), (0, 2)), 2, 4), (PLANE, ((0, 0), (0, 1), (0, 2)), 3, 3),
     (PLANE, ((0, 0), (0, 1)), 1, 2), (PLANE, ((0, 0), (0, 1)), 0, 0),
+    (TAXICAB, ((0, 0), (1, 0)), 1, 2), SINGLETON,
 ]
 
 
@@ -57,3 +61,18 @@ def test_theorems_hold_on_every_self_map(space, foci, r, size):
             assert fixed == set(pts), images
         if size >= 2:                               # (d)
             assert not verdicts["t4"].existence_certified, images
+
+
+def test_claim_b_is_not_vacuous_on_a_singleton_on_set():
+    space, foci, r, _ = SINGLETON
+    e = KEllipse(space, foci, r)
+    plan = exhaustive_plan(e)
+    assert plan.on_ellipse == ((2,),)
+    pts, unique = space.points, []
+    for images in itertools.product(pts, repeat=len(pts)):
+        m = SelfMap(tuple((InFiniteSet((p,)), ConstantPoint(t)) for p, t in zip(pts, images)))
+        if any(v.existence_certified and v.uniqueness_certified
+               for v in (certify(t, m, e, plan) for t in THEOREM_FAMILIES)):
+            unique.append({p for p, t in zip(pts, images) if p == t})
+    # (b): each of these maps fixes the on-set point and no other
+    assert unique and all(fixed == {(2,)} for fixed in unique)

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -670,14 +672,41 @@ def test_an_on_set_mapping_is_not_served_to_a_call_that_reads_every_point(mapped
         certify("t1", partial_map, e, plan)
 
 
-def test_a_float_plan_is_mapped_again_by_each_call(mapped_sizes):
+def test_a_float_plan_is_mapped_once_while_it_lives(mapped_sizes):
     sp = Space.finite(((0, 0), (3, 4), (1, 1), (6, 8), (2, 0)), Metric.l2())
     e = KEllipse(sp, ((0, 0), (3, 4)), 5)
     m, plan = make_fixing_map([e], (2, 0)), exhaustive_plan(e)
     assert not plan.exact
     first = certified(("t1",), m, e, plan)
     assert certified(("t1",), m, e, plan) == first
-    assert mapped_sizes == [len(plan.all_points)] * 2
+    assert mapped_sizes == [len(plan.all_points)]
+    fresh = exhaustive_plan(e)
+    assert fresh == plan and certified(("t1",), m, e, fresh) == first
+    assert mapped_sizes == [len(plan.all_points)] * 2       # an equal plan is another plan
+
+
+def test_a_plan_keeps_the_mapping_of_its_last_map_alone(mapped_sizes):
+    _, e, plan = memo_case()
+    slopes = (Fraction(1, 2), 2, Fraction(-1, 3), 0)
+    kept = []
+    for slope in slopes:
+        m = memo_case(slope)[0]
+        assert certified(THEOREM_FAMILIES, m, e, plan) == certified(THEOREM_FAMILIES, m, *memo_case(slope)[1:])
+        kept.append(weakref.ref(plan._memo[-1]))
+    assert mapped_sizes == [len(plan.all_points)] * (2 * len(slopes))
+    assert plan._memo[0] is m
+    assert [ref() is not None for ref in kept] == [False] * (len(slopes) - 1) + [True]
+    assert "_memo" not in repr(plan)
+
+
+def test_the_kept_mapping_dies_with_its_plan():
+    m, e, plan = memo_case()
+    certify("t1", m, e, plan)
+    kept = weakref.ref(plan._memo[-1])
+    assert kept() is not None
+    del plan
+    gc.collect()
+    assert kept() is None
 
 
 # ---------------------------------------------------------------------------
